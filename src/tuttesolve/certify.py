@@ -10,16 +10,16 @@ vanishes strictly beyond the bound.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polyq
 from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
-                     ResultantVanishes, TutteSolveError, ZeroAnnihilator,
-                     ZeroPolynomial)
-from .funceq import FuncEq, WellPosedness, check_well_posed, expand_series, specialize_y0
+                     ResultantVanishes, SelfCheckFailed, TutteSolveError,
+                     ZeroAnnihilator, ZeroPolynomial)
+from .funceq import (FuncEq, WellPosedness, _eval_at_branch, check_well_posed,
+                     expand_series, specialize_y0)
 from .guessing import AlgEq
 from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
-from .series import QSeries, SeriesX, _Loc, _LocCtx
+from .series import SeriesX, _frac_lift, _loc_subst, _subs
 
 
 class BivarAlgEq:
@@ -77,148 +77,11 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# series evaluation helpers (localized arithmetic, exact)
 
-def _radical_ctx(psi_hat: SeriesX) -> _LocCtx:
-    # common localization: product of the distinct denominator factors
-    rad = [Fraction(1)]
-    for c in psi_hat.coeffs:
-        d = list(c.den)
-        while True:
-            g = polyq.pgcd(d, rad)
-            if polyq.deg(g) < 1:
-                break
-            d = polyq.pdivmod(d, g)[0]
-        if polyq.deg(d) >= 1:
-            rad = polyq.pmul(rad, d)
-    rint, _ = polyq.clear_denominators(rad)
-    return _LocCtx(rint)
+def _first_nonzero(P: MPoly, subst: dict, L: int, lift) -> int | None:
+    """Lowest x-order below L at which P at the series is nonzero."""
+    return next((m for m, v in enumerate(_subs(P, subst, L, lift)) if v), None)
 
-
-def _loc_series(ctx: _LocCtx, psi_hat: SeriesX) -> list[_Loc]:
-    return [ctx.from_ratfunc(c) for c in psi_hat.coeffs]
-
-
-def _series_mul(ctx: _LocCtx, a: list[_Loc], b: list[_Loc], L: int) -> list[_Loc]:
-    out = [ctx.zero() for _ in range(L)]
-    for i, ai in enumerate(a[:L]):
-        if ai.is_zero:
-            continue
-        for j in range(L - i):
-            bj = b[j]
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _eval_psi_poly(P: MPoly, psi_hat: SeriesX, L: int,
-                   ctx: _LocCtx | None = None) -> list[_Loc]:
-    """Coefficients of P(psi_hat, x, y) mod x^L; P in {psi, x, y}."""
-    if ctx is None:
-        ctx = _radical_ctx(psi_hat)
-    base = _loc_series(ctx, psi_hat)
-    dpsi = P.degree("psi")
-    pw = [[ctx.from_fraction(Fraction(1))] + [ctx.zero()] * (L - 1)]
-    for _ in range(dpsi):
-        pw.append(_series_mul(ctx, pw[-1], base, L))
-    acc = [ctx.zero() for _ in range(L)]
-    for e, c in P.terms.items():
-        i, j, l = e[0], e[4], e[5]  # psi, x, y exponents
-        if j >= L:
-            continue
-        mono = _Loc(ctx, [0] * l + [c], Fraction(1), 0)
-        row = pw[i]
-        for m in range(j, L):
-            v = row[m - j]
-            if not v.is_zero:
-                acc[m] = acc[m] + v * mono
-    return acc
-
-
-def _eval_full(Q: MPoly, psi_hat: SeriesX, g_hat: QSeries, L: int,
-               ctx: _LocCtx | None = None) -> list[_Loc]:
-    """Coefficients of Q(psi_hat, g_hat, x, y) mod x^L; Q in {psi, g, x, y}."""
-    if ctx is None:
-        ctx = _radical_ctx(psi_hat)
-    base = _loc_series(ctx, psi_hat)
-    one = [ctx.from_fraction(Fraction(1))] + [ctx.zero()] * (L - 1)
-    pw = [one]
-    for _ in range(Q.degree("psi")):
-        pw.append(_series_mul(ctx, pw[-1], base, L))
-    gp = [[Fraction(0)] * L for _ in range(Q.degree("g") + 1)]
-    gp[0][0] = Fraction(1)
-    for b in range(1, len(gp)):
-        prev = gp[b - 1]
-        for a in range(L):
-            if prev[a]:
-                for t in range(L - a):
-                    gp[b][a + t] += prev[a] * g_hat[t]
-    # share one convolution per (psi, g) exponent pair
-    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for e, c in Q.terms.items():
-        groups.setdefault((e[0], e[1]), []).append((e[4], e[5], c))
-    acc = [ctx.zero() for _ in range(L)]
-    for (i, b), monos in groups.items():
-        if b == 0:
-            conv = pw[i]
-        else:
-            conv = [ctx.zero() for _ in range(L)]
-            row = pw[i]
-            gb = gp[b]
-            for a in range(L):
-                ra = row[a]
-                if ra.is_zero:
-                    continue
-                for t in range(L - a):
-                    if gb[t]:
-                        conv[a + t] = conv[a + t] + ra.scaled(gb[t])
-        for j, l, c in monos:
-            mono = _Loc(ctx, [0] * l + [c], Fraction(1), 0)
-            for m in range(j, L):
-                v = conv[m - j]
-                if not v.is_zero:
-                    acc[m] = acc[m] + v * mono
-    return acc
-
-
-def _eval_g_poly(P: MPoly, g_hat: QSeries, L: int) -> list[Fraction]:
-    """Coefficients of P(g_hat, x) mod x^L; P in {f, x}."""
-    dF = P.degree("f")
-    pw = [[Fraction(0)] * L for _ in range(dF + 1)]
-    pw[0][0] = Fraction(1)
-    for i in range(1, dF + 1):
-        prev = pw[i - 1]
-        for a in range(L):
-            pa = prev[a]
-            if pa:
-                for b in range(L - a):
-                    pw[i][a + b] += pa * g_hat[b]
-    acc = [Fraction(0)] * L
-    for e, c in P.terms.items():
-        i, j = e[2], e[4]  # f, x exponents
-        if j >= L:
-            continue
-        row = pw[i]
-        for m in range(j, L):
-            acc[m] += c * row[m - j]
-    return acc
-
-
-def _first_nonzero_loc(vals: list[_Loc]) -> int | None:
-    for m, v in enumerate(vals):
-        if not v.is_zero:
-            return m
-    return None
-
-
-def _first_nonzero_frac(vals: list[Fraction]) -> int | None:
-    for m, v in enumerate(vals):
-        if v:
-            return m
-    return None
-
-
-# ---------------------------------------------------------------------------
 
 def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
     """Split off visible factors  c2*m2*psi + c1*m1  by trial division.
@@ -280,12 +143,12 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
         raise InvalidElimination("elimination lost the unknown series")
     P2 = squarefree_primitive(R, "psi")
     L = len(witness.coeffs)
-    ctx = _radical_ctx(witness)
+    subst, ctx = _loc_subst(witness, ())  # P2 is free of g
     factors, rest = _monomial_linear_factors(P2)
     if rest.degree("psi") >= 1:
         factors.append(rest)
     keep = [F for F in factors
-            if _first_nonzero_loc(_eval_psi_poly(F, witness, L, ctx)) is None]
+            if _first_nonzero(F, subst, L, ctx.from_ints) is None]
     if not keep:
         raise NoVanishingFactor(
             "no factor of the eliminated equation annihilates the series witness")
@@ -327,28 +190,17 @@ def defect_annihilator(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> MPoly:
     return squarefree_primitive(M0, "z")
 
 
-def _slack_g(p1: AlgEq, g_hat: QSeries, cap: int) -> int:
-    dP = p1.P.derivative("f")
-    for m in range(cap + 1):
-        vals = _eval_g_poly(dP, g_hat, m + 1)
-        if vals[m]:
-            return m
-    raise NonSquarefree("derivative of the specialized equation vanishes on the witness")
-
-
-def _slack_psi(p2: BivarAlgEq, psi_hat: SeriesX, ctx: _LocCtx, cap: int) -> int:
+def _slack(dP: MPoly, subst: dict, lift, cap: int, what: str) -> int:
     # the slack is almost always 0; grow the truncation lazily
-    dP = p2.P.derivative("psi")
     L = 1
     while True:
-        vals = _eval_psi_poly(dP, psi_hat, L, ctx)
-        m = _first_nonzero_loc(vals)
+        m = _first_nonzero(dP, subst, L, lift)
         if m is not None:
             return m
         if L >= cap + 1:
-            break
+            raise NonSquarefree(
+                f"derivative of the {what} equation vanishes on the witness")
         L = min(L * 2, cap + 1)
-    raise NonSquarefree("derivative of the bivariate equation vanishes on the witness")
 
 
 def _rf_val_y(rf) -> int:
@@ -361,25 +213,11 @@ def _rf_val_y(rf) -> int:
 
 def _kernel_echo(eq: FuncEq, witness: SeriesX) -> WellPosedness:
     """Kernel data straight from the witness; no uniqueness claim."""
-    from .polyq import RATFUNC_ZERO, RatFunc
     c0 = witness[0]
     g0 = c0.eval0()
-    pw = [RatFunc((Fraction(1),), (Fraction(1),))]
-
-    def _at_branch(P: MPoly):
-        acc = RATFUNC_ZERO
-        for e, c in P.terms.items():
-            if e[4]:
-                continue
-            while len(pw) <= e[0]:
-                pw.append(pw[-1] * c0)
-            term = pw[e[0]] * RatFunc(
-                (Fraction(0),) * e[5] + (Fraction(c) * g0 ** e[1],), (Fraction(1),))
-            acc = acc + term
-        return acc
-
-    A = _at_branch(eq.Q.derivative("psi"))
-    B = _at_branch(eq.Q.derivative("g"))
+    x0 = {"x": 0}
+    A = _eval_at_branch(eq.Q.derivative("psi").subs_int(x0), c0, g0)
+    B = _eval_at_branch(eq.Q.derivative("g").subs_int(x0), c0, g0)
     return WellPosedness(c0, A, B, _rf_val_y(A + B), "unverified")
 
 
@@ -402,18 +240,19 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     K = len(witness.coeffs) - 1
     g_hat = specialize_y0(witness)
 
-    bad = _first_nonzero_frac(_eval_g_poly(p1.P, g_hat, K + 1))
+    bad = _first_nonzero(p1.P, {"f": g_hat.coeffs}, K + 1, _frac_lift)
     if bad is not None:
         return Certificate(None, 0, bad, wp, "refuted")
-    ctx = _radical_ctx(witness)
-    bad = _first_nonzero_loc(_eval_psi_poly(p2.P, witness, K + 1, ctx))
+    subst, ctx = _loc_subst(witness, g_hat)
+    bad = _first_nonzero(p2.P, subst, K + 1, ctx.from_ints)
     if bad is not None:
         return Certificate(None, 0, bad, wp, "refuted")
 
     M = defect_annihilator(eq, p1, p2)
     B = vanishing_bound(M, "z")
-    e1 = _slack_g(p1, g_hat, K)
-    e2 = _slack_psi(p2, witness, ctx, K)
+    e1 = _slack(p1.P.derivative("f"), {"f": g_hat.coeffs}, _frac_lift, K,
+                "specialized")
+    e2 = _slack(p2.P.derivative("psi"), subst, ctx.from_ints, K, "bivariate")
     # the checked order must leave the defect's valuation strictly above
     # the bound after losing the Hensel slack, and inside Newton's basin
     N = max(B + e1 + e2, 2 * e1 + 1, 2 * e2 + 1, K)
@@ -421,17 +260,15 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     if N > K:
         sx = expand_series(eq, N)
         g_hat = specialize_y0(sx)
-        ctx = _radical_ctx(sx)
-        bad = _first_nonzero_frac(_eval_g_poly(p1.P, g_hat, N + 1))
+        subst, ctx = _loc_subst(sx, g_hat)
+        bad = _first_nonzero(p1.P, {"f": g_hat.coeffs}, N + 1, _frac_lift)
         if bad is None:
-            bad = _first_nonzero_loc(_eval_psi_poly(p2.P, sx, N + 1, ctx))
+            bad = _first_nonzero(p2.P, subst, N + 1, ctx.from_ints)
         if bad is not None:
             return Certificate(M, B, bad, wp, "refuted")
-    else:
-        sx = witness
 
     # defect of the series solution itself; zero by construction
-    defect = _eval_full(eq.Q, sx, g_hat, N + 1, ctx)
-    assert _first_nonzero_loc(defect) is None, "series solution failed its own equation"
+    if _first_nonzero(eq.Q, subst, N + 1, ctx.from_ints) is not None:
+        raise SelfCheckFailed("series solution failed its own equation")
 
     return Certificate(M, B, N, wp, "proven")

@@ -11,13 +11,14 @@ import sys
 
 import click
 
+from . import __version__
 from .errors import TutteSolveError
 from .pipeline import PipelineConfig, run_pipeline
 from .report import render_report
 
 
 @click.group()
-@click.version_option(package_name="tuttesolve")
+@click.version_option(version=__version__)
 def main():
     """Exact solver for Tutte-type functional equations."""
 
@@ -60,3 +61,7 @@ def solve(equation, guess_order, max_complexity, eval_at, column, fmt,
         with open(seed_report, "w", encoding="utf-8") as fh:
             fh.write(render_report(rep, "structured"))
     sys.exit(0 if rep.proven else 2)
+
+
+if __name__ == "__main__":
+    main()

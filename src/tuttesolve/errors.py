@@ -117,6 +117,16 @@ class NonPolynomial(TutteSolveError):
         super().__init__(f"{message} (at position {position})")
 
 
+# --- self-checks ---
+
+class SelfCheckFailed(TutteSolveError):
+    """A computed object failed an identity it holds by construction.
+
+    Raised instead of ``assert``, so the checks a proof rests on also run
+    under ``python -O``.
+    """
+
+
 # --- pipeline ---
 
 class ResourceCeiling(TutteSolveError):

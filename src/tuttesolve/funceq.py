@@ -32,10 +32,11 @@ from .errors import (
     DegenerateKernel,
     NoSeriesBranch,
     PoleAtYZero,
+    SelfCheckFailed,
 )
 from .mpoly import MPoly, VARS
 from .polyq import RatFunc
-from .series import QSeries, SeriesX, _Loc, _LocCtx
+from .series import QSeries, SeriesX, _Loc, _LocCtx, _mul_trunc
 
 _ALLOWED = {"psi", "g", "x", "y"}
 
@@ -117,23 +118,13 @@ def _fpoly_from_bivar(R: MPoly, gval: Fraction | None) -> list[list[Fraction]]:
     return out
 
 
-def _trunc_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, ca in enumerate(a[:n]):
-        if ca:
-            for j, cb in enumerate(b[: n - i]):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
-
-
 def _series_inv(a: Sequence[Fraction], n: int) -> list[Fraction]:
     inv = [Fraction(1) / a[0]]
     while len(inv) < n:
         m = min(2 * len(inv), n)
-        t = _trunc_mul(a, inv, m)
+        t = _mul_trunc(a, inv, m, Fraction(0))
         t[0] -= 2
-        inv = [-c for c in _trunc_mul(inv, t, m)]
+        inv = [-c for c in _mul_trunc(inv, t, m, Fraction(0))]
     return inv
 
 
@@ -142,7 +133,7 @@ def _eval_c_series(coeffs: list[list[Fraction]], c: list[Fraction],
     """Evaluate sum_i coeffs[i](t) * c(t)^i truncated to order n (Horner)."""
     acc = [Fraction(0)] * n
     for row in reversed(coeffs):
-        acc = _trunc_mul(acc, c, n)
+        acc = _mul_trunc(acc, c, n, Fraction(0))
         for j, v in enumerate(row[:n]):
             acc[j] += v
     return acc
@@ -160,7 +151,7 @@ def _newton_lift(coeffs_t: list[list[Fraction]], r0: Fraction,
         val = _eval_c_series(coeffs_t, cpad, prec)
         der = _eval_c_series(dcoeffs, cpad, prec)
         inv = _series_inv(der, prec)
-        step = _trunc_mul(val, inv, prec)
+        step = _mul_trunc(val, inv, prec, Fraction(0))
         c = [cv - sv for cv, sv in zip(cpad, step)]
     return c
 
@@ -417,7 +408,8 @@ class _Expander:
                             v = src[m - step]
                             if not v.is_zero:
                                 row[m] = row[m] + v * mult
-        assert self.J[(0, 0)][k].is_zero, "order-k defect must vanish"
+        if self.J[(0, 0)][k]:
+            raise SelfCheckFailed(f"order-{k} defect does not vanish")
 
 
 def expand_series(eq: FuncEq, K: int) -> SeriesX:

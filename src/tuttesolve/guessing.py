@@ -7,12 +7,11 @@ so a returned equation annihilates the whole input prefix by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg, polyq
 from .errors import InvalidBounds, ZeroPolynomial
 from .mpoly import MPoly, squarefree_primitive
-from .series import QSeries
+from .series import QSeries, _frac_lift, _powers, _subs
 
 
 class _Fail:
@@ -84,33 +83,6 @@ class AlgEq:
         return hash((self.P, self.branch))
 
 
-def _truncated_powers(s: Sequence[Fraction], top: int, L: int) -> list[list[Fraction]]:
-    pows = [[Fraction(0)] * L for _ in range(top + 1)]
-    pows[0][0] = Fraction(1)
-    base = list(s[:L])
-    for i in range(1, top + 1):
-        prev = pows[i - 1]
-        cur = pows[i]
-        for a in range(L):
-            pa = prev[a]
-            if pa:
-                for b in range(L - a):
-                    cur[a + b] += pa * base[b]
-    return pows
-
-
-def _annihilates(P: MPoly, pows: list[list[Fraction]], L: int) -> bool:
-    acc = [Fraction(0)] * L
-    for e, c in P.terms.items():
-        i, j = e[2], e[4]
-        if j >= L:
-            continue
-        row = pows[i]
-        for m in range(j, L):
-            acc[m] += c * row[m - j]
-    return not any(acc)
-
-
 def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
     """Search for integer κ with Σ κ_ij f^i x^j ≡ 0 mod x^len(s), f = s.
 
@@ -124,7 +96,7 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
             f"need maxDegF >= 1, maxDegX >= 0, margin >= 4; got ({maxDegF}, {maxDegX}, {margin})"
         )
     L = len(s)
-    pows = _truncated_powers(s.coeffs, maxDegF, L)
+    pows = _powers(s.coeffs, maxDegF, L, Fraction(1), Fraction(0))
     for dF in range(1, maxDegF + 1):
         for dX in range(0, maxDegX + 1):
             unknowns = (dF + 1) * (dX + 1)
@@ -153,7 +125,7 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
                     continue
                 P = _fix_sign(squarefree_primitive(raw, "f"))
                 # squarefree reduction can weaken a truncated fit; re-verify
-                if _annihilates(P, pows, L):
+                if not any(_subs(P, {"f": s.coeffs}, L, _frac_lift)):
                     return AlgEq(P, s)
             continue
     return FAIL

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg, polyq
-from .errors import InsufficientData, NonSquarefree
+from .errors import InsufficientData, NonSquarefree, SelfCheckFailed
 from .guessing import AlgEq
 from .polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
-from .series import QSeries
+from .series import QSeries, _mul_trunc
 
 
 class _Absent:
@@ -343,26 +343,20 @@ def _ode_apply(ode: LinODE, s: QSeries) -> list[Fraction]:
     L = len(s) - r
     if L <= 0:
         raise InsufficientData("witness too short to test the ODE")
-    out = [Fraction(0)] * L
+    out = [Fraction(c) for c in ode.inhom[:L]]
+    out += [Fraction(0)] * (L - len(out))
     for i, p in enumerate(ode.coeffs):
         # f^(i) coefficients: (m+1)...(m+i) * a_(m+i)
-        for j, pc in enumerate(p):
-            if not pc:
-                continue
-            for m in range(L - j):
-                ff = 1
-                for u in range(1, i + 1):
-                    ff *= m + u
-                out[m + j] += pc * ff * s[m + i]
-    for j, c in enumerate(ode.inhom):
-        if j < L:
-            out[j] += c
+        fi = [math.perm(m + i, i) * s[m + i] for m in range(L)]
+        for m, v in enumerate(_mul_trunc(p, fi, L, Fraction(0))):
+            out[m] += v
     return out
 
 
 def _check_ode(ode: LinODE, s: QSeries) -> None:
-    vals = _ode_apply(ode, s)
-    assert not any(vals), "derived ODE does not annihilate the witness series"
+    if any(_ode_apply(ode, s)):
+        raise SelfCheckFailed(
+            "derived ODE does not annihilate the witness series")
 
 
 def ode_to_rec(L: LinODE) -> PRec:
@@ -441,7 +435,8 @@ def ode_to_rec(L: LinODE) -> PRec:
         raise InsufficientData("witness too short for the required initial values")
     rec = PRec(qi, s.coeffs[:need])
     gen = rec.terms(len(s))
-    assert gen == list(s.coeffs), "recurrence does not regenerate the witness"
+    if gen != list(s.coeffs):
+        raise SelfCheckFailed("recurrence does not regenerate the witness")
     return rec
 
 

@@ -63,20 +63,8 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 # column extraction
 
-def _taylor_at_0(num, den, m: int) -> Fraction:
-    """Coefficient of y^m in num(y)/den(y); requires den(0) != 0."""
-    d0 = den[0]
-    t: list[Fraction] = []
-    for k in range(m + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * t[k - j]
-        t.append(acc / d0)
-    return t[m]
-
-
 def _column_from_expansion(s: SeriesX, m: int) -> QSeries:
-    return QSeries([_taylor_at_0(c.num, c.den, m) for c in s])
+    return QSeries([c.series(m)[m] for c in s])
 
 
 def column_series(eq: FuncEq, m: int, K: int) -> QSeries:
@@ -103,8 +91,7 @@ class CoeffTable:
     @classmethod
     def build(cls, eq: FuncEq, N: int, M: int) -> "CoeffTable":
         s = expand_series(eq, N)
-        return cls([[_taylor_at_0(c.num, c.den, m) for m in range(M + 1)]
-                    for c in s])
+        return cls([c.series(M) for c in s])
 
     def entry(self, n: int, m: int) -> Fraction:
         return self.entries[n][m]

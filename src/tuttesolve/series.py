@@ -2,14 +2,19 @@
 
 Public types: :class:`QSeries` (rational-number coefficients, the image of a
 series at y = 0) and :class:`SeriesX` (coefficients are rational functions of
-y, each regular at y = 0, enforced at construction).  ``series_eval``
-substitutes truncated series into a polynomial with exact arithmetic.
+y, each regular at y = 0, enforced at construction).
 
 The private ``_LocCtx``/``_Loc`` pair is the working representation used by
 the expansion and certification loops: a coefficient is stored as
 scale * n(y) / D(y)^e against a fixed denominator polynomial D, so the hot
 path runs on integer convolutions and never reduces fractions.  Values are
 converted to canonical :class:`RatFunc` form only at module boundaries.
+
+All truncated-series arithmetic goes through one kernel that works over
+any exact coefficient ring, ``Fraction`` and ``_Loc`` alike: ``_mul_trunc``
+is the truncated product, ``_powers`` a table of powers built on it, and
+``_subs`` substitutes series into a polynomial.  ``series_eval`` is the
+public form of ``_subs`` over the localized ring.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import polyq
 from .errors import PoleAtYZero
-from .mpoly import MPoly
+from .mpoly import VARS, MPoly
 from .polyq import RatFunc
 
 
@@ -114,60 +119,6 @@ class SeriesX:
         return f"SeriesX([{shown}{tail}], order={self.order})"
 
 
-def _mul_trunc_rf(a: Sequence[RatFunc], b: Sequence[RatFunc], K: int) -> list[RatFunc]:
-    out = [polyq.RATFUNC_ZERO] * (K + 1)
-    for i, ca in enumerate(a):
-        if i > K or ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > K:
-                break
-            if cb.is_zero:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def series_eval(Q: MPoly, psi: SeriesX, g: QSeries, K: int) -> SeriesX:
-    """Truncation to order K in x of Q(psi, g, x, y), exact.
-
-    Both series must carry at least K+1 coefficients.  Pure reference
-    implementation over canonical RatFunc coefficients; the expansion and
-    certification engines use the localized representation instead.
-    """
-    if psi.order < K or g.order < K:
-        raise ValueError("series truncations shorter than the target order")
-    one = [polyq.RATFUNC_ONE] + [polyq.RATFUNC_ZERO] * K
-    psi_pows: list[list[RatFunc]] = [one]
-    dpsi = max(0, Q.degree("psi"))
-    base_psi = [psi[i] for i in range(K + 1)]
-    for _ in range(dpsi):
-        psi_pows.append(_mul_trunc_rf(psi_pows[-1], base_psi, K))
-    g_pows: list[list[RatFunc]] = [one]
-    dg = max(0, Q.degree("g"))
-    base_g = [RatFunc.const(g[i]) for i in range(K + 1)]
-    for _ in range(dg):
-        g_pows.append(_mul_trunc_rf(g_pows[-1], base_g, K))
-
-    # group monomials of Q by their (psi, g) exponents
-    grouped: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    from .mpoly import VARS
-    iv = {v: i for i, v in enumerate(VARS)}
-    for e, c in Q.terms.items():
-        a, b = e[iv["psi"]], e[iv["g"]]
-        grouped.setdefault((a, b), []).append((e[iv["x"]], e[iv["y"]], c))
-    out = [polyq.RATFUNC_ZERO] * (K + 1)
-    for (a, b), mons in grouped.items():
-        base = _mul_trunc_rf(psi_pows[a], g_pows[b], K)
-        for i, j, c in mons:
-            mono = RatFunc([Fraction(0)] * j + [Fraction(c)])
-            for n in range(0, K + 1 - i):
-                if base[n].is_zero:
-                    continue
-                out[n + i] = out[n + i] + base[n] * mono
-    return SeriesX(out)
-
-
 # --- localized coefficient engine (package internal) ---
 
 class _LocCtx:
@@ -205,6 +156,12 @@ class _LocCtx:
         if not c:
             return self.zero()
         return _Loc(self, [1], Fraction(c), 0)
+
+    def from_ints(self, coeffs: list[int]) -> "_Loc":
+        """The polynomial with these integer coefficients, constant first."""
+        if not coeffs:
+            return self.zero()
+        return _Loc(self, coeffs, Fraction(1), 0)
 
     def from_fpoly(self, coeffs: Sequence[Fraction]) -> "_Loc":
         ints, scale = polyq.clear_denominators(coeffs)
@@ -245,6 +202,9 @@ class _Loc:
     @property
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __add__(self, other: "_Loc") -> "_Loc":
         if self.is_zero:
@@ -347,3 +307,115 @@ class _Loc:
 
     def __repr__(self) -> str:
         return f"_Loc({self.to_ratfunc()})"
+
+
+def _radical_ctx(s: SeriesX) -> _LocCtx:
+    """Localization at the product of the distinct denominator factors."""
+    rad = [Fraction(1)]
+    for c in s.coeffs:
+        d = list(c.den)
+        while True:
+            g = polyq.pgcd(d, rad)
+            if polyq.deg(g) < 1:
+                break
+            d = polyq.pdivmod(d, g)[0]
+        if polyq.deg(d) >= 1:
+            rad = polyq.pmul(rad, d)
+    rint, _ = polyq.clear_denominators(rad)
+    return _LocCtx(rint)
+
+
+def _loc_subst(psi: SeriesX, g: Sequence[Fraction]) -> tuple[dict, _LocCtx]:
+    """psi and g over the localization of psi, ready for ``_subs``."""
+    ctx = _radical_ctx(psi)
+    return ({"psi": [ctx.from_ratfunc(c) for c in psi],
+             "g": [ctx.from_fraction(c) for c in g]}, ctx)
+
+
+# --- the truncated-series kernel ---
+#
+# Coefficients come from any exact ring whose zero is falsy.  A ring is
+# named by its ``lift``, which maps the integer coefficients of a
+# y-polynomial (constant first) into it: ``_frac_lift`` for Fraction,
+# ``ctx.from_ints`` for _Loc.
+
+_IX, _IY = VARS.index("x"), VARS.index("y")
+
+
+def _frac_lift(coeffs: list[int]) -> Fraction:
+    if len(coeffs) > 1:
+        raise ValueError("y-dependent coefficient in a series over Q")
+    return Fraction(coeffs[0]) if coeffs else Fraction(0)
+
+
+def _mul_trunc(a: Sequence, b: Sequence, L: int, zero) -> list:
+    """The first L coefficients of the product of two series."""
+    out = [zero] * L
+    for i, ai in enumerate(a[:L]):
+        if ai:
+            for j, bj in enumerate(b[:L - i]):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _powers(base: Sequence, top: int, L: int, one, zero) -> list[list]:
+    """base^0, ..., base^top, each truncated to L coefficients."""
+    base = list(base[:L]) + [zero] * (L - len(base))
+    pows = [[one] + [zero] * (L - 1), base]
+    while len(pows) <= top:
+        pows.append(_mul_trunc(pows[-1], base, L, zero))
+    return pows[:top + 1]
+
+
+def _subs(P: MPoly, subst: dict[str, Sequence], L: int, lift) -> list:
+    """The first L x-coefficients of P with series put in for variables.
+
+    ``subst`` maps every variable of P other than x and y to a series over
+    the ring of ``lift``; each y-polynomial coefficient goes through
+    ``lift``.  Terms with the same substituted exponents share one product
+    of powers.
+    """
+    zero, one = lift([]), lift([1])
+    names = tuple(subst)
+    idx = [VARS.index(v) for v in names]
+    rest = [i for i in range(len(VARS)) if i not in idx and i not in (_IX, _IY)]
+    groups: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    for e, c in P.terms.items():
+        if any(e[i] for i in rest):
+            raise ValueError("no series given for a variable of the polynomial")
+        j, l = e[_IX], e[_IY]
+        if j >= L:
+            continue
+        ys = groups.setdefault(tuple(e[i] for i in idx), {}).setdefault(j, [])
+        ys.extend([0] * (l + 1 - len(ys)))
+        ys[l] = c
+    pows = {v: _powers(subst[v], max((k[n] for k in groups), default=0),
+                       L, one, zero)
+            for n, v in enumerate(names)}
+    acc = [zero] * L
+    for key, xs in groups.items():
+        conv = None
+        for v, k in zip(names, key):
+            if k:
+                conv = pows[v][k] if conv is None else _mul_trunc(
+                    conv, pows[v][k], L, zero)
+        coef = [zero] * (max(xs) + 1)
+        for j, ys in xs.items():
+            coef[j] = lift(ys)
+        for m, t in enumerate(coef if conv is None
+                              else _mul_trunc(coef, conv, L, zero)):
+            if t:
+                acc[m] = acc[m] + t
+    return acc
+
+
+def series_eval(Q: MPoly, psi: SeriesX, g: QSeries, K: int) -> SeriesX:
+    """Truncation to order K in x of Q(psi, g, x, y), exact.
+
+    Both series must carry at least K+1 coefficients.
+    """
+    if psi.order < K or g.order < K:
+        raise ValueError("series truncations shorter than the target order")
+    subst, ctx = _loc_subst(psi, g)
+    return SeriesX(v.to_ratfunc() for v in _subs(Q, subst, K + 1, ctx.from_ints))

@@ -49,6 +49,21 @@ def poly_eval_series(nested, f, n):
     return out
 
 
+def subs_at(terms, psi, g, y0, n):
+    """Truncation to n terms of sum c * psi^a * g^b * x^j * y0^l.
+
+    `terms` maps exponent tuples (a, b, j, l) to coefficients; psi is a
+    series already evaluated at y = y0, g a series free of y.  Every term
+    is expanded on its own, with no sharing of powers.
+    """
+    out = [Fraction(0)] * n
+    for (a, b, j, l), c in terms.items():
+        t = ser_mul(ser_pow(psi, a, n), ser_pow(g, b, n), n)
+        for k in range(n - j):
+            out[j + k] += c * Fraction(y0) ** l * t[k]
+    return out
+
+
 def implicit_series(nested, n):
     """The unique series f with f(0) = 0 and P(f(x), x) = 0.
 

@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import tuttesolve
 from tuttesolve import (FAIL, AlgEq, MPoly, PipelineConfig, PRec, QSeries,
                         algeq_to_ode, certify, guess_algeq, ode_to_rec,
                         parse_report, render_report, run_pipeline,
@@ -34,6 +37,14 @@ def _cli() -> list[str]:
     return [sys.executable, "-m", "tuttesolve.cli"]
 
 
+def _cli_env() -> dict[str, str]:
+    # the module fallback must import the same package as this test does
+    src = str(Path(tuttesolve.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def _normalize_rec(coeffs):
     """Strip content and fix the sign of the leading polynomial."""
     flat = [c for poly in coeffs for c in poly]
@@ -48,7 +59,7 @@ def test_criterion_1_cli_tutte_end_to_end():
         _cli() + ["solve", "--equation", _frozen.TUTTE_EQ,
                   "--guess-order", "30", "--max-complexity", "5",
                   "--eval-at", "1000", "--format", "structured"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=_cli_env())
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     rep = parse_report(proc.stdout)

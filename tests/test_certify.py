@@ -9,11 +9,10 @@ import pytest
 from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify,
                         defect_annihilator, eliminate_g, expand_series,
                         parse_equation, vanishing_bound)
-from tuttesolve.certify import (_eval_psi_poly, _first_nonzero_loc,
-                                _radical_ctx)
 from tuttesolve.errors import (InvalidElimination, NoVanishingFactor,
                                ResultantVanishes)
 from tuttesolve.polyq import RatFunc
+from tuttesolve.series import _loc_subst, _subs
 
 from . import _frozen, _oracle
 
@@ -121,6 +120,5 @@ class TestCertify:
     def test_bivariate_holds_past_checked_order(self, tutte_eq, tutte_p2):
         # independent spot check well beyond the certified order
         deep = expand_series(tutte_eq, _frozen.TUTTE_CHECKED_ORDER + 8)
-        ctx = _radical_ctx(deep)
-        vals = _eval_psi_poly(tutte_p2.P, deep, len(deep.coeffs), ctx)
-        assert _first_nonzero_loc(vals) is None
+        subst, ctx = _loc_subst(deep, ())
+        assert not any(_subs(tutte_p2.P, subst, len(deep.coeffs), ctx.from_ints))

@@ -8,7 +8,8 @@ import pytest
 
 from tuttesolve import (ABSENT, AlgEq, LinODE, MPoly, PRec, QSeries,
                         algeq_to_ode, minimize_rec, ode_to_rec)
-from tuttesolve.errors import InsufficientData, NonSquarefree
+from tuttesolve.errors import InsufficientData, NonSquarefree, SelfCheckFailed
+from tuttesolve.holonomic import _check_ode
 
 from . import _frozen, _oracle
 
@@ -49,6 +50,12 @@ class TestAlgEqToOde:
         ode = algeq_to_ode(tutte_p1)
         assert ode.coeffs == _frozen.TUTTE_ODE_COEFFS
         assert ode.inhom == _frozen.TUTTE_ODE_INHOM
+
+    def test_wrong_ode_fails_its_check(self):
+        # f' = f does not hold for 1/(1-x); the error survives python -O
+        ode = LinODE(((-1,), (1,)), (), QSeries([F(1)] * 6))
+        with pytest.raises(SelfCheckFailed):
+            _check_ode(ode, ode.branch)
 
     def test_non_squarefree_rejected(self):
         sq = AlgEq((f - one) ** 2, QSeries([F(1), F(0), F(0)]))

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttesolve import MPoly, QSeries, SeriesX, series_eval
 from tuttesolve.errors import PoleAtYZero
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
+from tuttesolve.series import _frac_lift, _subs
+
+from . import _oracle
 
 psi, g, x, y = (MPoly.var(v) for v in ("psi", "g", "x", "y"))
 Y = RatFunc([F(0), F(1)])
-
-from . import _oracle
 
 
 def test_qseries_basics():
@@ -69,3 +73,64 @@ def test_series_eval_requires_enough_terms():
     sx = SeriesX([RATFUNC_ONE])
     with pytest.raises(ValueError):
         series_eval(psi, sx, QSeries([1]), 3)
+
+
+# --- the kernel against the oracle, in both coefficient rings ---
+
+# exponents (psi, g, x, y) of total degree at most 3
+EXPS = [e for e in product(range(4), repeat=4) if sum(e) <= 3]
+Y0S = (F(0), F(2), F(-1), F(1, 2), F(-3, 4))
+small = st.integers(-3, 3)
+
+
+@st.composite
+def polys(draw, y_free=False):
+    exps = [e for e in EXPS if not (y_free and e[3])]
+    P = MPoly.zero()
+    for a, b, j, l in draw(st.lists(st.sampled_from(exps), min_size=1,
+                                    max_size=6)):
+        P = P + MPoly.monomial(draw(small), psi=a, g=b, x=j, y=l)
+    return P
+
+
+@st.composite
+def loc_series(draw, n):
+    # c_k(y) = n_k(y) / (1 - y)^e_k: regular at y = 0, poles only at y = 1
+    out = []
+    for _ in range(n):
+        num = [F(c) for c in draw(st.lists(small, min_size=1, max_size=3))]
+        den = [F(1)]
+        for _ in range(draw(st.integers(0, 3))):
+            den = [a - b for a, b in zip(den + [F(0)], [F(0)] + den)]
+        out.append(RatFunc(num, den))
+    return SeriesX(out)
+
+
+def _oracle_terms(P: MPoly) -> dict:
+    return {(e[0], e[1], e[4], e[5]): c for e, c in P.terms.items()}
+
+
+@given(polys(), st.integers(1, 6).flatmap(
+    lambda n: st.tuples(loc_series(n), st.lists(small, min_size=n,
+                                                max_size=n))))
+@settings(max_examples=60, deadline=None)
+def test_localized_kernel_matches_oracle_at_points(P, data):
+    sx, gl = data
+    gs = QSeries(gl)
+    K = sx.order
+    out = series_eval(P, sx, gs, K)
+    for y0 in Y0S:
+        at = [c.evaluate(y0) for c in sx]
+        want = _oracle.subs_at(_oracle_terms(P), at, list(gs), y0, K + 1)
+        assert [c.evaluate(y0) for c in out] == want
+
+
+@given(polys(y_free=True), st.integers(1, 7).flatmap(
+    lambda n: st.tuples(*[st.lists(st.fractions(-4, 4, max_denominator=5),
+                                   min_size=n, max_size=n)] * 2)))
+@settings(max_examples=60, deadline=None)
+def test_rational_kernel_matches_oracle(P, data):
+    ps, gl = data
+    L = len(ps)
+    got = _subs(P, {"psi": ps, "g": gl}, L, _frac_lift)
+    assert got == _oracle.subs_at(_oracle_terms(P), ps, gl, 0, L)
