@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -23,10 +24,11 @@ class SequenceValue:
 
     @property
     def digits(self) -> int:
-        return len(str(abs(self.value.numerator)))
+        return Decimal(self.value.numerator).adjusted() + 1
 
     def __str__(self) -> str:
-        return str(self.value)
+        from .report import _frac_str
+        return _frac_str(self.value)
 
 
 def _iterate(rec, count: int) -> list[Fraction]:

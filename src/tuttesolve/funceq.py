@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from . import polyq
 from .errors import (
@@ -118,16 +117,6 @@ def _fpoly_from_bivar(R: MPoly, gval: Fraction | None) -> list[list[Fraction]]:
     return out
 
 
-def _series_inv(a: Sequence[Fraction], n: int) -> list[Fraction]:
-    inv = [Fraction(1) / a[0]]
-    while len(inv) < n:
-        m = min(2 * len(inv), n)
-        t = _mul_trunc(a, inv, m, Fraction(0))
-        t[0] -= 2
-        inv = [-c for c in _mul_trunc(inv, t, m, Fraction(0))]
-    return inv
-
-
 def _eval_c_series(coeffs: list[list[Fraction]], c: list[Fraction],
                    n: int) -> list[Fraction]:
     """Evaluate sum_i coeffs[i](t) * c(t)^i truncated to order n (Horner)."""
@@ -150,8 +139,7 @@ def _newton_lift(coeffs_t: list[list[Fraction]], r0: Fraction,
         cpad = c + [Fraction(0)] * (prec - len(c))
         val = _eval_c_series(coeffs_t, cpad, prec)
         der = _eval_c_series(dcoeffs, cpad, prec)
-        inv = _series_inv(der, prec)
-        step = _mul_trunc(val, inv, prec, Fraction(0))
+        step = polyq.series_div(val, der, prec)
         c = [cv - sv for cv, sv in zip(cpad, step)]
     return c
 
@@ -189,7 +177,7 @@ def _ratfunc_roots(P: list[list[Fraction]]) -> list[RatFunc]:
         if len(spec) - 1 != dC:
             continue
         ispec, _ = polyq.clear_denominators(spec)
-        der = polyq.trim([c * i for i, c in enumerate(ispec)][1:])
+        der = polyq.pderiv(ispec)
         if len(polyq.igcd_poly(ispec, der)) == 1:
             sample = Fraction(a)
             spec_poly = spec
@@ -209,25 +197,20 @@ def _ratfunc_roots(P: list[list[Fraction]]) -> list[RatFunc]:
         num, den = pq
         cand = RatFunc(polyq.pshift(num, -sample), polyq.pshift(den, -sample))
         # exact verification against the original (pre-reduction) polynomial
-        total = polyq.RATFUNC_ZERO
-        power = polyq.RATFUNC_ONE
-        for row in P:
-            total = total + RatFunc(list(row)) * power
-            power = power * cand
-        if total.is_zero and cand not in out:
+        if not _rf_horner(P, cand) and cand not in out:
             out.append(cand)
     return out
 
 
+def _rf_horner(rows: list[list[Fraction]], c: RatFunc) -> RatFunc:
+    """sum_i rows[i](y) * c^i, with rows[i] the y-coefficients."""
+    return polyq.peval([RatFunc(row) for row in rows], c, polyq.RATFUNC_ZERO)
+
+
 def _eval_at_branch(m: MPoly, c0: RatFunc, g0: Fraction) -> RatFunc:
     """Evaluate an MPoly in (psi, g, y) at psi = c0(y), g = g0."""
-    rows = _fpoly_from_bivar(m, g0) if m.degree("g") >= 1 else _fpoly_from_bivar(m, None)
-    total = polyq.RATFUNC_ZERO
-    power = polyq.RATFUNC_ONE
-    for row in rows:
-        total = total + RatFunc(list(row)) * power
-        power = power * c0
-    return total
+    gval = g0 if m.degree("g") >= 1 else None
+    return _rf_horner(_fpoly_from_bivar(m, gval), c0)
 
 
 def check_well_posed(eq: FuncEq) -> WellPosedness:

@@ -145,52 +145,15 @@ def _rf_deriv(r: RatFunc) -> RatFunc:
                    polyq.pmul(d, d))
 
 
-def _poly_divmod_rf(a: list[RatFunc], b: list[RatFunc]):
-    a = list(a)
-    while a and a[-1].is_zero:
-        a.pop()
-    db = len(b) - 1
-    inv = RATFUNC_ONE / b[-1]
-    q = [RATFUNC_ZERO] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv
-        k = len(a) - 1 - db
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - c * bc
-        while a and a[-1].is_zero:
-            a.pop()
-    return q, a
-
-
 def _ext_gcd_rf(a: list[RatFunc], b: list[RatFunc]):
-    # returns (g, s, t) with s*a + t*b = g
+    # returns (g, s) with s*a = g mod b
     r0, r1 = list(a), list(b)
-    s0, s1 = [RATFUNC_ONE], [RATFUNC_ZERO]
-    t0, t1 = [RATFUNC_ZERO], [RATFUNC_ONE]
-
-    def _sub(u, v, q):
-        qv = [RATFUNC_ZERO] * (len(q) + len(v) - 1) if q and v else []
-        for i, qc in enumerate(q):
-            if qc.is_zero:
-                continue
-            for j, vc in enumerate(v):
-                qv[i + j] = qv[i + j] + qc * vc
-        out = [RATFUNC_ZERO] * max(len(u), len(qv))
-        for i, c in enumerate(u):
-            out[i] = out[i] + c
-        for i, c in enumerate(qv):
-            out[i] = out[i] - c
-        while out and out[-1].is_zero:
-            out.pop()
-        return out
-
+    s0, s1 = [RATFUNC_ONE], []
     while r1:
-        q, r = _poly_divmod_rf(r0, r1)
+        q, r = polyq.pdivmod(r0, r1, RATFUNC_ZERO)
         r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, s1, q)
-        t0, t1 = t1, _sub(t0, t1, q)
-    return r0, s0, t0
+        s0, s1 = s1, polyq.psub(s0, polyq.pmul(q, s1, RATFUNC_ZERO))
+    return r0, s0
 
 
 class _Residue:
@@ -214,21 +177,14 @@ class _Residue:
         return out
 
     def reduce(self, poly: list[RatFunc]) -> list[RatFunc]:
-        _, r = _poly_divmod_rf(poly, self.mod)
+        _, r = polyq.pdivmod(poly, self.mod, RATFUNC_ZERO)
         return self.elem(r)
 
     def mul(self, u: list[RatFunc], v: list[RatFunc]) -> list[RatFunc]:
-        prod = [RATFUNC_ZERO] * (2 * self.d)
-        for i, a in enumerate(u):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(v):
-                if not b.is_zero:
-                    prod[i + j] = prod[i + j] + a * b
-        return self.reduce(prod)
+        return self.reduce(polyq.pmul(u, v, RATFUNC_ZERO))
 
     def inv(self, u: list[RatFunc]) -> list[RatFunc]:
-        g, s, _ = _ext_gcd_rf(self.elem(u), self.mod)
+        g, s = _ext_gcd_rf(self.elem(u), self.mod)
         if len(g) != 1:
             raise NonSquarefree(
                 "cannot invert the derivative in the residue ring; "
@@ -261,7 +217,9 @@ def _clear_relation(vec: list[RatFunc]) -> list[list[int]]:
             out_fr.append([])
             continue
         q, r = polyq.pdivmod(polyq.pmul(list(c.num), den), list(c.den))
-        assert not r
+        if r:
+            raise SelfCheckFailed(
+                "relation denominator is not a multiple of every coefficient's")
         out_fr.append(q)
     flat = [v for p in out_fr for v in p]
     lcm = 1
@@ -414,8 +372,7 @@ def ode_to_rec(L: LinODE) -> PRec:
     for nu in range(valid_from - 1, -1, -1):
         if nu + order >= len(s):
             raise InsufficientData("witness too short to check small indices")
-        val = sum(Fraction(polyq.peval([Fraction(c) for c in q], Fraction(nu)))
-                  * s[nu + t] for t, q in enumerate(qi))
+        val = sum(polyq.peval(q, nu) * s[nu + t] for t, q in enumerate(qi))
         if val:
             qi = [polyq.pmul(q, [-nu, 1]) if q else [] for q in qi]
 

@@ -75,6 +75,9 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -710,7 +713,7 @@ def gcd_mpoly(A: MPoly, B: MPoly) -> MPoly:
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while True:
-        r = _m_prem(pa, pb)
+        r = polyq.prem(pa, pb)
         if not r:
             gpp = pb
             break
@@ -737,27 +740,6 @@ def _coeff_gcd(cs: Iterable[MPoly]) -> MPoly:
         if g.total_degree() == 0 and abs(g.constant_value()) == 1:
             return MPoly.const(1)
     return g
-
-
-def _m_prem(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
-    dB = len(B) - 1
-    lb = B[dB]
-    R = list(A)
-    for _ in range(len(A) - len(B) + 1):
-        dR = len(R) - 1
-        if dR < dB:
-            R = [lb * c for c in R]
-            continue
-        lr = R[dR]
-        R2 = [lb * c for c in R[:dR]]
-        for j in range(dB):
-            R2[dR - dB + j] = R2[dR - dB + j] - lr * B[j]
-        while R2 and R2[-1].is_zero:
-            R2.pop()
-        R = R2
-        if not R:
-            return R
-    return R
 
 
 # --- squarefree primitive part ---
@@ -819,7 +801,7 @@ def _squarefree_part(A: MPoly, v: str) -> MPoly:
         uni = [c.constant_value() for c in spec.as_univariate(v)]
         if len(uni) - 1 != d:
             continue
-        g = polyq.igcd_poly(uni, polyq.trim([k * uni[k] for k in range(1, len(uni))]))
+        g = polyq.igcd_poly(uni, polyq.pderiv(uni))
         if len(g) - 1 == 0:
             # specialized gcd is constant and the leading coefficient
             # survived, so the generic gcd is v-free: A is squarefree in v

@@ -1,13 +1,18 @@
-"""Dense univariate polynomial arithmetic over exact rationals and integers.
+"""Dense univariate polynomials over any exact ring, written once.
 
 A polynomial is a plain list of coefficients, constant term first, with no
-trailing zeros; the zero polynomial is the empty list.  Fraction-coefficient
-lists and int-coefficient lists share the same layout, and the names below
-follow a small convention: unprefixed helpers take Fraction lists, the
-``i``-prefixed ones take int lists.
+trailing zeros; the zero polynomial is the empty list.  The routines need
+only ``+ - *`` (and ``/`` to divide) and a falsy zero, so one copy serves
+int, Fraction, :class:`RatFunc` and ``MPoly`` coefficients alike.  Those
+that must make a zero of their own (``pmul``, ``peval``, ``pdivmod``) take
+the ring's ``zero`` last, as ``series._mul_trunc`` does; the default suits
+int and Fraction.  ``pdivmod`` divides over the fraction field and lifts its
+inputs with ``zero + c``, so int lists divide exactly into Fractions.  The
+content, primitive-part and gcd helpers (``icontent``, ``ipp``,
+``igcd_poly``) need integer division and take int lists only.
 
-The module also provides :class:`RatFunc`, the canonical rational function
-in one variable used as the coefficient domain of bivariate series, plus the
+Also here: :class:`RatFunc`, the canonical rational function in one
+variable used as the coefficient domain of bivariate series, and the
 number-theoretic helpers (divisors, rational roots, Pade reconstruction)
 needed by the series-branch search.
 """
@@ -48,16 +53,10 @@ def psub(a: Sequence, b: Sequence) -> list:
     return padd(a, pneg(b))
 
 
-def pscale(a: Sequence, s) -> list:
-    if not s:
-        return []
-    return [c * s for c in a]
-
-
-def pmul(a: Sequence, b: Sequence) -> list:
+def pmul(a: Sequence, b: Sequence, zero=0) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -77,8 +76,9 @@ def ppow(a: Sequence, n: int) -> list:
     return out
 
 
-def peval(a: Sequence, x):
-    out = 0
+def peval(a: Sequence, x, zero=0):
+    """a(x) by Horner's rule."""
+    out = zero
     for c in reversed(a):
         out = out * x + c
     return out
@@ -103,30 +103,54 @@ def pderiv(a: Sequence) -> list:
     return trim([i * a[i] for i in range(1, len(a))])
 
 
-def pdivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+def pdivmod(a: Sequence, b: Sequence, zero=Fraction(0)) -> tuple[list, list]:
     """Quotient and remainder over the fraction field.  b must be nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
+    r = trim([zero + c for c in a])
+    q = [zero] * max(0, len(r) - len(b) + 1)
+    lead = b[-1]
     while len(r) >= len(b):
         c = r[-1] / lead
         k = len(r) - len(b)
         q[k] = c
         for i, bc in enumerate(b):
             r[k + i] -= c * bc
-        trim_one = r.pop()
-        assert not trim_one
+        r.pop()
         trim(r)
     return trim(q), r
 
 
-def pmonic(a: Sequence) -> list:
-    if not a:
-        return []
-    lead = a[-1]
-    return [Fraction(c, 1) / lead for c in a]
+def prem(a: Sequence, b: Sequence) -> list:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, division-free."""
+    r = list(a)
+    lb = b[-1]
+    for _ in range(len(a) - len(b) + 1):
+        if len(r) < len(b):
+            r = [lb * c for c in r]
+            continue
+        lr = r[-1]
+        k = len(r) - len(b)
+        r = [lb * c for c in r[:-1]]
+        for i, bc in enumerate(b[:-1]):
+            r[k + i] -= lr * bc
+        trim(r)
+        if not r:
+            return []
+    return r
+
+
+def series_div(num: Sequence, den: Sequence, n: int) -> list[Fraction]:
+    """The first n Taylor coefficients of num/den at 0; den(0) != 0."""
+    rem = [Fraction(c) for c in num[:n]]
+    rem += [Fraction(0)] * (n - len(rem))
+    d0 = den[0]
+    for k in range(n):
+        c = rem[k] = rem[k] / d0
+        if c:
+            for j in range(1, min(len(den), n - k)):
+                rem[k + j] -= c * den[j]
+    return rem
 
 
 # --- integer-coefficient helpers ---
@@ -151,26 +175,6 @@ def ipp(a: Sequence[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def iprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b."""
-    r = list(a)
-    lb = b[-1]
-    steps = len(a) - len(b) + 1
-    for _ in range(steps):
-        if len(r) < len(b):
-            r = [c * lb for c in r]
-            continue
-        lr = r[-1]
-        k = len(r) - len(b)
-        r = [c * lb for c in r[:-1]]
-        for i, bc in enumerate(b[:-1]):
-            r[k + i] -= lr * bc
-        trim(r)
-        if not r:
-            return []
-    return r
-
-
 def igcd_poly(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Gcd of integer polynomials, primitive with positive lead, content included."""
     a = trim(list(a))
@@ -184,7 +188,7 @@ def igcd_poly(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, ipp(iprem(a, b))
+        a, b = b, ipp(prem(a, b))
     return [c * cont for c in a]
 
 
@@ -208,7 +212,7 @@ def pgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     ia, _ = clear_denominators(a)
     ib, _ = clear_denominators(b)
     g = igcd_poly(ia, ib)
-    return pmonic([Fraction(c) for c in g])
+    return [Fraction(c, g[-1]) for c in g]
 
 
 # --- integer factorization (for rational root candidates) ---
@@ -443,18 +447,16 @@ class RatFunc:
         """Taylor coefficients at 0 through the given order (inclusive)."""
         if not self.den[0]:
             raise ZeroDivisionError("rational function has a pole at 0")
-        out = []
-        rem = list(self.num) + [Fraction(0)] * (order + 1)
-        d0 = self.den[0]
-        for k in range(order + 1):
-            c = rem[k] / d0
-            out.append(c)
-            if c:
-                for j in range(1, min(len(self.den), order + 1 - k)):
-                    rem[k + j] -= c * self.den[j]
-        return out
+        return series_div(self.num, self.den, order + 1)
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if not self.num:
+            return other
+        if not other.num:
+            return self
         return RatFunc(
             padd(pmul(self.num, other.den), pmul(other.num, self.den)),
             pmul(self.den, other.den),
@@ -470,6 +472,8 @@ class RatFunc:
         return r
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if not self.num or not other.num:
+            return RATFUNC_ZERO
         return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":

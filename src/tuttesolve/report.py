@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import textwrap
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,7 +63,22 @@ def poly_from_doc(d: dict) -> MPoly:
 
 
 def _frac_str(v: Fraction) -> str:
-    return str(v)
+    """``str(v)`` for a rational of any size.
+
+    Decimal has none of the digit limit that Python 3.11+ puts on int <-> str.
+    """
+    num = str(Decimal(v.numerator))
+    return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
+
+
+def _frac_parse(s: str) -> Fraction:
+    """Inverse of ``_frac_str``: ``Fraction(s)`` for a rational of any size."""
+    num, slash, den = s.partition("/")
+    try:
+        v = Fraction(Decimal(num))
+        return v / Fraction(Decimal(den)) if slash else v
+    except (InvalidOperation, OverflowError):
+        raise ValueError(f"invalid rational number {s!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +171,7 @@ class Report:
                 "index": self.value.index,
                 "integer_digits": (self.value.digits
                                    if self.value.is_integer else None),
-                "decimal_string": str(self.value.value),
+                "decimal_string": _frac_str(self.value.value),
             }
         return {
             "format": FORMAT_MARKER,
@@ -181,7 +197,7 @@ class Report:
             raise ValueError("not a tuttesolve report document")
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported report version {d.get('version')!r}")
-        prefix = [Fraction(v) for v in d["series_prefix"]]
+        prefix = [_frac_parse(v) for v in d["series_prefix"]]
         branch = QSeries(prefix if prefix else [Fraction(0)])
         ode = None
         if d["ode"] is not None:
@@ -195,12 +211,12 @@ class Report:
         value = None
         if d["value"] is not None:
             value = SequenceValue(d["value"]["index"],
-                                  Fraction(d["value"]["decimal_string"]))
+                                  _frac_parse(d["value"]["decimal_string"]))
         column = None
         if d["column"] is not None:
             column = ColumnReport(
                 d["column"]["index"],
-                tuple(Fraction(v) for v in d["column"]["series"]),
+                tuple(_frac_parse(v) for v in d["column"]["series"]),
                 (poly_from_doc(d["column"]["equation"])
                  if d["column"]["equation"] is not None else None))
         return cls(
@@ -230,7 +246,7 @@ def _rec_to_doc(r) -> dict | None:
 def _rec_from_doc(d: dict | None) -> PRec | None:
     if d is None:
         return None
-    return PRec(d["coeffs"], [Fraction(v) for v in d["initials"]])
+    return PRec(d["coeffs"], [_frac_parse(v) for v in d["initials"]])
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +262,9 @@ def _value_lines(r: Report) -> tuple[str, list[str]]:
     if v is None:
         return "not available", []
     name = f"a({v.index})"
-    if not v.is_integer:
-        return f"{name} = {v.value}", []
-    if v.digits <= INLINE_DIGIT_LIMIT:
-        return f"{name} = {v.value}", []
-    lines = textwrap.wrap(str(v.value), width=70)
+    if not v.is_integer or v.digits <= INLINE_DIGIT_LIMIT:
+        return f"{name} = {_frac_str(v.value)}", []
+    lines = textwrap.wrap(_frac_str(v.value), width=70)
     return (f"{name} is an integer with {v.digits} digits "
             f"(full decimal expansion in the appendix)", lines)
 
@@ -281,11 +295,12 @@ def _cert_argument(r: Report) -> list[str]:
 
 
 def _series_line(r: Report) -> str:
-    return ", ".join(str(v) for v in r.series_prefix)
+    return ", ".join(_frac_str(v) for v in r.series_prefix)
 
 
 def _initials_line(rec: PRec) -> str:
-    return ", ".join(f"a({i}) = {v}" for i, v in enumerate(rec.initials))
+    return ", ".join(f"a({i}) = {_frac_str(v)}"
+                     for i, v in enumerate(rec.initials))
 
 
 def _render_text(r: Report) -> str:
@@ -337,7 +352,7 @@ def _render_text(r: Report) -> str:
         push("")
         push(f"Column m = {r.column.index} of psi (coefficients of y^{r.column.index}), "
              f"{COLUMN_LABEL}:")
-        push("    " + ", ".join(str(v) for v in r.column.series))
+        push("    " + ", ".join(_frac_str(v) for v in r.column.series))
         if r.column.equation is not None:
             push(f"    guessed equation: {r.column.equation.render()}")
         else:
@@ -407,7 +422,7 @@ def _render_markdown(r: Report) -> str:
         push("")
         push(f"## Column m = {r.column.index} ({COLUMN_LABEL})")
         push("")
-        push("Series: " + ", ".join(str(v) for v in r.column.series))
+        push("Series: " + ", ".join(_frac_str(v) for v in r.column.series))
         if r.column.equation is not None:
             push(f"Guessed equation: `{r.column.equation.render()}`")
         else:

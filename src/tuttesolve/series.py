@@ -282,22 +282,13 @@ class _Loc:
         vden = self.e * self.ctx.val
         if vnum < vden:
             raise PoleAtYZero("localized value has a pole at y = 0")
-        den = self.ctx.power(self.e)
-        ns = self.num[vnum:]
-        ds = den[vden:] if vden else den
         shift = vnum - vden
-        out = [Fraction(0)] * (m + 1)
+        if shift > m:
+            return [Fraction(0)] * (m + 1)
         n = m + 1 - shift
-        rem = [Fraction(c) for c in ns[:n]] + [Fraction(0)] * max(
-            0, n - len(ns))
-        d0 = Fraction(ds[0])
-        for k in range(n):
-            c = rem[k] / d0
-            out[k + shift] = c * self.scale
-            if c:
-                for j in range(1, min(len(ds), n - k)):
-                    rem[k + j] -= c * ds[j]
-        return out
+        den = self.ctx.power(self.e)
+        taylor = polyq.series_div(self.num[vnum:vnum + n], den[vden:vden + n], n)
+        return [Fraction(0)] * shift + [c * self.scale for c in taylor]
 
     def to_ratfunc(self) -> RatFunc:
         if self.is_zero:

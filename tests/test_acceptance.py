@@ -7,6 +7,7 @@ anywhere in this file.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -71,6 +72,30 @@ def test_criterion_1_cli_tutte_end_to_end():
         want = tutte_closed_form(n).value
         assert got[n] == want and got[n].denominator == 1
     assert elapsed <= 60.0, f"took {elapsed:.1f}s"
+
+
+def test_criterion_1_optimized_cli_past_the_digit_limit():
+    # -O strips asserts, and C(8000) has 4811 digits, past the 4300 limit
+    # Python 3.11+ puts on int <-> str
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tuttesolve.cli", "solve",
+         "--equation", "psi - 1 - x*psi**2", "--eval-at", "8000",
+         "--format", "structured"],
+        capture_output=True, text=True, timeout=120, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    rep = parse_report(proc.stdout)
+    assert render_report(rep, "structured") == proc.stdout
+    assert rep.value.value == _oracle.catalan(8000)
+
+
+def test_no_assert_statements_in_the_package():
+    # a check written as assert vanishes under python -O
+    src = Path(tuttesolve.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_criterion_2_thousandth_coefficient_exact(tutte_report):

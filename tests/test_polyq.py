@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from tuttesolve.polyq import (RATFUNC_ONE, RATFUNC_ZERO, RatFunc,
                               clear_denominators, deg, igcd_poly, int_divisors,
-                              integer_roots, pade, pdivmod, peval, pgcd, pmul,
-                              ppow, pshift, rational_roots, trim)
+                              integer_roots, pade, padd, pdivmod, peval, pgcd,
+                              pmul, ppow, pshift, rational_roots, series_div,
+                              trim)
 
 ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(ints, min_size=0, max_size=6)
@@ -19,6 +20,10 @@ polys = st.lists(ints, min_size=0, max_size=6)
 
 def frac_poly(p):
     return [F(c) for c in p]
+
+
+def rf_lift(c):
+    return RatFunc([F(c)], [F(1), F(c)])
 
 
 class TestArithmetic:
@@ -56,15 +61,29 @@ class TestArithmetic:
     @given(polys, polys)
     @settings(max_examples=60)
     def test_divmod_identity(self, a, b):
-        b = trim(frac_poly(b))
-        if not b:
+        # over Q, and over Q(y) with c read as c/(1 + c*y)
+        for lift, zero in ((F, F(0)), (rf_lift, RATFUNC_ZERO)):
+            bl = trim([lift(c) for c in b])
+            if not bl:
+                return
+            al = trim([lift(c) for c in a])
+            q, r = pdivmod(al, bl, zero)
+            assert padd(pmul(q, bl, zero), r) == al
+            assert deg(r) < deg(bl)
+
+    def test_divmod_of_int_lists_is_exact(self):
+        q, r = pdivmod([1, 0, 1], [0, 2])     # (1 + x^2) = (x/2)(2x) + 1
+        assert q == [F(0), F(1, 2)] and r == [F(1)]
+        assert all(type(c) is F for c in q + r)
+
+    @given(polys, polys, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=60)
+    def test_series_div_times_den_is_num(self, num, den, n):
+        if not den or not den[0]:
             return
-        a = frac_poly(a)
-        q, r = pdivmod(a, b)
-        back = [x + y for x, y in
-                zip(pmul(q, b) + [F(0)] * 10, r + [F(0)] * 20)]
-        assert trim(back)[: len(trim(a))] == trim(a)
-        assert deg(r) < deg(b) or not trim(r)
+        s = series_div(num, den, n)
+        assert len(s) == n
+        assert (pmul(s, den) + [0] * n)[:n] == (num + [0] * n)[:n]
 
 
 class TestNumberTheory:

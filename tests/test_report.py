@@ -11,7 +11,8 @@ from tuttesolve import (ABSENT, CertificateSummary, ColumnReport, LinODE,
                         MPoly, PipelineConfig, PRec, QSeries, Report,
                         parse_report, render_report, run_pipeline)
 from tuttesolve.evalrec import SequenceValue
-from tuttesolve.report import COLUMN_LABEL, poly_from_doc, poly_to_doc
+from tuttesolve.report import (COLUMN_LABEL, _frac_parse, poly_from_doc,
+                               poly_to_doc)
 
 from . import _oracle
 
@@ -75,6 +76,41 @@ class TestStructuredRoundTrip:
     def test_unknown_render_format(self):
         with pytest.raises(ValueError):
             render_report(synthetic_report(), "yaml")
+
+
+def _shown_value(text: str) -> str:
+    """a(10) as a text or markdown rendering shows it."""
+    lines = text.splitlines()
+    head = next((i for i, line in enumerate(lines)
+                 if "Decimal digits of a(10)" in line), None)
+    if head is None:
+        return next(line for line in lines if "a(10) = " in line).split(
+            "a(10) = ")[1]
+    return "".join(line.strip() for line in lines[head + 1:]
+                   if line.strip().isdigit())
+
+
+class TestHugeValues:
+    """Values past Python's 4300-digit int <-> str limit."""
+
+    @pytest.mark.parametrize("value, digits", [
+        (F(10**5000 + 7), 5001),
+        (F(-(3**9500) + 1, 7**40), 4533),
+    ])
+    def test_round_trip_in_every_format(self, value, digits):
+        rep = synthetic_report(value=SequenceValue(10, value))
+        assert rep.value.digits == digits
+        again = parse_report(render_report(rep, "structured"))
+        assert again == rep and again.value.value == value
+        assert again.value.digits == digits
+        for fmt in ("text", "markdown"):
+            assert _frac_parse(_shown_value(render_report(rep, fmt))) == value
+
+    def test_malformed_rational_is_a_value_error(self):
+        doc = json.loads(render_report(synthetic_report(), "structured"))
+        doc["value"]["decimal_string"] = "1/2/3"
+        with pytest.raises(ValueError):
+            parse_report(json.dumps(doc))
 
 
 class TestTextRendering:
