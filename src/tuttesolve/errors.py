@@ -134,9 +134,14 @@ class ResourceCeiling(TutteSolveError):
 
 
 class PipelineError(TutteSolveError):
-    """Wraps any error raised inside the pipeline with its stage name."""
+    """Wraps any error raised inside the pipeline with its stage name.
+
+    ``timings_ms`` holds the stage times up to the failure, once the error
+    has left ``run_pipeline``.
+    """
 
     def __init__(self, stage: str, cause: Exception):
         self.stage = stage
         self.cause = cause
+        self.timings_ms: dict[str, int] = {}
         super().__init__(f"error at stage {stage}: {cause}")

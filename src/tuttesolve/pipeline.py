@@ -113,12 +113,12 @@ class _Stages:
     def run(self, name: str, fn, *args):
         t0 = time.perf_counter()
         try:
-            out = fn(*args)
+            return fn(*args)
         except TutteSolveError as exc:
             raise PipelineError(name, exc) from exc
-        ms = int((time.perf_counter() - t0) * 1000)
-        self.timings[name] = self.timings.get(name, 0) + ms
-        return out
+        finally:
+            ms = int((time.perf_counter() - t0) * 1000)
+            self.timings[name] = self.timings.get(name, 0) + ms
 
 
 def _minimize_full(rec, max_complexity: int):
@@ -135,8 +135,20 @@ def _minimize_full(rec, max_complexity: int):
 
 
 def run_pipeline(cfg: PipelineConfig) -> Report:
-    """Solve one functional equation end to end and assemble the report."""
+    """Solve one functional equation end to end and assemble the report.
+
+    A ``PipelineError`` leaves with ``timings_ms``: the time of every stage
+    run so far, the failed one included.
+    """
     st = _Stages()
+    try:
+        return _solve(cfg, st)
+    except PipelineError as exc:
+        exc.timings_ms = dict(st.timings)
+        raise
+
+
+def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
     eq = st.run("parse", parse_equation, cfg.equation)
     st.run("well-posedness", check_well_posed, eq)
 
@@ -180,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
     column = None
     if cfg.column > 0:
         col = st.run("column", _column_from_expansion, sx, cfg.column)
-        colguess = st.run("column", guess_algeq, col,
+        colguess = st.run("column-guess", guess_algeq, col,
                           cfg.max_degree, cfg.max_degree)
         column = ColumnReport(cfg.column, col.coeffs,
                               None if colguess is FAIL else colguess.P)

@@ -96,6 +96,14 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def motzkin(n: int) -> int:
+    """(k+2) M_k = (2k+1) M_(k-1) + 3(k-1) M_(k-2), with M_0 = M_1 = 1."""
+    prev, cur = 1, 1
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k + 1) * cur + 3 * (k - 1) * prev) // (k + 2)
+    return cur
+
+
 def sqrt_one_minus_x(n: int) -> list[Fraction]:
     """Series coefficients of (1-x)^(1/2) to n terms."""
     out = [Fraction(1)]

@@ -88,6 +88,18 @@ def test_criterion_1_optimized_cli_past_the_digit_limit():
     assert rep.value.value == _oracle.catalan(8000)
 
 
+def test_criterion_1_cli_far_out_coefficient():
+    # C(50000) has 30,096 digits; unroll reaches it by binary splitting
+    proc = subprocess.run(
+        _cli() + ["solve", "--equation", "psi - 1 - x*psi**2",
+                  "--eval-at", "50000", "--format", "structured"],
+        capture_output=True, text=True, timeout=120, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    rep = parse_report(proc.stdout)
+    assert render_report(rep, "structured") == proc.stdout
+    assert rep.value.value == _oracle.catalan(50000)
+
+
 def test_no_assert_statements_in_the_package():
     # a check written as assert vanishes under python -O
     src = Path(tuttesolve.__file__).resolve().parent

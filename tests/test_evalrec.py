@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttesolve import PRec, SequenceValue, tutte_closed_form, unroll
 from tuttesolve.errors import InvalidIndex
+from tuttesolve.polyq import peval
 
 from . import _oracle
 
@@ -44,6 +48,67 @@ class TestUnroll:
         got = unroll(rec, 200)
         assert got.value == F(_oracle.catalan(200))
         assert got.is_integer
+
+    def test_order_zero_is_zero_past_its_roots(self):
+        rec = PRec(((-2, 1),), (F(5), F(6), F(7)))
+        assert [unroll(rec, G).value for G in range(5)] == rec.terms(5)
+        assert unroll(rec, 1000).value == 0
+
+
+CATALAN = PRec(((-2, -4), (2, 1)), (F(1),))
+MOTZKIN = PRec(((-3, -3), (-5, -2), (4, 1)), (F(1), F(1)))
+
+coeff_polys = st.lists(st.integers(-5, 5), max_size=3)
+
+
+@st.composite
+def precs(draw):
+    """Order 1-3, degree <= 2, with zero middle coefficients, leading
+    coefficients that vanish at a nonnegative integer, and rational
+    initials beyond the ones the singular indices need."""
+    s = draw(st.integers(1, 3))
+    rest = [draw(coeff_polys) for _ in range(s)]
+    root = draw(st.none() | st.integers(0, 6))
+    if root is None:
+        lead = draw(coeff_polys.filter(any))
+    else:
+        c = draw(st.integers(-3, 3).filter(bool))
+        lead = [-root * c, c]
+    # integer roots of lead lie below 7 (Cauchy's bound)
+    last = max((r for r in range(7) if peval(lead, r) == 0), default=-1)
+    count = s + last + 1 + draw(st.integers(0, 2))
+    initials = draw(st.lists(st.fractions(min_value=-20, max_value=20,
+                                          max_denominator=9),
+                             min_size=count, max_size=count))
+    return PRec(rest + [lead], initials)
+
+
+class TestBinarySplitting:
+    @given(precs(), st.integers(0, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_iteration(self, rec, G):
+        assert unroll(rec, G).value == rec.terms(G + 1)[G]
+
+    def test_motzkin_oracle(self):
+        want = [1, 1, 2, 4, 9, 21, 51, 127, 323]
+        assert [_oracle.motzkin(n) for n in range(9)] == want
+        assert MOTZKIN.terms(9) == want
+
+    def test_catalan_far_out(self):
+        assert unroll(CATALAN, 20000).value == _oracle.catalan(20000)
+
+    def test_motzkin_far_out(self):
+        assert unroll(MOTZKIN, 10000).value == _oracle.motzkin(10000)
+
+    def test_memory_stays_small_far_out(self):
+        # keeping every term up to 30000 takes about 110 MB
+        tracemalloc.start()
+        try:
+            unroll(CATALAN, 30000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestClosedForm:

@@ -9,7 +9,7 @@ import pytest
 from tuttesolve import (CoeffTable, PipelineConfig, column_series,
                         parse_equation, run_pipeline, unroll)
 from tuttesolve.errors import (AmbiguousBranch, InvalidBounds, PipelineError,
-                               PoleAtYZero)
+                               PoleAtYZero, ResourceCeiling)
 
 from . import _frozen, _oracle
 
@@ -65,6 +65,30 @@ class TestStageAttribution:
             run_pipeline(cfg)
         assert e.value.stage in ("expansion", "specialize")
         assert isinstance(e.value.cause, PoleAtYZero)
+
+    def test_failed_stage_keeps_its_time(self):
+        cfg = PipelineConfig("y**2*psi + g + x*y", guess_order=8,
+                             max_complexity=2, eval_at=0)
+        with pytest.raises(PipelineError) as e:
+            run_pipeline(cfg)
+        assert set(e.value.timings_ms) == {
+            "parse", "well-posedness", *{"expansion", e.value.stage}}
+
+    def test_guess_ceiling_keeps_stage_timings(self):
+        # Catalan's series is not rational, so degree 1 never fits
+        cfg = PipelineConfig("psi - 1 - x*psi**2", guess_order=8,
+                             max_complexity=2, eval_at=0, max_degree=1,
+                             max_order=8)
+        with pytest.raises(PipelineError) as e:
+            run_pipeline(cfg)
+        assert e.value.stage == "guess"
+        assert isinstance(e.value.cause, ResourceCeiling)
+        assert {"expansion", "guess"} <= set(e.value.timings_ms)
+
+    def test_column_guess_timed_apart(self):
+        dyck = "y*psi - y - x*(y**2)*psi - x*psi + x*g"
+        rep = run_pipeline(PipelineConfig(dyck, column=1, eval_at=10))
+        assert {"column", "column-guess"} <= set(rep.timings_ms)
 
 
 class TestConfig:
