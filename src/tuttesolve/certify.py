@@ -15,7 +15,7 @@ from . import polyq
 from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
                      ResultantVanishes, SelfCheckFailed, TutteSolveError,
                      ZeroAnnihilator, ZeroPolynomial)
-from .funceq import (FuncEq, WellPosedness, _eval_at_branch, check_well_posed,
+from .funceq import (FuncEq, WellPosedness, _kernel_at_branch, check_well_posed,
                      expand_series, specialize_y0)
 from .guessing import AlgEq
 from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
@@ -214,10 +214,7 @@ def _rf_val_y(rf) -> int:
 def _kernel_echo(eq: FuncEq, witness: SeriesX) -> WellPosedness:
     """Kernel data straight from the witness; no uniqueness claim."""
     c0 = witness[0]
-    g0 = c0.eval0()
-    x0 = {"x": 0}
-    A = _eval_at_branch(eq.Q.derivative("psi").subs_int(x0), c0, g0)
-    B = _eval_at_branch(eq.Q.derivative("g").subs_int(x0), c0, g0)
+    A, B = _kernel_at_branch(eq, c0, c0.eval0())
     return WellPosedness(c0, A, B, _rf_val_y(A + B), "unverified")
 
 

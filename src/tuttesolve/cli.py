@@ -14,7 +14,7 @@ import click
 from . import __version__
 from .errors import TutteSolveError
 from .pipeline import PipelineConfig, run_pipeline
-from .report import render_report
+from .report import FORMATS, render_report
 
 
 @click.group()
@@ -35,7 +35,7 @@ def main():
 @click.option("--column", default=0, show_default=True, type=int,
               help="also extract the coefficients of y^m (guess only)")
 @click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "markdown", "structured"]),
+              type=click.Choice(FORMATS),
               help="report rendering")
 @click.option("--prove/--no-prove", default=True, show_default=True,
               help="certify the guessed equations (or label them conjectural)")
@@ -50,8 +50,7 @@ def solve(equation, guess_order, max_complexity, eval_at, column, fmt,
     try:
         cfg = PipelineConfig(equation=equation, guess_order=guess_order,
                              max_complexity=max_complexity, eval_at=eval_at,
-                             column=column, prove=prove, format=fmt,
-                             max_degree=max_degree)
+                             column=column, prove=prove, max_degree=max_degree)
         rep = run_pipeline(cfg)
     except TutteSolveError as exc:
         click.echo(f"error: {exc}", err=True)

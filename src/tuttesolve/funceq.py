@@ -213,6 +213,14 @@ def _eval_at_branch(m: MPoly, c0: RatFunc, g0: Fraction) -> RatFunc:
     return _rf_horner(_fpoly_from_bivar(m, gval), c0)
 
 
+def _kernel_at_branch(eq: FuncEq, c0: RatFunc,
+                      g0: Fraction) -> tuple[RatFunc, RatFunc]:
+    """dQ/dpsi and dQ/dg at x = 0, evaluated on the branch psi = c0, g = g0."""
+    x0 = {"x": 0}
+    return (_eval_at_branch(eq.Q.derivative("psi").subs_int(x0), c0, g0),
+            _eval_at_branch(eq.Q.derivative("g").subs_int(x0), c0, g0))
+
+
 def check_well_posed(eq: FuncEq) -> WellPosedness:
     """Find the unique admissible branch and classify the per-order solve."""
     R = eq.Q.subs_int({"x": 0})
@@ -259,9 +267,7 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
             f"{len(pairs)} admissible order-0 branches: "
             + ", ".join(str(p[0]) for p in pairs))
     c0, g0 = pairs[0]
-    x0 = {"x": 0}
-    A = _eval_at_branch(eq.Q.derivative("psi").subs_int(x0), c0, g0)
-    B = _eval_at_branch(eq.Q.derivative("g").subs_int(x0), c0, g0)
+    A, B = _kernel_at_branch(eq, c0, g0)
     if A.is_zero:
         raise DegenerateKernel("kernel dQ/dpsi vanishes identically on the branch")
     a0 = A.eval0()
@@ -410,10 +416,8 @@ def expand_series(eq: FuncEq, K: int) -> SeriesX:
 
 
 def specialize_y0(s: SeriesX) -> QSeries:
-    """The sequence c_k(0) (Step: plug in y = 0)."""
-    vals = []
-    for k, c in enumerate(s):
-        if not c.regular_at_0:
-            raise PoleAtYZero(f"coefficient of x^{k} has a pole at y = 0")
-        vals.append(c.eval0())
-    return QSeries(vals)
+    """The sequence c_k(0) (Step: plug in y = 0).
+
+    ``SeriesX`` already rejects every coefficient with a pole at y = 0.
+    """
+    return QSeries([c.eval0() for c in s])

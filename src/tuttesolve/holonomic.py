@@ -221,18 +221,10 @@ def _clear_relation(vec: list[RatFunc]) -> list[list[int]]:
             raise SelfCheckFailed(
                 "relation denominator is not a multiple of every coefficient's")
         out_fr.append(q)
-    flat = [v for p in out_fr for v in p]
-    lcm = 1
-    for v in flat:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [[int(v * lcm) for v in p] for p in out_fr]
-    g = 0
-    for p in ints:
-        for v in p:
-            g = math.gcd(g, v)
-    if g > 1:
-        ints = [[v // g for v in p] for p in ints]
-    return ints
+    # the sign this may flip is renormalised by the caller
+    flat, _ = polyq.clear_denominators([v for p in out_fr for v in p])
+    it = iter(flat)
+    return [[next(it) for _ in p] for p in out_fr]
 
 
 def algeq_to_ode(p: AlgEq) -> LinODE:

@@ -26,9 +26,6 @@ from .holonomic import ABSENT, algeq_to_ode, minimize_rec, ode_to_rec
 from .report import CertificateSummary, ColumnReport, Report
 from .series import QSeries, SeriesX
 
-_FORMATS = ("text", "markdown", "structured")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """One pipeline invocation; no global state anywhere."""
@@ -39,7 +36,6 @@ class PipelineConfig:
     eval_at: int = 1000          # G: sequence index to evaluate
     column: int = 0              # m: y-power to extract (0 = just psi(x,0))
     prove: bool = True
-    format: str = "text"
     max_degree: int = 16         # ceiling on guessed degrees in f and x
     max_order: int = 512         # ceiling on the doubled expansion order
 
@@ -56,8 +52,6 @@ class PipelineConfig:
             raise InvalidBounds("degree ceiling must be at least 1")
         if self.max_order < self.guess_order:
             raise InvalidBounds("series ceiling is below the guess order")
-        if self.format not in _FORMATS:
-            raise ValueError(f"unknown report format {self.format!r}")
 
 
 # ---------------------------------------------------------------------------

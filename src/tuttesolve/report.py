@@ -5,7 +5,8 @@ equation echo, the two algebraic equations, a certificate summary, the
 differential equation, the recurrences, the requested sequence value, a
 series prefix for cross-checking, and per-stage timings.  Three renderings
 are provided: plain text, markdown, and a structured JSON document that
-round-trips through :func:`parse_report`.
+round-trips through :func:`parse_report`.  Text and markdown come from one
+renderer, :func:`_render`; each format's wording is one template table.
 
 Polynomials serialize as nested coefficient arrays under an explicit
 variable-order header, outermost variable first, so the document is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import textwrap
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence
@@ -111,30 +112,26 @@ class ColumnReport:
     equation: MPoly | None          # None when the guesser returned FAIL
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class Report:
     """Everything a pipeline run produced, ready for rendering."""
 
-    __slots__ = ("equation", "p1", "p2", "certificate", "ode", "recurrence",
-                 "minimized", "value", "series_prefix", "column",
-                 "max_complexity", "timings_ms")
+    equation: str
+    p1: MPoly | None
+    p2: MPoly | None
+    certificate: CertificateSummary
+    ode: LinODE | None
+    recurrence: PRec | None
+    minimized: object                   # PRec, ABSENT or None
+    value: SequenceValue | None
+    series_prefix: Sequence[Fraction]
+    column: ColumnReport | None
+    max_complexity: int
+    timings_ms: dict[str, int]
 
-    def __init__(self, equation: str, p1: MPoly | None, p2: MPoly | None,
-                 certificate: CertificateSummary, ode: LinODE | None,
-                 recurrence: PRec | None, minimized, value: SequenceValue | None,
-                 series_prefix: Sequence[Fraction], column: ColumnReport | None,
-                 max_complexity: int, timings_ms: dict[str, int]):
-        self.equation = equation
-        self.p1 = p1
-        self.p2 = p2
-        self.certificate = certificate
-        self.ode = ode
-        self.recurrence = recurrence
-        self.minimized = minimized          # PRec or ABSENT
-        self.value = value
-        self.series_prefix = tuple(Fraction(v) for v in series_prefix)
-        self.column = column
-        self.max_complexity = max_complexity
-        self.timings_ms = dict(timings_ms)
+    def __post_init__(self):
+        self.series_prefix = tuple(Fraction(v) for v in self.series_prefix)
+        self.timings_ms = dict(self.timings_ms)
 
     @property
     def proven(self) -> bool:
@@ -143,36 +140,24 @@ class Report:
     # -- structured form --------------------------------------------------
 
     def to_dict(self) -> dict:
-        cert = {
-            "status": self.certificate.status,
-            "bound": self.certificate.bound,
-            "checked_order": self.certificate.checked_order,
-            "annihilator_support": self.certificate.annihilator_support,
+        ode = None if self.ode is None else {
+            "vars": ["x"],
+            "coeffs": [list(p) for p in self.ode.coeffs],
+            "inhom": list(self.ode.inhom) if self.ode.inhom else None,
         }
-        ode = None
-        if self.ode is not None:
-            ode = {
-                "vars": ["x"],
-                "coeffs": [list(p) for p in self.ode.coeffs],
-                "inhom": list(self.ode.inhom) if self.ode.inhom else None,
-            }
-        column = None
-        if self.column is not None:
-            column = {
-                "index": self.column.index,
-                "series": [_frac_str(v) for v in self.column.series],
-                "equation": (poly_to_doc(self.column.equation)
-                             if self.column.equation is not None else None),
-                "label": COLUMN_LABEL,
-            }
-        value = None
-        if self.value is not None:
-            value = {
-                "index": self.value.index,
-                "integer_digits": (self.value.digits
-                                   if self.value.is_integer else None),
-                "decimal_string": _frac_str(self.value.value),
-            }
+        column = None if self.column is None else {
+            "index": self.column.index,
+            "series": [_frac_str(v) for v in self.column.series],
+            "equation": (poly_to_doc(self.column.equation)
+                         if self.column.equation is not None else None),
+            "label": COLUMN_LABEL,
+        }
+        value = None if self.value is None else {
+            "index": self.value.index,
+            "integer_digits": (self.value.digits
+                               if self.value.is_integer else None),
+            "decimal_string": _frac_str(self.value.value),
+        }
         return {
             "format": FORMAT_MARKER,
             "version": FORMAT_VERSION,
@@ -180,7 +165,7 @@ class Report:
             "max_complexity": self.max_complexity,
             "p1": poly_to_doc(self.p1) if self.p1 is not None else None,
             "p2": poly_to_doc(self.p2) if self.p2 is not None else None,
-            "certificate": cert,
+            "certificate": asdict(self.certificate),
             "ode": ode,
             "recurrence": _rec_to_doc(self.recurrence),
             "minimized_recurrence": _rec_to_doc(
@@ -252,10 +237,6 @@ def _rec_from_doc(d: dict | None) -> PRec | None:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _tag(r: Report) -> str:
-    return "" if r.proven else "(conjectural) "
-
-
 def _value_lines(r: Report) -> tuple[str, list[str]]:
     """Main bullet line for the value plus appendix digit lines (maybe empty)."""
     v = r.value
@@ -294,172 +275,135 @@ def _cert_argument(r: Report) -> list[str]:
     ]
 
 
-def _series_line(r: Report) -> str:
-    return ", ".join(_frac_str(v) for v in r.series_prefix)
+# Each format's wording: str.format templates, one per report part.  A
+# template's own newlines place the blank lines between parts.
+_TEXT = {
+    "head": "tuttesolve report\n=================\n\n"
+            "Functional equation (Q = 0 with psi = psi(x, y), g = psi(x, 0)):\n"
+            "    {equation}\n",
+    "proven": "Status: proven (checked order {c.checked_order}, "
+              "vanishing bound {c.bound})\n",
+    "conjectural": "Status: conjectural (certification {c.status})\n",
+    "p1": "1. {tag}Algebraic equation for g(x) = psi(x, 0), written in "
+          "f = g(x):\n       {eq}\n",
+    "p2": "2. {tag}Algebraic equation for the full series psi = psi(x, y):\n"
+          "       {eq}\n",
+    "rec": "3. {tag}Recurrence for the coefficients a(n) = [x^n] g(x):",
+    "recurrence": "       {rec}\n       with {initials}",
+    "missing": "       not available",
+    "ode": "   Derived from the differential equation:\n       {ode}",
+    "absent": "   Minimal form: no recurrence with order+degree <= {cap}",
+    "minimal": "   Minimal form (order+degree <= {cap}):\n"
+               "       {rec}\n       with {initials}",
+    "value": "\n4. {tag}Exact sequence value:\n       {value}\n",
+    "series": "Series prefix a(0), a(1), ...:\n    {series}",
+    "column": "\nColumn m = {i} of psi (coefficients of y^{i}), {label}:\n"
+              "    {series}",
+    "column_eq": "    guessed equation: {eq}",
+    "column_none": "    no algebraic equation found within the bounds",
+    "appendix_a": "\nAppendix A. Certificate\n    status: {c.status}",
+    "numbers": "    vanishing bound B: {c.bound}\n"
+               "    checked order N: {c.checked_order}\n"
+               "    defect annihilator support: {c.annihilator_support}",
+    "indent": "    ",
+    "argument": "{lines}",
+    "appendix_b": "\nAppendix B. Decimal digits of a({i})\n{digits}",
+}
+
+_MARKDOWN = {
+    "head": "# tuttesolve report\n\n"
+            "Functional equation (`Q = 0` with `psi = psi(x, y)`, "
+            "`g = psi(x, 0)`):\n\n    {equation}\n",
+    "proven": "**Status: proven** (checked order {c.checked_order}, "
+              "vanishing bound {c.bound})\n",
+    "conjectural": "**Status: conjectural** (certification {c.status})\n",
+    "p1": "1. {tag}Algebraic equation for `g(x) = psi(x, 0)`, written in "
+          "`f = g(x)`:\n   `{eq}`",
+    "p2": "2. {tag}Algebraic equation for the full series `psi = psi(x, y)`:"
+          "\n   `{eq}`",
+    "rec": "3. {tag}Recurrence for the coefficients `a(n) = [x^n] g(x)`:",
+    "recurrence": "   `{rec}`\n   with {initials}",
+    "missing": "   not available",
+    "ode": "   derived from the differential equation `{ode}`",
+    "absent": "   minimal form: no recurrence with order+degree <= {cap}",
+    "minimal": "   minimal form (order+degree <= {cap}): `{rec}`\n"
+               "   with {initials}",
+    "value": "4. {tag}Exact sequence value: {value}\n",
+    "series": "Series prefix `a(0), a(1), ...`: {series}",
+    "column": "\n## Column m = {i} ({label})\n\nSeries: {series}",
+    "column_eq": "Guessed equation: `{eq}`",
+    "column_none": "No algebraic equation found within the bounds.",
+    "appendix_a": "\n## Appendix A. Certificate\n\n- status: {c.status}",
+    "numbers": "- vanishing bound B: {c.bound}\n"
+               "- checked order N: {c.checked_order}\n"
+               "- defect annihilator support: {c.annihilator_support}",
+    "indent": "",
+    "argument": "\n{lines}",
+    "appendix_b": "\n## Appendix B. Decimal digits of a({i})\n\n{digits}",
+}
+
+_TEMPLATES = {"text": _TEXT, "markdown": _MARKDOWN}
+FORMATS = (*_TEMPLATES, "structured")
 
 
-def _initials_line(rec: PRec) -> str:
-    return ", ".join(f"a({i}) = {_frac_str(v)}"
-                     for i, v in enumerate(rec.initials))
+def _render(r: Report, t: dict[str, str]) -> str:
+    """The human-readable report in the wording of template table ``t``."""
+    c, out = r.certificate, []
 
+    def put(key: str, **fields) -> None:
+        out.append(t[key].format(c=c, cap=r.max_complexity, **fields,
+                                 tag="" if r.proven else "(conjectural) "))
 
-def _render_text(r: Report) -> str:
-    out: list[str] = []
-    push = out.append
-    push("tuttesolve report")
-    push("=" * 17)
-    push("")
-    push("Functional equation (Q = 0 with psi = psi(x, y), g = psi(x, 0)):")
-    push(f"    {r.equation}")
-    push("")
-    if r.proven:
-        push(f"Status: proven (checked order {r.certificate.checked_order}, "
-             f"vanishing bound {r.certificate.bound})")
+    def put_rec(key: str, rec: PRec) -> None:
+        put(key, rec=rec.render(), initials=", ".join(
+            f"a({i}) = {_frac_str(v)}" for i, v in enumerate(rec.initials)))
+
+    put("head", equation=r.equation)
+    put("proven" if r.proven else "conjectural")
+    for key, p in (("p1", r.p1), ("p2", r.p2)):
+        put(key, eq=p.render() if p is not None else "not available")
+    put("rec")
+    if r.recurrence is None:
+        put("missing")
     else:
-        push(f"Status: conjectural (certification {r.certificate.status})")
-    push("")
-    tag = _tag(r)
-    push(f"1. {tag}Algebraic equation for g(x) = psi(x, 0), written in f = g(x):")
-    push(f"       {r.p1.render() if r.p1 is not None else 'not available'}")
-    push("")
-    push(f"2. {tag}Algebraic equation for the full series psi = psi(x, y):")
-    push(f"       {r.p2.render() if r.p2 is not None else 'not available'}")
-    push("")
-    push(f"3. {tag}Recurrence for the coefficients a(n) = [x^n] g(x):")
-    if r.recurrence is not None:
-        push(f"       {r.recurrence.render()}")
-        push(f"       with {_initials_line(r.recurrence)}")
-    else:
-        push("       not available")
+        put_rec("recurrence", r.recurrence)
     if r.ode is not None:
-        push(f"   Derived from the differential equation:")
-        push(f"       {r.ode.render()}")
+        put("ode", ode=r.ode.render())
     if r.minimized is ABSENT:
-        push(f"   Minimal form: no recurrence with order+degree <= "
-             f"{r.max_complexity}")
+        put("absent")
     elif r.minimized is not None and r.minimized != r.recurrence:
-        push(f"   Minimal form (order+degree <= {r.max_complexity}):")
-        push(f"       {r.minimized.render()}")
-        push(f"       with {_initials_line(r.minimized)}")
-    push("")
+        put_rec("minimal", r.minimized)
     vline, digits = _value_lines(r)
-    push(f"4. {tag}Exact sequence value:")
-    push(f"       {vline}")
-    push("")
-    push(f"Series prefix a(0), a(1), ...:")
-    push(f"    {_series_line(r)}")
+    put("value", value=vline)
+    put("series", series=", ".join(map(_frac_str, r.series_prefix)))
     if r.column is not None:
-        push("")
-        push(f"Column m = {r.column.index} of psi (coefficients of y^{r.column.index}), "
-             f"{COLUMN_LABEL}:")
-        push("    " + ", ".join(_frac_str(v) for v in r.column.series))
-        if r.column.equation is not None:
-            push(f"    guessed equation: {r.column.equation.render()}")
+        col = r.column
+        put("column", i=col.index, label=COLUMN_LABEL,
+            series=", ".join(map(_frac_str, col.series)))
+        if col.equation is None:
+            put("column_none")
         else:
-            push("    no algebraic equation found within the bounds")
-    push("")
-    push("Appendix A. Certificate")
-    push(f"    status: {r.certificate.status}")
-    if r.certificate.bound is not None:
-        push(f"    vanishing bound B: {r.certificate.bound}")
-        push(f"    checked order N: {r.certificate.checked_order}")
-        push(f"    defect annihilator support: "
-             f"{r.certificate.annihilator_support}")
-    for line in _cert_argument(r):
-        push(f"    {line}")
+            put("column_eq", eq=col.equation.render())
+    put("appendix_a")
+    if c.bound is not None:
+        put("numbers")
+    put("argument", lines="\n".join(t["indent"] + line
+                                     for line in _cert_argument(r)))
     if digits:
-        push("")
-        push(f"Appendix B. Decimal digits of a({r.value.index})")
-        for line in digits:
-            push(f"    {line}")
-    push("")
-    push("Timings (ms): " + ", ".join(
-        f"{k}={v}" for k, v in r.timings_ms.items()))
-    return "\n".join(out) + "\n"
-
-
-def _render_markdown(r: Report) -> str:
-    out: list[str] = []
-    push = out.append
-    push("# tuttesolve report")
-    push("")
-    push("Functional equation (`Q = 0` with `psi = psi(x, y)`, `g = psi(x, 0)`):")
-    push("")
-    push(f"    {r.equation}")
-    push("")
-    if r.proven:
-        push(f"**Status: proven** (checked order {r.certificate.checked_order}, "
-             f"vanishing bound {r.certificate.bound})")
-    else:
-        push(f"**Status: conjectural** (certification {r.certificate.status})")
-    push("")
-    tag = _tag(r)
-    push(f"1. {tag}Algebraic equation for `g(x) = psi(x, 0)`, written in `f = g(x)`:")
-    push(f"   `{r.p1.render() if r.p1 is not None else 'not available'}`")
-    push(f"2. {tag}Algebraic equation for the full series `psi = psi(x, y)`:")
-    push(f"   `{r.p2.render() if r.p2 is not None else 'not available'}`")
-    push(f"3. {tag}Recurrence for the coefficients `a(n) = [x^n] g(x)`:")
-    if r.recurrence is not None:
-        push(f"   `{r.recurrence.render()}`")
-        push(f"   with {_initials_line(r.recurrence)}")
-    else:
-        push("   not available")
-    if r.ode is not None:
-        push(f"   derived from the differential equation "
-             f"`{r.ode.render()}`")
-    if r.minimized is ABSENT:
-        push(f"   minimal form: no recurrence with order+degree <= "
-             f"{r.max_complexity}")
-    elif r.minimized is not None and r.minimized != r.recurrence:
-        push(f"   minimal form (order+degree <= {r.max_complexity}): "
-             f"`{r.minimized.render()}`")
-        push(f"   with {_initials_line(r.minimized)}")
-    vline, digits = _value_lines(r)
-    push(f"4. {tag}Exact sequence value: {vline}")
-    push("")
-    push(f"Series prefix `a(0), a(1), ...`: {_series_line(r)}")
-    if r.column is not None:
-        push("")
-        push(f"## Column m = {r.column.index} ({COLUMN_LABEL})")
-        push("")
-        push("Series: " + ", ".join(_frac_str(v) for v in r.column.series))
-        if r.column.equation is not None:
-            push(f"Guessed equation: `{r.column.equation.render()}`")
-        else:
-            push("No algebraic equation found within the bounds.")
-    push("")
-    push("## Appendix A. Certificate")
-    push("")
-    push(f"- status: {r.certificate.status}")
-    if r.certificate.bound is not None:
-        push(f"- vanishing bound B: {r.certificate.bound}")
-        push(f"- checked order N: {r.certificate.checked_order}")
-        push(f"- defect annihilator support: "
-             f"{r.certificate.annihilator_support}")
-    push("")
-    for line in _cert_argument(r):
-        push(line)
-    if digits:
-        push("")
-        push(f"## Appendix B. Decimal digits of a({r.value.index})")
-        push("")
-        for line in digits:
-            push(f"    {line}")
-    push("")
-    push("Timings (ms): " + ", ".join(
+        put("appendix_b", i=r.value.index,
+            digits="\n".join("    " + line for line in digits))
+    out.append("\nTimings (ms): " + ", ".join(
         f"{k}={v}" for k, v in r.timings_ms.items()))
     return "\n".join(out) + "\n"
 
 
 def render_report(r: Report, format: str = "text") -> str:
-    """Render a report as `text`, `markdown`, or `structured` (JSON)."""
+    """Render a report in one of ``FORMATS``: `text`, `markdown`, `structured`."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
     if format == "structured":
         return json.dumps(r.to_dict(), indent=2) + "\n"
-    if format == "markdown":
-        return _render_markdown(r)
-    if format == "text":
-        return _render_text(r)
-    raise ValueError(f"unknown report format {format!r}")
+    return _render(r, _TEMPLATES[format])
 
 
 def parse_report(text: str) -> Report:

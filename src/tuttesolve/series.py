@@ -163,12 +163,6 @@ class _LocCtx:
             return self.zero()
         return _Loc(self, coeffs, Fraction(1), 0)
 
-    def from_fpoly(self, coeffs: Sequence[Fraction]) -> "_Loc":
-        ints, scale = polyq.clear_denominators(coeffs)
-        if not ints:
-            return self.zero()
-        return _Loc(self, ints, scale, 0)
-
     def from_ratfunc(self, rf: RatFunc) -> "_Loc":
         """Represent num/den; den must divide a power of D."""
         if rf.is_zero:

@@ -102,9 +102,10 @@ class TestConfig:
         with pytest.raises(InvalidBounds):
             PipelineConfig("psi - 1 - x*psi", guess_order=64, max_order=32)
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig("psi - 1 - x*psi", format="yaml")
+    def test_format_is_not_a_config_field(self):
+        # the rendering format belongs to render_report, not to the solve
+        with pytest.raises(TypeError):
+            PipelineConfig("psi - 1 - x*psi", format="text")
 
     def test_deterministic_modulo_timings(self):
         cfg = PipelineConfig("psi - 1 - x*psi**2", guess_order=16,

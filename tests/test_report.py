@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +20,12 @@ from . import _oracle
 f, x, psi, y = (MPoly.var(v) for v in ("f", "x", "psi", "y"))
 
 
-def synthetic_report(minimized=None, value=None, column=None):
+def synthetic_report(minimized=None, value=None, column=None, cert=None):
     """A small hand-built report around the doubling sequence 2^n."""
     p1 = ((MPoly.const(1) - MPoly.const(2) * x) * f - MPoly.const(1)).normalized()
     p2 = ((MPoly.const(1) - MPoly.const(2) * x) * psi - MPoly.const(1)).normalized()
-    cert = CertificateSummary("proven", 0, 12, 1)
+    if cert is None:
+        cert = CertificateSummary("proven", 0, 12, 1)
     prefix = tuple(F(2) ** n for n in range(13))
     ode = LinODE(((-2,), (1, -2)), (), QSeries(prefix))
     rec = PRec(((-2,), (1,)), (F(1),))
@@ -168,3 +170,32 @@ class TestTextRendering:
         assert "## Appendix A. Certificate" in md
         assert "## Appendix B. Decimal digits of a(1000)" in md
         assert tutte_report.equation in md
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# one report per layout decision of the text and markdown renderers
+GOLDEN_REPORTS = {
+    "proven": synthetic_report,
+    "refuted": lambda: synthetic_report(
+        cert=CertificateSummary("refuted", 2, 17, 9)),
+    "skipped": lambda: synthetic_report(cert=CertificateSummary.skipped()),
+    "minimal-differs": lambda: synthetic_report(
+        minimized=PRec(((-4,), (0,), (1,)), (F(1), F(2)))),
+    "appendix-b": lambda: synthetic_report(
+        value=SequenceValue(10, F(10**5000 + 7))),
+    "column-equation": lambda: synthetic_report(column=ColumnReport(
+        2, (F(0), F(0), F(1), F(6)), (psi**2 - x * psi + x).normalized())),
+    "column-no-equation": lambda: synthetic_report(
+        column=ColumnReport(2, (F(0), F(0), F(1, 2)), None)),
+    "all-optional-none": lambda: Report(
+        "psi - 1 - 2*x*psi", None, None, CertificateSummary.skipped(), None,
+        None, None, None, (), None, 3, {}),
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("markdown", "md")])
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_golden_render(name, fmt, ext):
+    want = (GOLDEN / f"{name}.{ext}").read_text(encoding="utf-8")
+    assert render_report(GOLDEN_REPORTS[name](), fmt) == want
