@@ -142,7 +142,7 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
     if R.degree("psi") < 1:
         raise InvalidElimination("elimination lost the unknown series")
     P2 = squarefree_primitive(R, "psi")
-    L = len(witness.coeffs)
+    L = len(witness)
     subst, ctx = _loc_subst(witness, ())  # P2 is free of g
     factors, rest = _monomial_linear_factors(P2)
     if rest.degree("psi") >= 1:
@@ -234,7 +234,7 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
         wp = check_well_posed(eq)
     except TutteSolveError:
         wp = _kernel_echo(eq, witness)
-    K = len(witness.coeffs) - 1
+    K = witness.order
     g_hat = specialize_y0(witness)
 
     bad = _first_nonzero(p1.P, {"f": g_hat.coeffs}, K + 1, _frac_lift)

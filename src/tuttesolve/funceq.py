@@ -35,7 +35,7 @@ from .errors import (
 )
 from .mpoly import MPoly, VARS
 from .polyq import RatFunc
-from .series import QSeries, SeriesX, _Loc, _LocCtx, _mul_trunc
+from .series import QSeries, SeriesX, _Loc, _LocCtx, _mul_trunc, _subs
 
 _ALLOWED = {"psi", "g", "x", "y"}
 
@@ -308,6 +308,7 @@ class _Expander:
         an_int, an_scale = polyq.clear_denominators(wp.kernelA.num)
         ad_int, ad_scale = polyq.clear_denominators(wp.kernelA.den)
         self.ctx = _LocCtx(polyq.pmul(q_int, an_int))
+        self.c0 = self.ctx.localize(wp.c0)
         self._div_num = polyq.pmul(ad_int, q_int)
         self._div_scale = ad_scale / an_scale
         # normalized partials T[i][j] = d^i_psi d^j_g Q / (i! j!)
@@ -317,16 +318,15 @@ class _Expander:
         for i in range(self.dpsi + 1):
             for j in range(1, self.dg + 1):
                 T[i].append(T[i][j - 1].derivative("g").divexact(MPoly.const(j)))
-        g0 = wp.gamma0
+        # each x-coefficient evaluated at psi = c0, g = gamma0 in the _Loc ring
+        branch = {"psi": [self.c0], "g": [self.ctx.from_fraction(wp.gamma0)]}
         self.J: dict[tuple[int, int], list[_Loc]] = {}
         for i in range(self.dpsi + 1):
             for j in range(self.dg + 1):
                 xs = T[i][j].as_univariate("x")
                 row = [self.ctx.zero()] * (K + 1)
                 for m, cm in enumerate(xs[: K + 1]):
-                    if not cm.is_zero:
-                        row[m] = self.ctx.from_ratfunc(
-                            _eval_at_branch(cm, wp.c0, g0))
+                    row[m] = _subs(cm, branch, 1, self.ctx.from_ints)[0]
                 self.J[(i, j)] = row
         self.order_ij = sorted(self.J, key=lambda ij: (ij[0] + ij[1], ij))
         self.a_val0 = wp.kernelA.eval0()
@@ -407,17 +407,17 @@ def expand_series(eq: FuncEq, K: int) -> SeriesX:
         raise ValueError("negative expansion order")
     wp = check_well_posed(eq)
     eng = _Expander(eq, wp, K)
-    coeffs = [wp.c0]
+    coeffs = [eng.c0]
     for k in range(1, K + 1):
         ck, gam = eng.solve_order(k)
         eng.apply_order(k, ck, gam)
-        coeffs.append(ck.to_ratfunc())
-    return SeriesX(coeffs)
+        coeffs.append(ck)
+    return SeriesX._from_locs(eng.ctx, coeffs)
 
 
 def specialize_y0(s: SeriesX) -> QSeries:
     """The sequence c_k(0) (Step: plug in y = 0).
 
-    ``SeriesX`` already rejects every coefficient with a pole at y = 0.
+    Every coefficient of a ``SeriesX`` is regular at y = 0.
     """
-    return QSeries([c.eval0() for c in s])
+    return QSeries([c.eval0() for c in s.locs])

@@ -368,15 +368,6 @@ def ode_to_rec(L: LinODE) -> PRec:
         if val:
             qi = [polyq.pmul(q, [-nu, 1]) if q else [] for q in qi]
 
-    g = 0
-    for q in qi:
-        for v in q:
-            g = math.gcd(g, v)
-    if g > 1:
-        qi = [[v // g for v in q] for q in qi]
-    if qi[-1][-1] < 0:
-        qi = [[-v for v in q] for q in qi]
-
     lead = qi[-1]
     roots = [r for r in polyq.integer_roots(list(lead)) if r >= 0]
     need = order + (max(roots) if roots else -1) + 1

@@ -58,7 +58,7 @@ class PipelineConfig:
 # column extraction
 
 def _column_from_expansion(s: SeriesX, m: int) -> QSeries:
-    return QSeries([c.series(m)[m] for c in s])
+    return QSeries([c.y_coeff(m) for c in s.locs])
 
 
 def column_series(eq: FuncEq, m: int, K: int) -> QSeries:
@@ -85,7 +85,7 @@ class CoeffTable:
     @classmethod
     def build(cls, eq: FuncEq, N: int, M: int) -> "CoeffTable":
         s = expand_series(eq, N)
-        return cls([c.series(M) for c in s])
+        return cls([c.y_prefix(M) for c in s.locs])
 
     def entry(self, n: int, m: int) -> Fraction:
         return self.entries[n][m]

@@ -8,8 +8,9 @@ that must make a zero of their own (``pmul``, ``peval``, ``pdivmod``) take
 the ring's ``zero`` last, as ``series._mul_trunc`` does; the default suits
 int and Fraction.  ``pdivmod`` divides over the fraction field and lifts its
 inputs with ``zero + c``, so int lists divide exactly into Fractions.  The
-content, primitive-part and gcd helpers (``icontent``, ``ipp``,
-``igcd_poly``) need integer division and take int lists only.
+content, primitive-part, gcd and exact-quotient helpers (``icontent``,
+``ipp``, ``igcd_poly``, ``idivexact``) need integer division and take int
+lists only.
 
 Also here: :class:`RatFunc`, the canonical rational function in one
 variable used as the coefficient domain of bivariate series, and the
@@ -57,10 +58,15 @@ def pmul(a: Sequence, b: Sequence, zero=0) -> list:
     if not a or not b:
         return []
     out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
+    # skip b's low zeros (localized numerators carry a power of y)
+    vb = 0
+    while vb < len(b) and not b[vb]:
+        vb += 1
+    bs = b[vb:]
+    for i, ca in enumerate(a, vb):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for j, cb in enumerate(bs, i):
+                out[j] += ca * cb
     return trim(out)
 
 
@@ -190,6 +196,24 @@ def igcd_poly(a: Sequence[int], b: Sequence[int]) -> list[int]:
     while b:
         a, b = b, ipp(prem(a, b))
     return [c * cont for c in a]
+
+
+def idivexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b of integer polynomials; b must divide a in Z[y]."""
+    r = list(a)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + len(b) - 1], lead)
+        if m:
+            raise ArithmeticError("inexact integer polynomial division")
+        if c:
+            q[k] = c
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+    if any(r):
+        raise ArithmeticError("inexact integer polynomial division")
+    return trim(q)
 
 
 def clear_denominators(a: Sequence[Fraction]) -> tuple[list[int], Fraction]:
@@ -398,27 +422,29 @@ class RatFunc:
     """A rational function in one variable, canonical form.
 
     Denominator is monic and coprime to the numerator, so equality is
-    syntactic.  Instances are immutable.
+    syntactic.  Instances are immutable.  Reduction runs over the integers:
+    clear denominators, divide both sides exactly by their gcd in Z[y],
+    then make the denominator monic.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence, den: Sequence = (Fraction(1),)):
-        num = trim([Fraction(c) for c in num])
-        den = trim([Fraction(c) for c in den])
+        num, nscale = clear_denominators(num)
+        den, dscale = clear_denominators(den)
         if not den:
             raise ZeroDivisionError("zero denominator in RatFunc")
         if not num:
             self.num: tuple = ()
             self.den: tuple = (Fraction(1),)
             return
-        g = pgcd(num, den)
-        if deg(g) > 0:
-            num, _ = pdivmod(num, g)
-            den, _ = pdivmod(den, g)
+        g = igcd_poly(num, den)
+        if len(g) > 1:
+            num, den = idivexact(num, g), idivexact(den, g)
         lead = den[-1]
-        self.num = tuple(c / lead for c in num)
-        self.den = tuple(c / lead for c in den)
+        s = nscale / dscale / lead
+        self.num = tuple(s * c for c in num)
+        self.den = tuple(Fraction(c, lead) for c in den)
 
     @classmethod
     def const(cls, c) -> "RatFunc":

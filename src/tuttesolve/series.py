@@ -2,13 +2,16 @@
 
 Public types: :class:`QSeries` (rational-number coefficients, the image of a
 series at y = 0) and :class:`SeriesX` (coefficients are rational functions of
-y, each regular at y = 0, enforced at construction).
+y, each regular at y = 0).
 
-The private ``_LocCtx``/``_Loc`` pair is the working representation used by
-the expansion and certification loops: a coefficient is stored as
-scale * n(y) / D(y)^e against a fixed denominator polynomial D, so the hot
-path runs on integer convolutions and never reduces fractions.  Values are
-converted to canonical :class:`RatFunc` form only at module boundaries.
+A ``SeriesX`` stores its coefficients localized: the private
+``_LocCtx``/``_Loc`` pair writes each one as scale * n(y) / D(y)^e against
+one fixed denominator polynomial D, so the expansion, the table and column
+reads and the certification loops run on integer convolutions and never
+reduce fractions.  The expander hands its own D and coefficients over as
+they are.  Canonical :class:`RatFunc` coefficients are built only when a
+caller outside the package asks for them, through indexing, iteration or
+``coeffs``.
 
 All truncated-series arithmetic goes through one kernel that works over
 any exact coefficient ring, ``Fraction`` and ``_Loc`` alike: ``_mul_trunc``
@@ -72,32 +75,63 @@ class QSeries:
 
 
 class SeriesX:
-    """Truncation in x with RatFunc-in-y coefficients, regular at y = 0."""
+    """Truncation in x with rational-function-in-y coefficients, regular at 0.
 
-    __slots__ = ("coeffs",)
+    The store is localized: ``ctx`` is a :class:`_LocCtx` and ``locs`` holds
+    one ``_Loc`` per coefficient; package code reads those directly.  The
+    canonical view (``s[k]``, iteration, ``coeffs``) builds each
+    :class:`RatFunc` on first use and keeps it.  The public constructor takes
+    RatFuncs, rejects a pole at y = 0 and localizes at the lcm of their
+    denominators.  Equality compares the canonical coefficients.
+    """
+
+    __slots__ = ("ctx", "locs", "_rf")
 
     def __init__(self, coeffs: Iterable[RatFunc]):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("SeriesX needs at least the constant term")
+        D = [1]
         for k, c in enumerate(cs):
             if not c.regular_at_0:
                 raise PoleAtYZero(
                     f"coefficient of x^{k} has a pole at y = 0: {c}")
-        self.coeffs = cs
+            d, _ = polyq.clear_denominators(c.den)
+            D = polyq.pmul(D, polyq.idivexact(d, polyq.igcd_poly(D, d)))
+        self.ctx = ctx = _LocCtx(D)
+        self.locs = tuple(ctx.localize(c) for c in cs)
+        self._rf = list(cs)
+
+    @classmethod
+    def _from_locs(cls, ctx: "_LocCtx", locs: Iterable["_Loc"]) -> "SeriesX":
+        """A series over ``ctx``; each value must be regular at y = 0."""
+        s = cls.__new__(cls)
+        s.ctx = ctx
+        s.locs = tuple(locs)
+        s._rf = [None] * len(s.locs)
+        return s
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.locs) - 1
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.locs)
 
-    def __getitem__(self, i) -> RatFunc:
-        return self.coeffs[i]
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self.coeffs[k]
+        rf = self._rf[k]
+        if rf is None:
+            rf = self._rf[k] = self.locs[k].to_ratfunc()
+        return rf
 
     def __iter__(self):
-        return iter(self.coeffs)
+        return map(self.__getitem__, range(len(self.locs)))
+
+    @property
+    def coeffs(self) -> tuple[RatFunc, ...]:
+        return tuple(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesX):
@@ -106,16 +140,16 @@ class SeriesX:
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.locs)
 
     def prefix(self, order: int) -> "SeriesX":
         if order > self.order:
             raise ValueError("prefix longer than the stored truncation")
-        return SeriesX(self.coeffs[: order + 1])
+        return SeriesX._from_locs(self.ctx, self.locs[: order + 1])
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coeffs[:4])
-        tail = ", ..." if len(self.coeffs) > 4 else ""
+        shown = ", ".join(str(self[k]) for k in range(min(4, len(self))))
+        tail = ", ..." if len(self) > 4 else ""
         return f"SeriesX([{shown}{tail}], order={self.order})"
 
 
@@ -163,23 +197,16 @@ class _LocCtx:
             return self.zero()
         return _Loc(self, coeffs, Fraction(1), 0)
 
-    def from_ratfunc(self, rf: RatFunc) -> "_Loc":
-        """Represent num/den; den must divide a power of D."""
+    def localize(self, rf: RatFunc) -> "_Loc":
+        """rf as a value over this context; its denominator must divide D."""
         if rf.is_zero:
             return self.zero()
         nint, nscale = polyq.clear_denominators(rf.num)
         dint, dscale = polyq.clear_denominators(rf.den)
-        dfr = [Fraction(c) for c in dint]
-        # if den | D^e at all, some e <= deg(den) works (every factor of
-        # den divides D, multiplicities bounded by deg)
-        for e in range(0, polyq.deg(dint) + 2):
-            q, r = polyq.pdivmod([Fraction(c) for c in self.power(e)], dfr)
-            if not r:
-                cof, cscale = polyq.clear_denominators(q)
-                return _Loc(self, polyq.pmul(nint, cof),
-                            nscale * cscale / dscale, e)
-        raise ArithmeticError(
-            "denominator does not divide a power of the localization")
+        if len(dint) == 1:
+            return _Loc(self, nint, nscale / dscale, 0)
+        return _Loc(self, polyq.pmul(nint, polyq.idivexact(self.D, dint)),
+                    nscale / dscale, 1)
 
 
 class _Loc:
@@ -285,36 +312,17 @@ class _Loc:
         return [Fraction(0)] * shift + [c * self.scale for c in taylor]
 
     def to_ratfunc(self) -> RatFunc:
-        if self.is_zero:
-            return polyq.RATFUNC_ZERO
-        num = [c * self.scale for c in self.num]
-        return RatFunc(num, [Fraction(c) for c in self.ctx.power(self.e)])
+        return RatFunc([c * self.scale for c in self.num],
+                       self.ctx.power(self.e))
 
     def __repr__(self) -> str:
         return f"_Loc({self.to_ratfunc()})"
 
 
-def _radical_ctx(s: SeriesX) -> _LocCtx:
-    """Localization at the product of the distinct denominator factors."""
-    rad = [Fraction(1)]
-    for c in s.coeffs:
-        d = list(c.den)
-        while True:
-            g = polyq.pgcd(d, rad)
-            if polyq.deg(g) < 1:
-                break
-            d = polyq.pdivmod(d, g)[0]
-        if polyq.deg(d) >= 1:
-            rad = polyq.pmul(rad, d)
-    rint, _ = polyq.clear_denominators(rad)
-    return _LocCtx(rint)
-
-
 def _loc_subst(psi: SeriesX, g: Sequence[Fraction]) -> tuple[dict, _LocCtx]:
     """psi and g over the localization of psi, ready for ``_subs``."""
-    ctx = _radical_ctx(psi)
-    return ({"psi": [ctx.from_ratfunc(c) for c in psi],
-             "g": [ctx.from_fraction(c) for c in g]}, ctx)
+    ctx = psi.ctx
+    return {"psi": psi.locs, "g": [ctx.from_fraction(c) for c in g]}, ctx
 
 
 # --- the truncated-series kernel ---
@@ -403,4 +411,4 @@ def series_eval(Q: MPoly, psi: SeriesX, g: QSeries, K: int) -> SeriesX:
     if psi.order < K or g.order < K:
         raise ValueError("series truncations shorter than the target order")
     subst, ctx = _loc_subst(psi, g)
-    return SeriesX(v.to_ratfunc() for v in _subs(Q, subst, K + 1, ctx.from_ints))
+    return SeriesX._from_locs(ctx, _subs(Q, subst, K + 1, ctx.from_ints))

@@ -119,3 +119,33 @@ def poly_mul_int(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def walk_counts(steps, N, top):
+    """rows[n][m] = walks of n steps from height 0 ending at height m <= top.
+
+    Steps come from `steps` and the walk never goes below 0.  Heights from
+    which no walk can come back to `top` within the remaining steps are
+    dropped, which needs every down step to have size 1.
+    """
+    assert min(steps) >= -1
+    rows = []
+    cur = {0: 1}
+    for n in range(N + 1):
+        rows.append([cur.get(m, 0) for m in range(top + 1)])
+        limit = top + (N - n - 1)
+        nxt = {}
+        for h, c in cur.items():
+            for s in steps:
+                k = h + s
+                if 0 <= k <= limit:
+                    nxt[k] = nxt.get(k, 0) + c
+        cur = nxt
+    return rows
+
+
+def walk_equation(steps):
+    """Equation text whose solution psi counts the walks of `walk_counts` by
+    length (x) and final height (y); g = psi(x, 0) counts excursions."""
+    ups = " + ".join(f"y**{s + 1}" for s in steps if s >= 0)
+    return f"y*psi - y - x*({ups})*psi - x*psi + x*g"

@@ -137,6 +137,21 @@ class TestColumns:
             col = column_series(tutte_eq, m, 3)
             assert [tab.entry(n, m) for n in range(4)] == list(col)
 
+    @pytest.mark.parametrize("name, steps, N", [
+        ("dyck", (-1, 1), 128), ("motzkin", (-1, 0, 1), 96),
+        ("luk3", (-1, 3), 96)])
+    def test_walk_table_matches_counting(self, name, steps, N):
+        eq = parse_equation(_oracle.walk_equation(steps))
+        want = _oracle.walk_counts(steps, N, 6)
+        assert CoeffTable.build(eq, N, 6).entries == tuple(
+            tuple(F(c) for c in row) for row in want)
+
+    def test_walk_column_matches_counting(self):
+        steps = (-1, 1, 2)
+        eq = parse_equation(_oracle.walk_equation(steps))
+        want = [F(row[3]) for row in _oracle.walk_counts(steps, 64, 3)]
+        assert list(column_series(eq, 3, 64)) == want
+
     def test_column_report_in_pipeline(self):
         rep = run_pipeline(PipelineConfig("psi - 1 - x*psi**2", guess_order=16,
                                           max_complexity=4, eval_at=6,

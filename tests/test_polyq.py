@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttesolve.polyq import (RATFUNC_ONE, RATFUNC_ZERO, RatFunc,
-                              clear_denominators, deg, igcd_poly, int_divisors,
+                              clear_denominators, deg, idivexact, igcd_poly,
+                              int_divisors,
                               integer_roots, pade, padd, pdivmod, peval, pgcd,
                               pmul, ppow, pshift, rational_roots, series_div,
                               trim)
@@ -153,6 +154,23 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             pole.eval0()
 
+    @given(st.lists(st.fractions(-9, 9, max_denominator=6), max_size=4),
+           st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1,
+                    max_size=4),
+           st.lists(ints, min_size=1, max_size=3))
+    @settings(max_examples=80)
+    def test_integer_reduction_matches_field_reduction(self, num, den, h):
+        # a common factor h planted on both sides must cancel, and the
+        # result must equal the reduction over Q with a monic gcd
+        if not trim(list(den)) or not trim(list(h)):
+            return
+        r = RatFunc(pmul(num, h), pmul(den, h))
+        n, d = trim(list(num)), trim(list(den))
+        g = pgcd(n, d) if n else [F(1)]
+        n, d = pdivmod(n, g)[0], pdivmod(d, g)[0]
+        assert r.num == tuple(c / d[-1] for c in n)
+        assert r.den == (tuple(c / d[-1] for c in d) if n else (F(1),))
+
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
            st.lists(st.integers(-5, 5), min_size=1, max_size=4))
     @settings(max_examples=60)
@@ -175,3 +193,15 @@ def test_pgcd_of_common_factor():
     b = pmul(frac_poly([1, 1]), frac_poly([3, 1]))
     g = pgcd(a, b)
     assert trim(g) == [F(1), F(1)]
+
+
+@given(polys, polys)
+@settings(max_examples=80)
+def test_idivexact_inverts_pmul(a, b):
+    a, b = trim(list(a)), trim(list(b))
+    if not b:
+        return
+    assert idivexact(pmul(a, b), b) == a
+    if a and deg(b) >= 1:
+        with pytest.raises(ArithmeticError):
+            idivexact(padd(pmul(a, b), [1]), b)

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import MPoly, QSeries, SeriesX, series_eval
+from tuttesolve import (MPoly, QSeries, SeriesX, expand_series, parse_equation,
+                        series_eval, specialize_y0)
+from tuttesolve.certify import _first_nonzero
 from tuttesolve.errors import PoleAtYZero
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
-from tuttesolve.series import _frac_lift, _subs
+from tuttesolve.series import _frac_lift, _loc_subst, _subs
 
 from . import _oracle
 
@@ -134,3 +136,23 @@ def test_rational_kernel_matches_oracle(P, data):
     L = len(ps)
     got = _subs(P, {"psi": ps, "g": gl}, L, _frac_lift)
     assert got == _oracle.subs_at(_oracle_terms(P), ps, gl, 0, L)
+
+
+# --- the two ways of building a SeriesX ---
+
+@given(st.sets(st.integers(0, 3), min_size=1), st.integers(0, 20))
+@settings(max_examples=30, deadline=None)
+def test_expanded_and_constructed_series_agree(ups, K):
+    # the expander's localization against the public constructor's
+    eq = parse_equation(_oracle.walk_equation((-1, *sorted(ups))))
+    sx = expand_series(eq, K)
+    rf = SeriesX(list(sx))
+    assert sx == rf
+    g = specialize_y0(sx)
+    assert specialize_y0(rf) == g
+    assert ([c.y_prefix(4) for c in sx.locs]
+            == [c.y_prefix(4) for c in rf.locs])
+    for s in (sx, rf):
+        subst, ctx = _loc_subst(s, g)
+        assert _first_nonzero(eq.Q, subst, K + 1, ctx.from_ints) is None
+    assert series_eval(eq.Q, sx, g, K).is_zero
