@@ -10,6 +10,7 @@ vanishes strictly beyond the bound.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import polyq
 from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
@@ -100,19 +101,13 @@ def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
         lead = work.coeff_of("psi", work.degree("psi"))
         if len(trail.terms) != 1 or len(lead.terms) != 1:
             break
-        (te,), (tc,) = zip(*trail.terms.items())
-        (le,), (lc,) = zip(*lead.terms.items())
-        cands = []
-        for c2 in polyq.int_divisors(abs(lc)):
-            for a2 in range(le[4] + 1):
-                for b2 in range(le[5] + 1):
-                    head = MPoly.monomial(c2, psi=1, x=a2, y=b2)
-                    for c1 in polyq.int_divisors(abs(tc)):
-                        for a1 in range(te[4] + 1):
-                            for b1 in range(te[5] + 1):
-                                m = MPoly.monomial(c1, x=a1, y=b1)
-                                cands.append(head + m)
-                                cands.append(head - m)
+        ((tx, ty), tc), = trail.items(("x", "y"))
+        ((lx, ly), lc), = lead.items(("x", "y"))
+        heads = [MPoly.monomial(c, psi=1, x=a, y=b) for c, a, b in product(
+            polyq.int_divisors(abs(lc)), range(lx + 1), range(ly + 1))]
+        tails = [MPoly.monomial(c, x=a, y=b) for c, a, b in product(
+            polyq.int_divisors(abs(tc)), range(tx + 1), range(ty + 1))]
+        cands = [cand for h in heads for m in tails for cand in (h + m, h - m)]
         for cand in cands:
             q = work.try_divexact(cand)
             if q is not None:

@@ -13,7 +13,8 @@ Whitespace is ignored.  An optional right-hand side (usually ``= 0``) is
 subtracted from the left.  Division and negative exponents are rejected as
 ``NonPolynomial`` rather than syntax errors, and any identifier outside the
 four names raises ``UnknownVariable``; every error carries the 0-based
-offset of the offending token.
+offset of the offending token.  A power or product with an exponent of
+2**20 or more is ``NonPolynomial`` at its exponent or ``*``.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class _Parser:
             t = self.peek()
             if t.kind == "*":
                 self.take()
-                acc = acc * self.factor()
+                acc = _fitting(MPoly.__mul__, acc, self.factor(), t.pos)
             elif t.kind == "/":
                 raise NonPolynomial("division is not allowed", t.pos)
             else:
@@ -130,7 +131,7 @@ class _Parser:
         if t.kind != "num":
             raise EquationSyntaxError("expected a natural number exponent", t.pos)
         self.take()
-        return b ** int(t.text)
+        return _fitting(MPoly.__pow__, b, int(t.text), t.pos)
 
     def base(self) -> MPoly:
         t = self.take()
@@ -149,6 +150,14 @@ class _Parser:
         if t.kind == "end":
             raise EquationSyntaxError("unexpected end of input", t.pos)
         raise EquationSyntaxError(f"unexpected {t.text!r}", t.pos)
+
+
+def _fitting(op, a, b, pos: int) -> MPoly:
+    """op(a, b), with an exponent that does not fit reported at ``pos``."""
+    try:
+        return op(a, b)
+    except OverflowError as exc:
+        raise NonPolynomial(f"exponent too large: {exc}", pos) from exc
 
 
 def parse_equation(text: str) -> FuncEq:

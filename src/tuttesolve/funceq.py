@@ -33,7 +33,7 @@ from .errors import (
     PoleAtYZero,
     SelfCheckFailed,
 )
-from .mpoly import MPoly, VARS
+from .mpoly import MPoly
 from .polyq import RatFunc
 from .series import QSeries, SeriesX, _Loc, _LocCtx, _mul_trunc, _subs
 
@@ -106,14 +106,13 @@ def _fpoly_from_bivar(R: MPoly, gval: Fraction | None) -> list[list[Fraction]]:
     dc = R.degree("psi")
     dy = max(0, R.degree("y"))
     out = [[Fraction(0)] * (dy + 1) for _ in range(dc + 1)]
-    ip, ig, iy = VARS.index("psi"), VARS.index("g"), VARS.index("y")
-    for e, c in R.terms.items():
+    for (i, k, l), c in R.items(("psi", "g", "y")):
         v = Fraction(c)
-        if e[ig]:
+        if k:
             if gval is None:
                 raise ValueError("unexpected g exponent")
-            v *= gval ** e[ig]
-        out[e[ip]][e[iy]] += v
+            v *= gval ** k
+        out[i][l] += v
     return out
 
 
@@ -147,20 +146,9 @@ def _newton_lift(coeffs_t: list[list[Fraction]], r0: Fraction,
 def _ratfunc_roots(P: list[list[Fraction]]) -> list[RatFunc]:
     """All rational-function roots c(y) of sum_i P[i](y) c^i = 0."""
     # squarefree + primitive reduction through the integer layer
-    terms: dict[tuple, int] = {}
-    lcm = 1
-    for row in P:
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ip, iy = VARS.index("psi"), VARS.index("y")
-    for i, row in enumerate(P):
-        for l, v in enumerate(row):
-            n = int(v * lcm)
-            if n:
-                e = [0] * len(VARS)
-                e[ip], e[iy] = i, l
-                terms[tuple(e)] = n
-    A = MPoly(terms)
+    ints, _ = polyq.clear_denominators([v for row in P for v in row])
+    A = MPoly.from_items(("psi", "y"), zip(
+        ((i, l) for i, row in enumerate(P) for l in range(len(row))), ints))
     if A.degree("psi") < 1:
         return []
     from .mpoly import squarefree_primitive
@@ -233,11 +221,10 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
     if R.degree("g") >= 1:
         # consistency polynomial in the shared constant gamma = c(0)
         T: list[Fraction] = []
-        ip, ig, iy = VARS.index("psi"), VARS.index("g"), VARS.index("y")
-        for e, c in R.terms.items():
-            if e[iy]:
+        for (i, k, l), c in R.items(("psi", "g", "y")):
+            if l:
                 continue
-            d = e[ip] + e[ig]
+            d = i + k
             if d >= len(T):
                 T.extend([Fraction(0)] * (d + 1 - len(T)))
             T[d] += c

@@ -63,9 +63,9 @@ class AlgEq:
         dP = P.derivative("f")
         s0 = branch[0]
         val = Fraction(0)
-        for e, c in dP.terms.items():
-            if e[4] == 0:  # exponent of x; only x=0 terms survive
-                val += c * s0 ** e[2]  # exponent of f
+        for (i, j), c in dP.items(("f", "x")):
+            if j == 0:  # only x=0 terms survive
+                val += c * s0 ** i
         self.hensel = val != 0
 
     def render(self) -> str:
@@ -112,11 +112,7 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
             candidates = []
             for pos, v in enumerate(basis):
                 ints, _ = polyq.clear_denominators(v)
-                raw = MPoly.zero()
-                for (i, j), c in zip(cols, ints):
-                    if c:
-                        raw = raw + MPoly.monomial(c, f=i, x=j)
-                raw = raw.normalized()
+                raw = MPoly.from_items(("f", "x"), zip(cols, ints)).normalized()
                 height = max(abs(c) for c in raw.terms.values())
                 candidates.append(((raw.degree("f"), raw.degree("x"), height, pos), raw))
             candidates.sort(key=lambda t: t[0])

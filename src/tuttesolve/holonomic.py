@@ -167,8 +167,8 @@ class _Residue:
     @staticmethod
     def _xpoly(m) -> list[Fraction]:
         out = [Fraction(0)] * (m.degree("x") + 1)
-        for e, c in m.terms.items():
-            out[e[4]] += c
+        for (j,), c in m.items(("x",)):
+            out[j] += c
         return out
 
     def elem(self, coords: Sequence[RatFunc]) -> list[RatFunc]:

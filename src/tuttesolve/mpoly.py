@@ -1,54 +1,86 @@
 """Sparse multivariate polynomials over the integers, with exact elimination.
 
-The variable universe is fixed: psi, g, f, z, x, y, in that order.  Every
-polynomial stores exponent tuples of length six over that order, so equality
-and hashing are syntactic and independent of construction history.
+The variable universe is fixed: psi, g, f, z, x, y.  A polynomial maps
+packed monomials to nonzero ints: one int per monomial, 21 bits per
+variable, psi in the top field, so adding keys multiplies monomials and
+integer order is lexicographic order.  Exponents stay below 2**20, the top
+bit of each field being a guard: every product checks it, so an exponent
+that does not fit raises ``OverflowError`` instead of carrying into the
+next field.  The layout is private to this module; other code reads
+exponents through ``MPoly.items(names)`` and builds from them through
+``MPoly.from_items(names, pairs)``.
 
 Elimination is the performance-critical piece.  ``resultant`` runs a
-subresultant polynomial remainder sequence whose coefficient arithmetic works
-on monomials packed into single integers (21 bits per variable, most
-significant variable first, so integer comparison is lexicographic
-comparison).  ``resultant_sylvester`` is an independent fraction-free
-determinant route kept for cross-checking the PRS on small inputs.
+subresultant polynomial remainder sequence on the packed terms, and
+``resultant_sylvester`` is an independent fraction-free determinant route
+kept for cross-checking the PRS on small inputs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidElimination, ZeroPolynomial
 from . import polyq
 
 VARS = ("psi", "g", "f", "z", "x", "y")
-_VIDX = {v: i for i, v in enumerate(VARS)}
-_NV = len(VARS)
-_ZEXP = (0,) * _NV
 
 _SHIFT = 21
 _MASK = (1 << _SHIFT) - 1
+_LIMIT = 1 << (_SHIFT - 1)  # exponents are below this; its bit is the guard
+# bit offset of each variable's field, psi highest
+_OFF = {v: (len(VARS) - 1 - i) * _SHIFT for i, v in enumerate(VARS)}
+_OFFS = tuple(_OFF.values())
+_GUARD = sum(_LIMIT << s for s in _OFFS)
 
 
-def _exp(**exps: int) -> tuple[int, ...]:
-    e = [0] * _NV
-    for name, k in exps.items():
-        e[_VIDX[name]] = k
-    return tuple(e)
+def _key(names: Sequence[str], exps: Iterable[int]) -> int:
+    """The packed monomial with exponents ``exps`` of ``names``."""
+    m = 0
+    for v, k in zip(names, exps):
+        if k < 0:
+            raise ValueError(f"negative exponent {k} of {v}")
+        if k >= _LIMIT:
+            raise OverflowError(f"exponent {k} of {v} exceeds {_LIMIT - 1}")
+        m += k << _OFF[v]
+    return m
+
+
+def _fits(terms: dict[int, int]) -> dict[int, int]:
+    """``terms``, once no exponent in it has reached the guard bit."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise OverflowError(f"an exponent exceeds {_LIMIT - 1}")
+    return terms
+
+
+def _tdeg(m: int) -> int:
+    return sum((m >> s) & _MASK for s in _OFFS)
+
+
+def _names_in(support: int) -> tuple[str, ...]:
+    """The variables with a nonzero field in ``support``, in VARS order."""
+    return tuple(v for v in VARS if (support >> _OFF[v]) & _MASK)
+
+
+def _new(terms: dict[int, int]) -> "MPoly":
+    """Wrap a dict with no zero coefficient, without copying it."""
+    out = MPoly.__new__(MPoly)
+    out.terms = terms
+    out._hash = None
+    return out
 
 
 class MPoly:
-    """Immutable sparse polynomial; ``terms`` maps exponent tuples to ints."""
+    """Immutable sparse polynomial; ``terms`` maps packed monomials to ints."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[e] = c
-        self.terms = t
+    def __init__(self, terms: dict[int, int] | None = None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
         self._hash = None
 
     # --- constructors ---
@@ -59,15 +91,25 @@ class MPoly:
 
     @classmethod
     def const(cls, c: int) -> "MPoly":
-        return cls({_ZEXP: int(c)} if c else None)
+        return cls({0: int(c)})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return cls({_exp(**{name: 1}): 1})
+        return cls({_key((name,), (1,)): 1})
 
     @classmethod
     def monomial(cls, coeff: int, **exps: int) -> "MPoly":
-        return cls({_exp(**exps): int(coeff)} if coeff else None)
+        return cls({_key(exps, exps.values()): int(coeff)})
+
+    @classmethod
+    def from_items(cls, names: Sequence[str],
+                   pairs: Iterable[tuple[Sequence[int], int]]) -> "MPoly":
+        """The sum of ``c * prod(v**k)`` over pairs ``(exponents of names, c)``."""
+        t: dict[int, int] = {}
+        for e, c in pairs:
+            m = _key(names, e)
+            t[m] = t.get(m, 0) + c
+        return cls(t)
 
     # --- basic queries ---
 
@@ -78,76 +120,73 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def items(self, names: Sequence[str]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield ``(exponents of names, coefficient)`` for every term.
+
+        The one view of exponents outside this module.  Raises ValueError
+        on a term that has a variable not in ``names``.
+        """
+        offs = [_OFF[v] for v in names]
+        rest = reduce(or_, (_MASK << s for s in _OFFS if s not in offs), 0)
+        for m, c in self.terms.items():
+            if m & rest:
+                raise ValueError(f"a term has a variable outside {tuple(names)}")
+            yield tuple([(m >> s) & _MASK for s in offs]), c
+
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        i = _VIDX[var]
-        return max(e[i] for e in self.terms)
+        s = _OFF[var]
+        return max((m >> s) & _MASK for m in self.terms)
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(_tdeg, self.terms))
 
     def variables(self) -> tuple[str, ...]:
-        present = [False] * _NV
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    present[i] = True
-        return tuple(v for i, v in enumerate(VARS) if present[i])
+        return _names_in(_support(self))
 
     def constant_value(self) -> int:
         """Value as an integer constant; raises if any variable appears."""
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and _ZEXP in self.terms:
-            return self.terms[_ZEXP]
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         raise ValueError("not a constant polynomial")
 
     def valuation(self, var: str) -> int:
         """Least exponent of ``var`` across terms; raises on zero input."""
         if not self.terms:
             raise ZeroPolynomial("valuation of the zero polynomial")
-        i = _VIDX[var]
-        return min(e[i] for e in self.terms)
+        s = _OFF[var]
+        return min((m >> s) & _MASK for m in self.terms)
 
     def int_content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return polyq.icontent(self.terms.values())
 
-    def leading_term_key(self) -> tuple:
-        """Graded-lex leading exponent tuple (for sign normalization)."""
-        return max(self.terms, key=lambda e: (sum(e), e))
+    def leading_term_key(self) -> int:
+        """Graded-lex leading monomial (for sign normalization)."""
+        return max(self.terms, key=lambda m: (_tdeg(m), m))
 
     # --- arithmetic ---
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
         other = _coerce(other)
         t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) + c
+        for m, c in other.terms.items():
+            s = t.get(m, 0) + c
             if s:
-                t[e] = s
+                t[m] = s
             else:
-                del t[e]
-        out = MPoly.__new__(MPoly)
-        out.terms = t
-        out._hash = None
-        return out
+                del t[m]
+        return _new(t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _new({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly | int") -> "MPoly":
         return self + (-_coerce(other))
@@ -156,39 +195,14 @@ class MPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
-        other = _coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        t: dict[tuple[int, ...], int] = {}
-        get = t.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(sum, zip(e1, e2)))
-                s = get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
-        out = MPoly.__new__(MPoly)
-        out.terms = t
-        out._hash = None
-        return out
+        return _new(_p_mul(self.terms, _coerce(other).terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _new(_p_pow(self.terms, n))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -206,107 +220,74 @@ class MPoly:
 
     def as_univariate(self, var: str) -> list["MPoly"]:
         """Dense coefficient list in ``var``, constant coefficient first."""
-        i = _VIDX[var]
-        d = self.degree(var)
-        if d < 0:
-            return []
-        coeffs: list[dict] = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            k = e[i]
-            e0 = e[:i] + (0,) + e[i + 1:]
-            coeffs[k][e0] = c
-        out = []
-        for t in coeffs:
-            p = MPoly.__new__(MPoly)
-            p.terms = t
-            p._hash = None
-            out.append(p)
-        return out
+        s = _OFF[var]
+        coeffs: list[dict] = [{} for _ in range(self.degree(var) + 1)]
+        for m, c in self.terms.items():
+            k = (m >> s) & _MASK
+            coeffs[k][m - (k << s)] = c
+        return [_new(t) for t in coeffs]
 
     @classmethod
     def from_univariate(cls, coeffs: Sequence["MPoly"], var: str) -> "MPoly":
-        i = _VIDX[var]
-        t: dict[tuple[int, ...], int] = {}
+        t: dict[int, int] = {}
         for k, p in enumerate(coeffs):
-            for e, c in p.terms.items():
-                e2 = e[:i] + (e[i] + k,) + e[i + 1:]
-                t[e2] = t.get(e2, 0) + c
-        return cls(t)
+            step = _key((var,), (k,))
+            for m, c in p.terms.items():
+                m += step
+                t[m] = t.get(m, 0) + c
+        return cls(_fits(t))
 
     def coeff_of(self, var: str, k: int) -> "MPoly":
-        i = _VIDX[var]
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                t[e[:i] + (0,) + e[i + 1:]] = c
-        return MPoly(t)
+        s = _OFF[var]
+        return _new({m - (k << s): c for m, c in self.terms.items()
+                     if (m >> s) & _MASK == k})
 
     def derivative(self, var: str) -> "MPoly":
-        i = _VIDX[var]
+        s = _OFF[var]
         t = {}
-        for e, c in self.terms.items():
-            k = e[i]
+        for m, c in self.terms.items():
+            k = (m >> s) & _MASK
             if k:
-                t[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return MPoly(t)
+                t[m - (1 << s)] = c * k
+        return _new(t)
 
     def rename_var(self, src: str, dst: str) -> "MPoly":
         """Move every exponent of ``src`` onto ``dst`` (dst must be absent)."""
-        i, j = _VIDX[src], _VIDX[dst]
         if self.degree(dst) > 0:
             raise ValueError(f"target variable {dst} already present")
+        si, sj = _OFF[src], _OFF[dst]
         t = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[j] += le[i]
-            le[i] = 0
-            t[tuple(le)] = c
-        return MPoly(t)
+        for m, c in self.terms.items():
+            k = (m >> si) & _MASK
+            t[m - (k << si) + (k << sj)] = c
+        return _new(t)
 
     def subs_int(self, assignments: dict[str, int]) -> "MPoly":
         """Substitute integers for variables."""
-        idx = [(_VIDX[v], n) for v, n in assignments.items()]
-        t: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            val = c
-            le = list(e)
-            for i, n in idx:
-                val *= n ** le[i]
-                le[i] = 0
+        offs = [(_OFF[v], n) for v, n in assignments.items()]
+        t: dict[int, int] = {}
+        for m, val in self.terms.items():
+            for s, n in offs:
+                k = (m >> s) & _MASK
+                val *= n ** k
+                m -= k << s
             if val == 0:
                 continue
-            key = tuple(le)
-            s = t.get(key, 0) + val
-            if s:
-                t[key] = s
+            acc = t.get(m, 0) + val
+            if acc:
+                t[m] = acc
             else:
-                del t[key]
-        return MPoly(t)
+                del t[m]
+        return _new(t)
 
     def subs_poly(self, assignments: dict[str, "MPoly"]) -> "MPoly":
         """Substitute polynomials for variables (small inputs only)."""
         out = MPoly.zero()
-        cache: dict[tuple[str, int], MPoly] = {}
-
-        def power(v: str, k: int) -> MPoly:
-            if k == 0:
-                return MPoly.const(1)
-            got = cache.get((v, k))
-            if got is None:
-                got = assignments[v] ** k
-                cache[(v, k)] = got
-            return got
-
-        for e, c in self.terms.items():
+        for e, c in self.items(VARS):
             term = MPoly.const(c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                v = VARS[i]
-                if v in assignments:
-                    term = term * power(v, k)
-                else:
-                    term = term * MPoly.monomial(1, **{v: k})
+            for v, k in zip(VARS, e):
+                if k:
+                    term = term * assignments.get(v, MPoly.var(v)) ** k
             out = out + term
         return out
 
@@ -319,10 +300,7 @@ class MPoly:
             g = -g
         if g == 1:
             return self
-        out = MPoly.__new__(MPoly)
-        out.terms = {e: c // g for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _new({m: c // g for m, c in self.terms.items()})
 
     def divexact(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ArithmeticError when not divisible."""
@@ -334,16 +312,8 @@ class MPoly:
     def try_divexact(self, other: "MPoly") -> "MPoly | None":
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return MPoly.zero()
-        pvars = sorted(set(self.variables()) | set(other.variables()),
-                       key=_VIDX.get)
-        a = _pack(self, pvars)
-        b = _pack(other, pvars)
-        q = _p_try_divexact(a, b, len(pvars))
-        if q is None:
-            return None
-        return _unpack(q, pvars)
+        q = _p_try_divexact(self.terms, other.terms)
+        return None if q is None else _new(q)
 
     def __repr__(self) -> str:
         return f"MPoly({self.render()})"
@@ -352,16 +322,15 @@ class MPoly:
         """Canonical text in the equation grammar (graded-lex, descending)."""
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         parts = []
-        for e in keys:
-            c = self.terms[e]
+        for e, c in sorted(self.items(VARS), reverse=True,
+                           key=lambda t: (sum(t[0]), t[0])):
             factors = []
-            for i, k in enumerate(e):
+            for v, k in zip(VARS, e):
                 if k == 1:
-                    factors.append(VARS[i])
+                    factors.append(v)
                 elif k > 1:
-                    factors.append(f"{VARS[i]}**{k}")
+                    factors.append(f"{v}**{k}")
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -384,39 +353,12 @@ def _coerce(v: "MPoly | int") -> MPoly:
     raise TypeError(f"cannot coerce {type(v).__name__} to MPoly")
 
 
-# --- packed-monomial kernel ---
+# --- packed-term kernel ---
 #
-# A packed polynomial is dict[int, int]: monomial key -> coefficient, where
-# the key packs the exponents of an ordered variable list, first variable at
-# the highest bit offset.  Key addition is monomial multiplication and
-# integer max is the lexicographic leading monomial.
-
-def _pack(p: MPoly, pvars: Sequence[str]) -> dict[int, int]:
-    idxs = [_VIDX[v] for v in pvars]
-    shifts = [(len(pvars) - 1 - j) * _SHIFT for j in range(len(pvars))]
-    out = {}
-    for e, c in p.terms.items():
-        key = 0
-        for j, i in enumerate(idxs):
-            k = e[i]
-            if k >> _SHIFT:
-                raise OverflowError("exponent exceeds the packing width")
-            key |= k << shifts[j]
-        out[key] = c
-    return out
-
-
-def _unpack(d: dict[int, int], pvars: Sequence[str]) -> MPoly:
-    idxs = [_VIDX[v] for v in pvars]
-    shifts = [(len(pvars) - 1 - j) * _SHIFT for j in range(len(pvars))]
-    t = {}
-    for key, c in d.items():
-        e = [0] * _NV
-        for j, i in enumerate(idxs):
-            e[i] = (key >> shifts[j]) & _MASK
-        t[tuple(e)] = c
-    return MPoly(t)
-
+# Plain dict[int, int] terms of MPoly, for the loops that run hot.  Every
+# key that goes into a sum of keys has its guard bits clear: fields below
+# 2**20 add to less than 2**21, so no sum carries, and the result is checked
+# before it is used again.
 
 def _p_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
@@ -431,7 +373,7 @@ def _p_mul(a: dict, b: dict) -> dict:
                 r[m] = s
             else:
                 del r[m]
-    return r
+    return _fits(r)
 
 
 def _p_submul(acc: dict, u: dict, v: dict) -> dict:
@@ -445,7 +387,7 @@ def _p_submul(acc: dict, u: dict, v: dict) -> dict:
                 acc[m] = s
             else:
                 del acc[m]
-    return acc
+    return _fits(acc)
 
 
 def _p_pow(a: dict, n: int) -> dict:
@@ -460,21 +402,20 @@ def _p_pow(a: dict, n: int) -> dict:
     return out
 
 
-def _p_try_divexact(a: dict, d: dict, nvars: int) -> dict | None:
-    """Exact division of packed polynomials; None when not divisible."""
+def _p_try_divexact(a: dict, d: dict) -> dict | None:
+    """Exact division of packed terms; None when not divisible.
+
+    A quotient monomial is ``(m | _GUARD) - dm``: each field of m is at
+    least its field of dm exactly when that field's guard bit survives.
+    """
     if len(d) == 1:
         (dm, dc), = d.items()
         q = {}
         for m, c in a.items():
-            if c % dc:
+            t = (m | _GUARD) - dm
+            if c % dc or t & _GUARD != _GUARD:
                 return None
-            mq = m - dm
-            for j in range(nvars):
-                if mq < 0:
-                    return None
-                if ((m >> (j * _SHIFT)) & _MASK) < ((dm >> (j * _SHIFT)) & _MASK):
-                    return None
-            q[mq] = c // dc
+            q[t ^ _GUARD] = c // dc
         return q
     a = dict(a)
     dl = max(d)
@@ -483,12 +424,12 @@ def _p_try_divexact(a: dict, d: dict, nvars: int) -> dict | None:
     while a:
         al = max(a)
         ac = a[al]
-        if ac % dc:
+        # a remainder exponent past the guard cannot occur in an exact
+        # division: its exponents are bounded by those of the dividend
+        t = (al | _GUARD) - dl
+        if ac % dc or al & _GUARD or t & _GUARD != _GUARD:
             return None
-        for j in range(nvars):
-            if ((al >> (j * _SHIFT)) & _MASK) < ((dl >> (j * _SHIFT)) & _MASK):
-                return None
-        m = al - dl
+        m = t ^ _GUARD
         qc = ac // dc
         q[m] = qc
         get = a.get
@@ -502,8 +443,8 @@ def _p_try_divexact(a: dict, d: dict, nvars: int) -> dict | None:
     return q
 
 
-def _p_divexact(a: dict, d: dict, nvars: int) -> dict:
-    q = _p_try_divexact(a, d, nvars)
+def _p_divexact(a: dict, d: dict) -> dict:
+    q = _p_try_divexact(a, d)
     if q is None:
         raise ArithmeticError("inexact division inside the PRS")
     return q
@@ -531,7 +472,7 @@ def _p_prem(A: list[dict], B: list[dict]) -> list[dict]:
     return R
 
 
-def _p_resultant(A: list[dict], B: list[dict], nvars: int) -> dict:
+def _p_resultant(A: list[dict], B: list[dict]) -> dict:
     """Subresultant PRS resultant of packed dense coefficient lists."""
     sign = 1
     dA, dB = len(A) - 1, len(B) - 1
@@ -551,13 +492,13 @@ def _p_resultant(A: list[dict], B: list[dict], nvars: int) -> dict:
         if not R:
             return {}
         div = _p_mul(g, _p_pow(h, delta)) if delta else g
-        R = [_p_divexact(c, div, nvars) for c in R]
+        R = [_p_divexact(c, div) for c in R]
         A, B = B, R
         g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _p_divexact(_p_pow(g, delta), _p_pow(h, delta - 1), nvars)
+            h = _p_divexact(_p_pow(g, delta), _p_pow(h, delta - 1))
         if len(B) - 1 == 0:
             dAp = len(A) - 1
             lb = B[0]
@@ -566,7 +507,7 @@ def _p_resultant(A: list[dict], B: list[dict], nvars: int) -> dict:
             elif dAp == 1:
                 res = lb
             else:
-                res = _p_divexact(_p_pow(lb, dAp), _p_pow(h, dAp - 1), nvars)
+                res = _p_divexact(_p_pow(lb, dAp), _p_pow(h, dAp - 1))
             if sign == -1:
                 res = {m: -c for m, c in res.items()}
             return res
@@ -582,14 +523,8 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     if dA <= 0 or dB <= 0:
         raise InvalidElimination(
             f"resultant in {v} needs positive degree, got {dA} and {dB}")
-    pvars = sorted((set(A.variables()) | set(B.variables())) - {v},
-                   key=_VIDX.get)
-    if not pvars:
-        pvars = ["y"]  # packing needs at least one slot
-    pa = [_pack(c, pvars) for c in A.as_univariate(v)]
-    pb = [_pack(c, pvars) for c in B.as_univariate(v)]
-    res = _p_resultant(pa, pb, len(pvars))
-    return _unpack(res, pvars)
+    return MPoly(_p_resultant([c.terms for c in A.as_univariate(v)],
+                              [c.terms for c in B.as_univariate(v)]))
 
 
 def resultant_sylvester(A: MPoly, B: MPoly, v: str) -> MPoly:
@@ -639,6 +574,11 @@ def resultant_sylvester(A: MPoly, B: MPoly, v: str) -> MPoly:
 
 # --- multivariate gcd (recursive primitive PRS with a coprimality fast path) ---
 
+def _support(P: MPoly) -> int:
+    """A key whose nonzero fields are the variables of P."""
+    return reduce(or_, P.terms, 0)
+
+
 def _pos_sign(P: MPoly) -> MPoly:
     if P.is_zero:
         return P
@@ -653,7 +593,7 @@ def _constant_gcd_certified(A: MPoly, B: MPoly) -> bool:
     the specialized univariate gcd degree.  All bounds zero means the gcd is
     a constant.  Returns False when inconclusive.
     """
-    va = sorted(set(A.variables()) | set(B.variables()), key=_VIDX.get)
+    va = _names_in(_support(A) | _support(B))
     for v in va:
         if A.degree(v) <= 0 or B.degree(v) <= 0:
             continue  # gcd has degree 0 in v already
@@ -661,9 +601,7 @@ def _constant_gcd_certified(A: MPoly, B: MPoly) -> bool:
         lb = B.as_univariate(v)[-1]
         others = [w for w in va if w != v]
         done = False
-        for point in _SQF_POINTS:
-            assign = {w: point[j % len(point)] + 2 * (j // len(point))
-                      for j, w in enumerate(others)}
+        for assign in _specializations(others):
             if others and (la.subs_int(assign).is_zero
                            or lb.subs_int(assign).is_zero):
                 continue
@@ -686,12 +624,12 @@ def gcd_mpoly(A: MPoly, B: MPoly) -> MPoly:
         return _pos_sign(B)
     if B.is_zero:
         return _pos_sign(A)
-    va = set(A.variables()) | set(B.variables())
+    va = _names_in(_support(A) | _support(B))
     if not va:
         return MPoly.const(math.gcd(A.constant_value(), B.constant_value()))
     if _constant_gcd_certified(A, B):
         return MPoly.const(math.gcd(A.int_content(), B.int_content()))
-    v = min(va, key=_VIDX.get)
+    v = va[0]
     if A.degree(v) <= 0 or B.degree(v) <= 0:
         # v appears in only one argument: gcd divides that one's v-content
         short, other = (A, B) if A.degree(v) <= 0 else (B, A)
@@ -747,6 +685,13 @@ def _coeff_gcd(cs: Iterable[MPoly]) -> MPoly:
 _SQF_POINTS = [(2, 3), (3, 5), (5, 2), (7, 11), (4, 9), (11, 13), (6, 17), (13, 7)]
 
 
+def _specializations(others: Sequence[str]) -> Iterator[dict[str, int]]:
+    """Integer values for the variables ``others``, one dict per point tried."""
+    for point in _SQF_POINTS:
+        yield {w: point[j % len(point)] + 2 * (j // len(point))
+               for j, w in enumerate(others)}
+
+
 def squarefree_primitive(A: MPoly, v: str) -> MPoly:
     """Primitive part of the squarefree part of A with respect to v.
 
@@ -756,20 +701,11 @@ def squarefree_primitive(A: MPoly, v: str) -> MPoly:
     """
     if A.is_zero:
         raise ZeroPolynomial("squarefree_primitive of the zero polynomial")
-    i = _VIDX[v]
     vval = A.valuation(v)
-    if vval:
-        A = MPoly({e[:i] + (e[i] - vval,) + e[i + 1:]: c
-                   for e, c in A.terms.items()})
-    # strip monomial content in the remaining variables
-    mins = [None] * _NV
-    for e in A.terms:
-        for j, k in enumerate(e):
-            if mins[j] is None or k < mins[j]:
-                mins[j] = k
-    if any(mins):
-        A = MPoly({tuple(e[j] - mins[j] for j in range(_NV)): c
-                   for e, c in A.terms.items()})
+    # strip the monomial content: the key of per-variable valuations
+    low = sum(A.valuation(w) << _OFF[w] for w in VARS)
+    if low:
+        A = _new({m - low: c for m, c in A.terms.items()})
     d = A.degree(v)
     if d == 0:
         out = MPoly.var(v) if vval else MPoly.const(1)
@@ -792,9 +728,7 @@ def _squarefree_part(A: MPoly, v: str) -> MPoly:
         return A
     others = [w for w in A.variables() if w != v]
     lead = A.as_univariate(v)[-1]
-    for point in _SQF_POINTS:
-        assign = {w: point[j % len(point)] + 2 * (j // len(point))
-                  for j, w in enumerate(others)}
+    for assign in _specializations(others):
         if others and lead.subs_int(assign).is_zero:
             continue
         spec = A.subs_int(assign) if others else A

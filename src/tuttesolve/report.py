@@ -394,7 +394,8 @@ def _render(r: Report, t: dict[str, str]) -> str:
             digits="\n".join("    " + line for line in digits))
     out.append("\nTimings (ms): " + ", ".join(
         f"{k}={v}" for k, v in r.timings_ms.items()))
-    return "\n".join(out) + "\n"
+    # an empty field (series prefix, timings) would leave trailing blanks
+    return "".join(line.rstrip() + "\n" for line in "\n".join(out).split("\n"))
 
 
 def render_report(r: Report, format: str = "text") -> str:

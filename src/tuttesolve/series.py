@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import polyq
 from .errors import PoleAtYZero
-from .mpoly import VARS, MPoly
+from .mpoly import MPoly
 from .polyq import RatFunc
 
 
@@ -332,9 +332,6 @@ def _loc_subst(psi: SeriesX, g: Sequence[Fraction]) -> tuple[dict, _LocCtx]:
 # y-polynomial (constant first) into it: ``_frac_lift`` for Fraction,
 # ``ctx.from_ints`` for _Loc.
 
-_IX, _IY = VARS.index("x"), VARS.index("y")
-
-
 def _frac_lift(coeffs: list[int]) -> Fraction:
     if len(coeffs) > 1:
         raise ValueError("y-dependent coefficient in a series over Q")
@@ -365,22 +362,17 @@ def _subs(P: MPoly, subst: dict[str, Sequence], L: int, lift) -> list:
     """The first L x-coefficients of P with series put in for variables.
 
     ``subst`` maps every variable of P other than x and y to a series over
-    the ring of ``lift``; each y-polynomial coefficient goes through
-    ``lift``.  Terms with the same substituted exponents share one product
-    of powers.
+    the ring of ``lift`` (ValueError otherwise); each y-polynomial
+    coefficient goes through ``lift``.  Terms with the same substituted
+    exponents share one product of powers.
     """
     zero, one = lift([]), lift([1])
     names = tuple(subst)
-    idx = [VARS.index(v) for v in names]
-    rest = [i for i in range(len(VARS)) if i not in idx and i not in (_IX, _IY)]
     groups: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for e, c in P.terms.items():
-        if any(e[i] for i in rest):
-            raise ValueError("no series given for a variable of the polynomial")
-        j, l = e[_IX], e[_IY]
+    for (*e, j, l), c in P.items(names + ("x", "y")):
         if j >= L:
             continue
-        ys = groups.setdefault(tuple(e[i] for i in idx), {}).setdefault(j, [])
+        ys = groups.setdefault(tuple(e), {}).setdefault(j, [])
         ys.extend([0] * (l + 1 - len(ys)))
         ys[l] = c
     pows = {v: _powers(subst[v], max((k[n] for k in groups), default=0),

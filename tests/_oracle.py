@@ -80,6 +80,80 @@ def implicit_series(nested, n):
     return f
 
 
+# --- sparse polynomials on exponent tuples ---------------------------------
+#
+# A polynomial is a dict from exponent tuples (one slot per variable) to
+# nonzero integers; variables are named by their slot.
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def sparse_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def sparse_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def sparse_pow(a, n, nvars):
+    out = {(0,) * nvars: 1}
+    for _ in range(n):
+        out = sparse_mul(out, a)
+    return out
+
+
+def sparse_derivative(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def sparse_coeff(a, i, k):
+    """The coefficient of slot i to the power k, as a polynomial."""
+    return {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == k}
+
+
+def sparse_rename(a, i, j):
+    """Move the exponent of slot i onto slot j, which must be absent."""
+    out = {}
+    for e, c in a.items():
+        f = list(e)
+        f[i], f[j] = 0, f[j] + f[i]
+        out[tuple(f)] = c
+    return out
+
+
+def sparse_subs_int(a, values):
+    """Put the integer values[i] in for slot i."""
+    out = {}
+    for e, c in a.items():
+        f = list(e)
+        for i, n in values.items():
+            c *= n ** f[i]
+            f[i] = 0
+        out[tuple(f)] = out.get(tuple(f), 0) + c
+    return _nonzero(out)
+
+
+def sparse_div_monomial(a, d, dc):
+    """a / (dc * monomial d), or None when that does not divide a."""
+    out = {}
+    for e, c in a.items():
+        if c % dc or any(i < j for i, j in zip(e, d)):
+            return None
+        out[tuple(i - j for i, j in zip(e, d))] = c // dc
+    return out
+
+
 # --- reference sequences ----------------------------------------------------
 
 def counting_term(n: int) -> Fraction:

@@ -34,6 +34,11 @@ class TestSolve:
         assert res.exit_code == 1
         assert "error:" in res.output
 
+    def test_exponent_too_large_exits_one(self):
+        res = run(["solve", "--equation", "psi - 1 - x**3000000*psi**2"])
+        assert res.exit_code == 1
+        assert "error:" in res.output and "position 13" in res.output
+
     def test_semantic_error_exits_one(self):
         res = run(["solve", "--equation", "psi**2 - psi"])
         assert res.exit_code == 1

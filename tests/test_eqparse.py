@@ -41,6 +41,10 @@ class TestAccepted:
     def test_nonzero_rhs(self):
         assert parse_equation("psi = 1 - x*psi") == parse_equation("psi - 1 + x*psi")
 
+    def test_largest_exponent_is_accepted(self):
+        eq = parse_equation("psi - x**1048575*psi")
+        assert eq.Q.degree("x") == 2**20 - 1
+
 
 class TestRejected:
     def test_unknown_variable_with_position(self):
@@ -60,6 +64,16 @@ class TestRejected:
     def test_negative_exponent(self):
         with pytest.raises(NonPolynomial):
             parse_equation("psi^-2")
+
+    def test_exponent_too_large_is_reported_at_the_exponent(self):
+        with pytest.raises(NonPolynomial) as e:
+            parse_equation("psi - 1 - x**3000000*psi**2")
+        assert e.value.position == 13
+
+    def test_product_too_large_is_reported_at_the_star(self):
+        with pytest.raises(NonPolynomial) as e:
+            parse_equation("psi - x**600000*x**600000")
+        assert e.value.position == 15
 
     def test_symbolic_exponent(self):
         with pytest.raises(EquationSyntaxError):

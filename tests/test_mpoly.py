@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive, vanishing_bound
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import resultant_sylvester
+from tuttesolve.mpoly import VARS, resultant_sylvester
+
+from . import _oracle
 
 x, y, f, z, psi = (MPoly.var(v) for v in ("x", "y", "f", "z", "psi"))
 
@@ -68,6 +70,128 @@ class TestArithmetic:
     def test_subs_poly(self):
         p = f ** 2 + x
         assert p.subs_poly({"f": x + 1}) == (x + 1) ** 2 + x
+
+
+# --- every operation against the tuple-keyed oracle, in all six variables ---
+
+EXP6 = st.tuples(*[st.integers(0, 3)] * 6)
+
+
+@st.composite
+def paired(draw):
+    """A polynomial and the same polynomial as an oracle dict."""
+    P, ref = MPoly.zero(), {}
+    for e, c in draw(st.lists(st.tuples(EXP6, st.integers(-4, 4)), max_size=5)):
+        P = P + MPoly.monomial(c, **dict(zip(VARS, e)))
+        ref = _oracle.sparse_add(ref, {e: c})
+    return P, ref
+
+
+def view(P: MPoly) -> dict:
+    return dict(P.items(VARS))
+
+
+class TestAgainstOracle:
+    @given(paired(), paired())
+    @settings(max_examples=60, deadline=None)
+    def test_add_and_mul(self, a, b):
+        (P, p), (Q, q) = a, b
+        assert view(P) == p
+        assert view(P + Q) == _oracle.sparse_add(p, q)
+        assert view(P * Q) == _oracle.sparse_mul(p, q)
+
+    @given(paired(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_pow(self, a, n):
+        P, p = a
+        assert view(P ** n) == _oracle.sparse_pow(p, n, len(VARS))
+
+    @given(paired(), st.sampled_from(VARS), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_and_coeff_of(self, a, v, k):
+        P, p = a
+        i = VARS.index(v)
+        assert view(P.derivative(v)) == _oracle.sparse_derivative(p, i)
+        assert view(P.coeff_of(v, k)) == _oracle.sparse_coeff(p, i, k)
+
+    @given(paired(), st.sampled_from(VARS), st.sampled_from(VARS))
+    @settings(max_examples=60, deadline=None)
+    def test_rename_var(self, a, src, dst):
+        P, p = a
+        i, j = VARS.index(src), VARS.index(dst)
+        # the target must be absent
+        P, p = P.coeff_of(dst, 0), _oracle.sparse_coeff(p, j, 0)
+        assert view(P.rename_var(src, dst)) == _oracle.sparse_rename(p, i, j)
+
+    @given(paired(), st.dictionaries(st.sampled_from(VARS),
+                                     st.integers(-3, 3), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_subs_int(self, a, values):
+        P, p = a
+        want = _oracle.sparse_subs_int(
+            p, {VARS.index(v): n for v, n in values.items()})
+        assert view(P.subs_int(values)) == want
+
+    @given(paired(), st.sampled_from(VARS))
+    @settings(max_examples=60, deadline=None)
+    def test_univariate_and_items_round_trips(self, a, v):
+        P, p = a
+        rows = P.as_univariate(v)
+        assert [view(r) for r in rows] == [
+            _oracle.sparse_coeff(p, VARS.index(v), k) for k in range(len(rows))]
+        assert MPoly.from_univariate(rows, v) == P
+        assert MPoly.from_items(VARS, P.items(VARS)) == P
+
+    @given(paired(), paired())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_quotient_comes_back(self, a, b):
+        (P, _), (D, _) = a, b
+        assume(not D.is_zero)
+        assert (P * D).try_divexact(D) == P
+        if D.total_degree() > 0:
+            assert (P * D + 1).try_divexact(D) is None
+
+    @given(paired(), EXP6, st.sampled_from([1, -1, 2, -3]))
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_division_matches_oracle(self, a, d, dc):
+        P, p = a
+        got = P.try_divexact(MPoly.from_items(VARS, [(d, dc)]))
+        want = _oracle.sparse_div_monomial(p, d, dc)
+        assert (got is None and want is None) or view(got) == want
+
+    def test_borrow_from_a_lower_field_does_not_divide(self):
+        assert (x ** 3).try_divexact(x * y) is None
+        assert (psi * x ** 2).try_divexact(psi * y) is None
+        assert (x ** 3 + x).try_divexact(x * y + 1) is None
+
+    def test_items_rejects_a_variable_it_was_not_asked_for(self):
+        with pytest.raises(ValueError):
+            list((x * y + 1).items(("x",)))
+
+
+class TestExponentWidth:
+    def test_largest_exponent_fits(self):
+        assert (x ** (2**20 - 1)).degree("x") == 2**20 - 1
+        assert (psi ** (2**20 - 1)).degree("psi") == 2**20 - 1
+
+    def test_power_past_the_width_raises(self):
+        with pytest.raises(OverflowError):
+            x ** (2**20)
+        with pytest.raises(OverflowError):
+            psi ** (2**20)
+
+    def test_product_past_the_width_raises(self):
+        with pytest.raises(OverflowError):
+            x ** (2**19) * x ** (2**19)
+
+    def test_no_carry_into_the_next_field(self):
+        # unchecked, x**3000000 would carry into the z field
+        with pytest.raises(OverflowError):
+            x ** 3000000
+
+    def test_from_items_checks_the_width(self):
+        with pytest.raises(OverflowError):
+            MPoly.from_items(("y",), [((2**20,), 1)])
 
 
 class TestResultant:

@@ -109,7 +109,7 @@ def loc_series(draw, n):
 
 
 def _oracle_terms(P: MPoly) -> dict:
-    return {(e[0], e[1], e[4], e[5]): c for e, c in P.terms.items()}
+    return dict(P.items(("psi", "g", "x", "y")))
 
 
 @given(polys(), st.integers(1, 6).flatmap(
