@@ -14,10 +14,10 @@ from itertools import product
 
 from . import polyq
 from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
-                     ResultantVanishes, SelfCheckFailed, TutteSolveError,
-                     ZeroAnnihilator, ZeroPolynomial)
-from .funceq import (FuncEq, WellPosedness, _kernel_at_branch, check_well_posed,
-                     expand_series, specialize_y0)
+                     ResultantVanishes, SelfCheckFailed, ZeroAnnihilator,
+                     ZeroPolynomial)
+from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
+                     specialize_y0)
 from .guessing import AlgEq
 from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
 from .series import SeriesX, _frac_lift, _loc_subst, _subs
@@ -198,21 +198,6 @@ def _slack(dP: MPoly, subst: dict, lift, cap: int, what: str) -> int:
         L = min(L * 2, cap + 1)
 
 
-def _rf_val_y(rf) -> int:
-    if rf.is_zero:
-        return -1
-    vn = next(i for i, c in enumerate(rf.num) if c)
-    vd = next(i for i, c in enumerate(rf.den) if c)
-    return vn - vd
-
-
-def _kernel_echo(eq: FuncEq, witness: SeriesX) -> WellPosedness:
-    """Kernel data straight from the witness; no uniqueness claim."""
-    c0 = witness[0]
-    A, B = _kernel_at_branch(eq, c0, c0.eval0())
-    return WellPosedness(c0, A, B, _rf_val_y(A + B), "unverified")
-
-
 def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     """Prove or refute the guessed pair (p1, p2) against the equation.
 
@@ -220,15 +205,12 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     series root of the annihilator M vanishing beyond the Newton-polygon
     bound, hence identically zero; uniqueness of the series solution then
     identifies it with the algebraic one.  Refuted carries the first
-    x-order at which a required identity fails.  Well-posedness is the
-    caller's obligation; when classification fails the certificate echoes
-    witness-derived kernel data instead.
+    x-order at which a required identity fails.  An equation that is not
+    well posed raises the typed error of `check_well_posed`: without a
+    unique series solution there is nothing to prove.
     """
+    wp = check_well_posed(eq)
     witness = p2.branch
-    try:
-        wp = check_well_posed(eq)
-    except TutteSolveError:
-        wp = _kernel_echo(eq, witness)
     K = witness.order
     g_hat = specialize_y0(witness)
 

@@ -14,16 +14,24 @@ subtracted from the left.  Division and negative exponents are rejected as
 ``NonPolynomial`` rather than syntax errors, and any identifier outside the
 four names raises ``UnknownVariable``; every error carries the 0-based
 offset of the offending token.  A power or product with an exponent of
-2**20 or more is ``NonPolynomial`` at its exponent or ``*``.
+2**20 or more is ``NonPolynomial`` at its exponent or ``*``; one that could
+have more than ``_MAX_TERMS`` terms is ``ResourceCeiling`` there, refused
+before it is expanded.
 """
 
 from __future__ import annotations
 
-from .errors import EquationSyntaxError, NonPolynomial, UnknownVariable
+from math import comb
+
+from .errors import (EquationSyntaxError, NonPolynomial, ResourceCeiling,
+                     UnknownVariable)
 from .funceq import FuncEq
 from .mpoly import MPoly
 
 _NAMES = ("psi", "g", "x", "y")
+
+#: Most terms one product or power may build while parsing.
+_MAX_TERMS = 10_000
 
 
 class _Token:
@@ -153,7 +161,18 @@ class _Parser:
 
 
 def _fitting(op, a, b, pos: int) -> MPoly:
-    """op(a, b), with an exponent that does not fit reported at ``pos``."""
+    """op(a, b), with a result too large or an exponent that does not fit
+    reported at ``pos``.  op is ``MPoly.__mul__`` or ``MPoly.__pow__``."""
+    t = len(a.terms)
+    if op is MPoly.__mul__:
+        bound = t * len(b.terms)
+    else:
+        # monomials of degree b in t unknowns; an exponent past the ceiling
+        # already passes it for t >= 2, and clamping it keeps comb cheap
+        bound = comb(min(b, _MAX_TERMS) + t - 1, t - 1) if t else 1
+    if bound > _MAX_TERMS:
+        raise ResourceCeiling(f"result could have {bound} terms, more than "
+                              f"{_MAX_TERMS} (at position {pos})")
     try:
         return op(a, b)
     except OverflowError as exc:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg, polyq
+from . import linalg
 from .errors import InvalidBounds, ZeroPolynomial
 from .mpoly import MPoly, squarefree_primitive
 from .series import QSeries, _frac_lift, _powers, _subs
@@ -48,7 +48,7 @@ class AlgEq:
     which must be able to receive wrong candidates and refute them.
     """
 
-    __slots__ = ("P", "branch", "degF", "degX", "hensel")
+    __slots__ = ("P", "branch", "degF")
 
     def __init__(self, P: MPoly, branch: QSeries):
         if P.is_zero:
@@ -59,14 +59,6 @@ class AlgEq:
         self.P = P
         self.branch = branch
         self.degF = P.degree("f")
-        self.degX = P.degree("x")
-        dP = P.derivative("f")
-        s0 = branch[0]
-        val = Fraction(0)
-        for (i, j), c in dP.items(("f", "x")):
-            if j == 0:  # only x=0 terms survive
-                val += c * s0 ** i
-        self.hensel = val != 0
 
     def render(self) -> str:
         return self.P.render()
@@ -86,10 +78,12 @@ class AlgEq:
 def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
     """Search for integer κ with Σ κ_ij f^i x^j ≡ 0 mod x^len(s), f = s.
 
-    Supports are tried in increasing (degF, degX); a support is only
+    Supports are tried by degree in f, then in x; a support is only
     eligible when the coefficient count exceeds the unknown count by at
-    least `margin`.  Returns the canonical squarefree annihilator as an
-    AlgEq, or FAIL when no eligible support fits.
+    least `margin`.
+    Within a support, `linalg.relations` orders the candidates.  Returns
+    the first candidate whose canonical squarefree part still annihilates
+    the series, as an AlgEq, or FAIL when no eligible support fits.
     """
     if maxDegF < 1 or maxDegX < 0 or margin < 4:
         raise InvalidBounds(
@@ -97,31 +91,20 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
         )
     L = len(s)
     pows = _powers(s.coeffs, maxDegF, L, Fraction(1), Fraction(0))
-    for dF in range(1, maxDegF + 1):
-        for dX in range(0, maxDegX + 1):
-            unknowns = (dF + 1) * (dX + 1)
-            if unknowns + margin > L:
-                continue
-            cols = [(i, j) for i in range(dF + 1) for j in range(dX + 1)]
-            rows = []
-            for m in range(L):
-                rows.append([pows[i][m - j] if m >= j else Fraction(0) for (i, j) in cols])
-            basis = linalg.nullspace(rows)
-            if not basis:
-                continue
-            candidates = []
-            for pos, v in enumerate(basis):
-                ints, _ = polyq.clear_denominators(v)
-                raw = MPoly.from_items(("f", "x"), zip(cols, ints)).normalized()
-                height = max(abs(c) for c in raw.terms.values())
-                candidates.append(((raw.degree("f"), raw.degree("x"), height, pos), raw))
-            candidates.sort(key=lambda t: t[0])
-            for _, raw in candidates:
-                if raw.degree("f") == 0:
-                    continue
-                P = _fix_sign(squarefree_primitive(raw, "f"))
-                # squarefree reduction can weaken a truncated fit; re-verify
-                if not any(_subs(P, {"f": s.coeffs}, L, _frac_lift)):
-                    return AlgEq(P, s)
-            continue
+    shapes = ((dF, dX) for dF in range(1, maxDegF + 1)
+              for dX in range(maxDegX + 1) if (dF + 1) * (dX + 1) + margin <= L)
+
+    def rows_of(dF: int, dX: int) -> list[list[Fraction]]:
+        return [[pows[i][m - j] if m >= j else Fraction(0)
+                 for i in range(dF + 1) for j in range(dX + 1)]
+                for m in range(L)]
+
+    # f^0 columns are unit vectors, so every candidate involves f
+    for grid in linalg.relations(shapes, rows_of):
+        raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
+                                            for j, c in enumerate(row)))
+        P = _fix_sign(squarefree_primitive(raw, "f"))
+        # squarefree reduction can weaken a truncated fit; re-verify
+        if not any(_subs(P, {"f": s.coeffs}, L, _frac_lift)):
+            return AlgEq(P, s)
     return FAIL

@@ -383,55 +383,37 @@ def ode_to_rec(L: LinODE) -> PRec:
 def minimize_rec(r: PRec, data: QSeries, maxC: int):
     """Smallest certified recurrence with order+degree <= maxC, or ABSENT.
 
-    Certification is exact agreement with the proven recurrence r on a
-    window long enough to pass every singular index of both.
+    Shapes are tried by order+degree, then by order; within a shape,
+    `linalg.relations` orders the candidates.  Certification is exact
+    agreement with the proven recurrence r on a window long enough to
+    pass every singular index of both.
     """
-    grid = sorted(((sp, dp) for sp in range(1, maxC + 1)
-                   for dp in range(0, maxC - sp + 1)),
-                  key=lambda t: (t[0] + t[1], t[0]))
+    shapes = ((sp, c - sp) for c in range(1, maxC + 1) for sp in range(1, c + 1))
     data_vals = list(data.coeffs)
-    for sp, dp in grid:
-        unknowns = (sp + 1) * (dp + 1)
+
+    def rows_of(sp: int, dp: int) -> list[list[Fraction]]:
         rows_avail = len(data_vals) - sp
-        if rows_avail < unknowns + 2:
+        if rows_avail < (sp + 1) * (dp + 1) + 2:
             raise InsufficientData("data too short to fit the complexity grid")
-        rows = []
-        for n in range(rows_avail):
-            row = []
-            for t in range(sp + 1):
-                npow = Fraction(1)
-                for e in range(dp + 1):
-                    row.append(npow * data_vals[n + t])
-                    npow *= n
-            rows.append(row)
-        basis = linalg.nullspace(rows)
-        cands = []
-        for pos, v in enumerate(basis):
-            ints, _ = polyq.clear_denominators(v)
-            qs = [polyq.trim(ints[t * (dp + 1):(t + 1) * (dp + 1)])
-                  for t in range(sp + 1)]
-            while qs and not qs[-1]:
-                qs.pop()
-            if len(qs) < 2:
-                continue
-            att_s = len(qs) - 1
-            att_d = max(polyq.deg(q) for q in qs if q)
-            h = max(abs(c) for q in qs for c in q)
-            cands.append(((att_s, att_d, h, pos), qs))
-        cands.sort(key=lambda t: t[0])
-        for _, qs in cands:
-            if qs[-1][-1] < 0:
-                qs = [[-c for c in q] for q in qs]
-            roots_c = [u for u in polyq.integer_roots(list(qs[-1])) if u >= 0]
-            roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
-            big = max(roots_c + roots_r + [-1])
-            Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
-            if len(data_vals) < Lstar:
-                raise InsufficientData(
-                    f"need {Lstar} certified terms to certify the candidate")
-            ref = r.terms(Lstar)
-            need_c = (len(qs) - 1) + (max(roots_c) if roots_c else -1) + 1
-            cand = PRec(qs, ref[:need_c])
-            if cand.terms(Lstar) == ref:
-                return cand
+        return [[n ** e * data_vals[n + t]
+                 for t in range(sp + 1) for e in range(dp + 1)]
+                for n in range(rows_avail)]
+
+    roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
+    # relations leaves qs[-1][-1] positive: the leading polynomial needs
+    # no sign fix
+    for qs in linalg.relations(shapes, rows_of):
+        if len(qs) < 2:
+            continue
+        roots_c = [u for u in polyq.integer_roots(qs[-1]) if u >= 0]
+        big = max(roots_c + roots_r + [-1])
+        Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
+        if len(data_vals) < Lstar:
+            raise InsufficientData(
+                f"need {Lstar} certified terms to certify the candidate")
+        ref = r.terms(Lstar)
+        need_c = (len(qs) - 1) + (max(roots_c) if roots_c else -1) + 1
+        cand = PRec(qs, ref[:need_c])
+        if cand.terms(Lstar) == ref:
+            return cand
     return ABSENT

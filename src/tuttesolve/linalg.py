@@ -1,30 +1,22 @@
-"""Exact rational nullspace via fraction-free (Bareiss) elimination."""
+"""Exact rational linear algebra for the guessers.
+
+``nullspace`` is a fraction-free (Bareiss) kernel over Q; ``nullspace_field``
+the same echelon construction over any exact field.  ``relations`` is the
+one search both guessers run: a walk over a caller's grid of shapes that
+turns each shape's kernel into integer candidates in one fixed order.
+"""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-
-def _int_row(row: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for v in row:
-        v = Fraction(v)
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    out = [int(Fraction(v) * lcm) for v in row]
-    g = 0
-    for v in out:
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+from .polyq import clear_denominators, trim
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column.
+    """Basis of the right nullspace of int or Fraction rows, one vector
+    per free column.
 
     Deterministic: pivots are chosen first-nonzero scanning top down, and
     each basis vector has value 1 at its free column.
@@ -33,7 +25,12 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if R == 0:
         raise ValueError("nullspace of an empty matrix is ambiguous")
     C = len(rows[0])
-    M = [_int_row(r) for r in rows]
+    # a row's sign and scale cannot change the basis, so clear each one to
+    # a primitive int row, padded back over the zeros the clearing trimmed
+    M = []
+    for row in rows:
+        ints, _ = clear_denominators(row)
+        M.append(ints + [0] * (C - len(ints)))
     piv_cols: list[int] = []
     prev = 1
     r = 0
@@ -66,6 +63,30 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
             v[pc] = -acc / M[pr][pc]
         basis.append(v)
     return basis
+
+
+def relations(shapes: Iterable[tuple[int, int]],
+              rows_of: Callable[[int, int], list]) -> Iterator[list[list[int]]]:
+    """Integer kernel vectors of each shape's matrix, best first.
+
+    For each (A, B) in ``shapes``, in the given order, the kernel of
+    ``rows_of(A, B)`` (columns a-major over 0 <= a <= A, 0 <= b <= B) is
+    cleared to primitive integers and yielded as trimmed grids
+    ``[[c_a0, ..., c_ab], ...]``: no trailing zero in a row, no trailing
+    empty row.  One shape's grids come ordered by (attained A, attained B,
+    max |c|, basis position).  Lazy: a shape's matrix is built only once
+    the consumer asks past the previous shape.
+    """
+    for A, B in shapes:
+        cands = []
+        for pos, v in enumerate(nullspace(rows_of(A, B))):
+            ints, _ = clear_denominators(v)
+            grid = trim([trim(ints[a * (B + 1):(a + 1) * (B + 1)])
+                         for a in range(A + 1)])
+            cands.append(((len(grid) - 1, max(len(row) for row in grid) - 1,
+                           max(abs(c) for c in ints), pos), grid))
+        cands.sort(key=lambda t: t[0])
+        yield from (grid for _, grid in cands)
 
 
 def nullspace_field(rows, zero, one):

@@ -217,14 +217,15 @@ def idivexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def clear_denominators(a: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Write a Fraction polynomial as scale * (primitive int polynomial)."""
-    a = trim([Fraction(c) for c in a])
+    """Write an int or Fraction polynomial as scale * (primitive int
+    polynomial) whose leading coefficient is positive."""
+    a = trim(list(a))
     if not a:
         return [], Fraction(0)
     lcm = 1
     for c in a:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
+        lcm = math.lcm(lcm, c.denominator)
+    ints = [c.numerator * (lcm // c.denominator) for c in a]
     g = icontent(ints)
     if ints[-1] < 0:
         g = -g

@@ -170,6 +170,11 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def planar_maps(n: int) -> int:
+    """Rooted planar maps with n edges: 2 * 3^n * C(2n, n) / ((n+1)(n+2))."""
+    return 2 * 3 ** n * comb(2 * n, n) // ((n + 1) * (n + 2))
+
+
 def motzkin(n: int) -> int:
     """(k+2) M_k = (2k+1) M_(k-1) + 3(k-1) M_(k-2), with M_0 = M_1 = 1."""
     prev, cur = 1, 1

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per shipping criterion.
+"""Acceptance gate: one test per shipping criterion, then the known-answer
+corpus solved end to end.
 
 Each test stands alone and prints as a single pass/fail line under
 ``pytest -v``.  Everything is checked exactly; there are no tolerances
@@ -22,9 +23,9 @@ from pathlib import Path
 import pytest
 
 import tuttesolve
-from tuttesolve import (FAIL, AlgEq, MPoly, PipelineConfig, PRec, QSeries,
-                        algeq_to_ode, certify, guess_algeq, ode_to_rec,
-                        parse_report, render_report, run_pipeline,
+from tuttesolve import (ABSENT, FAIL, AlgEq, MPoly, PipelineConfig, PRec,
+                        QSeries, algeq_to_ode, certify, guess_algeq,
+                        ode_to_rec, parse_report, render_report, run_pipeline,
                         tutte_closed_form, unroll)
 from tuttesolve.errors import (AmbiguousBranch, PipelineError, PoleAtYZero)
 
@@ -219,3 +220,36 @@ def test_criterion_8_structured_output_is_deterministic(tutte_report):
         doc.pop("timings_ms", None)
         docs.append(json.dumps(doc, indent=2, sort_keys=False))
     assert docs[0] == docs[1]
+
+
+# ---------------------------------------------------------------------------
+# the known-answer corpus: Catalan, Tutte's planar maps (shifted so the
+# catalytic point is y = 0) and six walk equations whose g counts
+# excursions
+
+WALK_STEPS = {"dyck": (-1, 1), "motzkin": (-1, 0, 1), "luk2": (-1, 2),
+              "luk3": (-1, 3), "walk112": (-1, 1, 2), "walk102": (-1, 0, 2)}
+CORPUS = {
+    "catalan": ("psi - 1 - x*psi**2", _oracle.catalan),
+    "maps": ("y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)",
+             _oracle.planar_maps),
+    **{name: (_oracle.walk_equation(steps), steps)
+       for name, steps in WALK_STEPS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_known_answer_corpus(name):
+    equation, known = CORPUS[name]
+    G = 200
+    if callable(known):
+        counts = [known(n) for n in range(G + 1)]
+    else:
+        counts = [row[0] for row in _oracle.walk_counts(known, G, 0)]
+    rep = run_pipeline(PipelineConfig(equation, eval_at=G))
+    assert rep.proven
+    assert rep.value.index == G and rep.value.value == counts[G]
+    assert list(rep.series_prefix) == counts[:len(rep.series_prefix)]
+    assert rep.recurrence.terms(60) == counts[:60]
+    if rep.minimized is not ABSENT:
+        assert rep.minimized.terms(60) == counts[:60]

@@ -9,8 +9,9 @@ import pytest
 from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify,
                         defect_annihilator, eliminate_g, expand_series,
                         parse_equation, vanishing_bound)
-from tuttesolve.errors import (InvalidElimination, NoVanishingFactor,
-                               ResultantVanishes)
+from tuttesolve.certify import BivarAlgEq
+from tuttesolve.errors import (AmbiguousBranch, InvalidElimination,
+                               NoVanishingFactor, ResultantVanishes)
 from tuttesolve.polyq import RatFunc
 from tuttesolve.series import _loc_subst, _subs
 
@@ -111,7 +112,6 @@ class TestCertify:
 
     def test_perturbed_bivariate_is_refuted(self, tutte_eq, tutte_p1,
                                             tutte_p2):
-        from tuttesolve.certify import BivarAlgEq
         bad = BivarAlgEq(tutte_p2.P + x, tutte_p2.branch)
         cert = certify(tutte_eq, tutte_p1, bad)
         assert cert.status == "refuted"
@@ -122,3 +122,14 @@ class TestCertify:
         deep = expand_series(tutte_eq, _frozen.TUTTE_CHECKED_ORDER + 8)
         subst, ctx = _loc_subst(deep, ())
         assert not any(_subs(tutte_p2.P, subst, len(deep.coeffs), ctx.from_ints))
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_equation_that_is_not_well_posed_is_not_proven(self, c):
+        # psi**2 - psi has the two series solutions 0 and 1; each satisfies
+        # the guessed pair, but no uniqueness step can pick one of them
+        eq = parse_equation("psi**2 - psi")
+        p1 = AlgEq(MPoly.var("f") - c, QSeries([F(c)] + [F(0)] * 7))
+        p2 = BivarAlgEq(psi - c, SeriesX([RatFunc.const(c)]
+                                         + [RatFunc.const(0)] * 7))
+        with pytest.raises(AmbiguousBranch):
+            certify(eq, p1, p2)

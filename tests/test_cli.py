@@ -39,6 +39,11 @@ class TestSolve:
         assert res.exit_code == 1
         assert "error:" in res.output and "position 13" in res.output
 
+    def test_term_ceiling_exits_one(self):
+        res = run(["solve", "--equation", "psi - 1 - x*(1 + x + y)**200*psi"])
+        assert res.exit_code == 1
+        assert "error:" in res.output and "position 25" in res.output
+
     def test_semantic_error_exits_one(self):
         res = run(["solve", "--equation", "psi**2 - psi"])
         assert res.exit_code == 1

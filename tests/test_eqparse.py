@@ -6,7 +6,7 @@ import pytest
 
 from tuttesolve import MPoly, parse_equation
 from tuttesolve.errors import (EquationSyntaxError, NonPolynomial,
-                               UnknownVariable)
+                               ResourceCeiling, UnknownVariable)
 
 from . import _frozen
 
@@ -41,6 +41,10 @@ class TestAccepted:
     def test_nonzero_rhs(self):
         assert parse_equation("psi = 1 - x*psi") == parse_equation("psi - 1 + x*psi")
 
+    def test_power_under_the_term_ceiling_is_accepted(self):
+        eq = parse_equation("psi*(1 + x + y)**20")
+        assert len(eq.Q.terms) == 231
+
     def test_largest_exponent_is_accepted(self):
         eq = parse_equation("psi - x**1048575*psi")
         assert eq.Q.degree("x") == 2**20 - 1
@@ -74,6 +78,27 @@ class TestRejected:
         with pytest.raises(NonPolynomial) as e:
             parse_equation("psi - x**600000*x**600000")
         assert e.value.position == 15
+
+    def test_power_past_the_term_ceiling_is_refused_at_the_exponent(self):
+        # (1 + x + y)**200 has 20,301 terms; it is refused before expanding
+        with pytest.raises(ResourceCeiling) as e:
+            parse_equation("psi - 1 - x*(1 + x + y)**200*psi")
+        assert str(e.value).endswith("(at position 25)")
+        assert "20301 terms" in str(e.value)
+
+    def test_term_ceiling_boundary(self):
+        # (1 + x + y)**139 could have 9,870 terms, under the ceiling;
+        # **140 could have 10,011
+        with pytest.raises(ResourceCeiling) as e:
+            parse_equation("psi - (1 + x + y)**140")
+        assert str(e.value).endswith("(at position 19)")
+        assert "10011 terms" in str(e.value)
+
+    def test_product_past_the_term_ceiling_is_refused_at_the_star(self):
+        # 101 * 101 possible terms
+        with pytest.raises(ResourceCeiling) as e:
+            parse_equation("psi - (1 + x)**100*(1 + y)**100")
+        assert str(e.value).endswith("(at position 18)")
 
     def test_symbolic_exponent(self):
         with pytest.raises(EquationSyntaxError):

@@ -1,11 +1,12 @@
-"""Exact nullspace computations used by the guessers."""
+"""Exact nullspace computations and the relation search of the guessers."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
-from tuttesolve.linalg import nullspace, nullspace_field
+from tuttesolve.linalg import nullspace, nullspace_field, relations
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
 
 
@@ -63,6 +64,78 @@ def test_deterministic_echelon_output():
     # one basis vector per free column, marked with a 1
     assert len(b1) == 2
     assert b1[0][1] == 1 and b1[1][2] == 1
+
+
+def test_row_scale_and_sign_do_not_change_the_basis():
+    # all-zero rows and rows ending in zeros check that each cleared row is
+    # padded back to the full width
+    rng = random.Random(20261018)
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = []
+        for _ in range(n):
+            row = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
+            cut = rng.choice([0, rng.randint(0, m), m])
+            rows.append(row[:cut] + [F(0)] * (m - cut))
+        scales = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in rows]
+        scaled = [[c * k for c in row] for row, k in zip(rows, scales)]
+        assert nullspace(scaled) == nullspace(rows)
+
+
+def test_int_rows_give_the_fraction_basis():
+    rows = [[2, 0, -4, 0], [0, 0, 0, 0], [1, 3, 0, 0]]
+    assert nullspace(rows) == nullspace([[F(c) for c in r] for r in rows])
+
+
+class TestRelations:
+    # columns a-major over 0 <= a <= 1, 0 <= b <= 2; column 3 = (1, 0)
+    # depends on columns 0 and 2, column 4 = (1, 1) on column 0 alone
+    ROWS = [[1, 0, 0, 1, 2, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 1, 1, 0, 0],
+            [0, 0, 0, 0, 0, 1]]
+
+    def test_candidates_ordered_by_attained_shape_not_basis_position(self):
+        basis = nullspace(self.ROWS)
+        assert basis[0] == [-1, 0, -1, 1, 0, 0]   # attains (1, 2)
+        assert basis[1] == [-2, 0, 0, 0, 1, 0]    # attains (1, 1)
+        grids = list(relations([(1, 2)], lambda A, B: self.ROWS))
+        assert grids == [[[-2], [0, 1]], [[-1, 0, -1], [1]]]
+
+    def test_ties_go_by_height_then_position(self):
+        # both kernel vectors attain (1, 1); the later one is lower
+        rows = [[1, 0, 7, 0], [0, 1, 5, 1]]
+        grids = list(relations([(1, 1)], lambda A, B: rows))
+        assert grids == [[[0, -1], [0, 1]], [[-7, -5], [1]]]
+        # same attained shape and height: basis position decides
+        rows = [[1, 0, 1, 1], [0, 1, 1, 0]]
+        grids = list(relations([(1, 1)], lambda A, B: rows))
+        assert grids == [[[-1, -1], [1]], [[-1], [0, 1]]]
+
+    def test_candidates_are_primitive_integer_kernel_vectors(self):
+        rows = [[F(1, 2), F(1, 3), F(-1, 6), F(0)]]
+        for grid in relations([(1, 1)], lambda A, B: rows):
+            flat = [c for row in grid for c in row]
+            assert all(isinstance(c, int) for c in flat)
+            assert math.gcd(*flat) == 1 and grid[-1][-1] > 0
+            v = [c for row in grid for c in row + [0] * (2 - len(row))]
+            v += [0] * (4 - len(v))
+            assert sum(a * b for a, b in zip(rows[0], v)) == 0
+
+    def test_later_shapes_are_not_built_once_the_consumer_stops(self):
+        built = []
+
+        def rows_of(A, B):
+            built.append((A, B))
+            if (A, B) == (0, 3):
+                raise AssertionError("built a shape after the consumer stopped")
+            # full rank at (0, 1), a kernel at (0, 2)
+            return [[1, 0, 0][:B + 1], [0, 1, 0][:B + 1]]
+
+        gen = relations([(0, 1), (0, 2), (0, 3)], rows_of)
+        assert next(gen) == [[0, 0, 1]]
+        assert built == [(0, 1), (0, 2)]
 
 
 def test_field_nullspace_over_rational_functions():

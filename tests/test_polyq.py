@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -116,11 +117,28 @@ class TestClearDenominators:
         ints_out, scale = clear_denominators([F(1, 2), F(1, 3)])
         assert ints_out == [3, 2] and scale == F(1, 6)
 
+    def test_int_input(self):
+        assert clear_denominators([2, -4, 0]) == ([-1, 2], F(-2))
+
+    def test_zero(self):
+        assert clear_denominators([0, F(0)]) == ([], F(0))
+
     @given(st.lists(st.fractions(max_denominator=20), min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_rescaling_recovers_input(self, fr):
         ints_out, scale = clear_denominators(fr)
         assert [scale * c for c in ints_out] == trim(list(fr))
+
+    @given(st.lists(st.one_of(st.integers(-50, 50),
+                              st.fractions(max_denominator=30)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=80)
+    def test_mixed_input_is_primitive_with_positive_lead(self, cs):
+        ints_out, scale = clear_denominators(cs)
+        assert [scale * c for c in ints_out] == trim(list(cs))
+        assert all(type(c) is int for c in ints_out)
+        if ints_out:
+            assert math.gcd(*ints_out) == 1 and ints_out[-1] > 0
 
 
 class TestPade:
