@@ -9,6 +9,7 @@ vanishes strictly beyond the bound.  Everything is exact.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -27,10 +28,11 @@ class BivarAlgEq:
     """Polynomial relation in {psi, x, y} with a series witness.
 
     Shape checks only; annihilation of the witness is established by the
-    producer (eliminate_g) and re-examined by the certifier.
+    producer (eliminate_g) and re-examined by the certifier for any other
+    producer.
     """
 
-    __slots__ = ("P", "branch")
+    __slots__ = ("P", "branch", "__weakref__")
 
     def __init__(self, P: MPoly, branch: SeriesX):
         if P.is_zero:
@@ -78,6 +80,22 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
+
+# eliminate_g's own outputs, which it checked on their witness at its full
+# order: id -> (P, branch) as checked.  An entry leaves when its object
+# dies, so a live id names the object vouched for.
+_VOUCHED: dict[int, tuple] = {}
+
+
+def _vouch(p2: BivarAlgEq) -> None:
+    _VOUCHED[id(p2)] = (p2.P, p2.branch)
+    weakref.finalize(p2, _VOUCHED.pop, id(p2), None)
+
+
+def _vouched(p2: BivarAlgEq) -> bool:
+    P, branch = _VOUCHED.get(id(p2), (None, None))
+    return P is p2.P and branch is p2.branch
+
 
 def _first_nonzero(P: MPoly, subst: dict, L: int, lift) -> int | None:
     """Lowest x-order below L at which P at the series is nonzero."""
@@ -150,36 +168,36 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
     prod = keep[0]
     for F in keep[1:]:
         prod = prod * F
-    return BivarAlgEq(prod.normalized(), witness)
+    p2 = BivarAlgEq(prod.normalized(), witness)
+    _vouch(p2)
+    return p2
+
+
+def _eliminate(zq: MPoly, p1g: MPoly, p2P: MPoly, first_psi: bool) -> MPoly:
+    """Resultants of z - Q against p2 in psi and p1 in g, in either order.
+
+    A step that collapses to zero ends the chain with zero.
+    """
+    inner = zq
+    for v in (("psi", "g") if first_psi else ("g", "psi")):
+        if inner.degree(v) > 0:
+            inner = (resultant(p2P, inner, v) if v == "psi"
+                     else resultant(inner, p1g, v))
+    return inner
 
 
 def defect_annihilator(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> MPoly:
     """Univariate annihilator M(z, x, y) of the defect z = Q(psi~, g~).
 
-    Double resultant: first eliminate g against p1, then psi against p2;
-    if that collapses, retry in the other order.
+    Double resultant: first eliminate psi against p2, then g against p1;
+    if that collapses, retry in the other order.  Both orders give the
+    same squarefree primitive M; psi first is the cheaper one.
     """
-    z = MPoly.var("z")
-    zq = z - eq.Q
+    zq = MPoly.var("z") - eq.Q
     p1g = p1.P.rename_var("f", "g")
-
-    def _run(first_psi: bool) -> MPoly:
-        inner = zq
-        if first_psi:
-            if inner.degree("psi"):
-                inner = resultant(p2.P, inner, "psi")
-            if inner.degree("g"):
-                inner = resultant(inner, p1g, "g")
-        else:
-            if inner.degree("g"):
-                inner = resultant(inner, p1g, "g")
-            if inner.degree("psi"):
-                inner = resultant(p2.P, inner, "psi")
-        return inner
-
-    M0 = _run(first_psi=False)
+    M0 = _eliminate(zq, p1g, p2.P, first_psi=True)
     if M0.is_zero:
-        M0 = _run(first_psi=True)
+        M0 = _eliminate(zq, p1g, p2.P, first_psi=False)
         if M0.is_zero:
             raise ZeroAnnihilator("defect elimination collapsed to zero in both orders")
     return squarefree_primitive(M0, "z")
@@ -208,6 +226,10 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     x-order at which a required identity fails.  An equation that is not
     well posed raises the typed error of `check_well_posed`: without a
     unique series solution there is nothing to prove.
+
+    p2 is checked on its witness at order K + 1 unless it is the very
+    object eliminate_g returned, with the same P and branch: eliminate_g
+    has checked that one at that order already.
     """
     wp = check_well_posed(eq)
     witness = p2.branch
@@ -218,9 +240,10 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     if bad is not None:
         return Certificate(None, 0, bad, wp, "refuted")
     subst, ctx = _loc_subst(witness, g_hat)
-    bad = _first_nonzero(p2.P, subst, K + 1, ctx.from_ints)
-    if bad is not None:
-        return Certificate(None, 0, bad, wp, "refuted")
+    if not _vouched(p2):
+        bad = _first_nonzero(p2.P, subst, K + 1, ctx.from_ints)
+        if bad is not None:
+            return Certificate(None, 0, bad, wp, "refuted")
 
     M = defect_annihilator(eq, p1, p2)
     B = vanishing_bound(M, "z")

@@ -16,11 +16,14 @@ four names raises ``UnknownVariable``; every error carries the 0-based
 offset of the offending token.  A power or product with an exponent of
 2**20 or more is ``NonPolynomial`` at its exponent or ``*``; one that could
 have more than ``_MAX_TERMS`` terms is ``ResourceCeiling`` there, refused
-before it is expanded.
+before it is expanded.  An exponent written with more than
+``_MAX_EXP_DIGITS`` digits is ``NonPolynomial`` at once, whatever its
+base.  Coefficients may have any number of digits.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from math import comb
 
 from .errors import (EquationSyntaxError, NonPolynomial, ResourceCeiling,
@@ -32,6 +35,9 @@ _NAMES = ("psi", "g", "x", "y")
 
 #: Most terms one product or power may build while parsing.
 _MAX_TERMS = 10_000
+
+#: Most significant digits of an exponent: 10**7 is past 2**20.
+_MAX_EXP_DIGITS = 7
 
 
 class _Token:
@@ -139,12 +145,17 @@ class _Parser:
         if t.kind != "num":
             raise EquationSyntaxError("expected a natural number exponent", t.pos)
         self.take()
-        return _fitting(MPoly.__pow__, b, int(t.text), t.pos)
+        digits = t.text.lstrip("0") or "0"
+        if len(digits) > _MAX_EXP_DIGITS:
+            raise NonPolynomial(f"exponent too large: more than "
+                                f"{_MAX_EXP_DIGITS} digits", t.pos)
+        return _fitting(MPoly.__pow__, b, int(digits), t.pos)
 
     def base(self) -> MPoly:
         t = self.take()
         if t.kind == "num":
-            return MPoly.const(int(t.text))
+            # Decimal reads any number of digits; int(str) stops at 4,300
+            return MPoly.const(int(Decimal(t.text)))
         if t.kind == "name":
             return MPoly.var(t.text)
         if t.kind == "(":

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import copy
+import importlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify,
                         defect_annihilator, eliminate_g, expand_series,
-                        parse_equation, vanishing_bound)
-from tuttesolve.certify import BivarAlgEq
+                        guess_algeq, parse_equation, specialize_y0,
+                        vanishing_bound)
+from tuttesolve.certify import BivarAlgEq, _eliminate
 from tuttesolve.errors import (AmbiguousBranch, InvalidElimination,
                                NoVanishingFactor, ResultantVanishes)
+from tuttesolve.mpoly import squarefree_primitive
 from tuttesolve.polyq import RatFunc
 from tuttesolve.series import _loc_subst, _subs
 
 from . import _frozen, _oracle
+
+# the package binds the name `certify` to the function, not the module
+certify_mod = importlib.import_module("tuttesolve.certify")
 
 psi, g, x, y, z = (MPoly.var(v) for v in ("psi", "g", "x", "y", "z"))
 one = MPoly.const(1)
@@ -32,6 +41,29 @@ def toy_witness(order: int) -> SeriesX:
 
 
 TOY_P1 = AlgEq((one - x) * MPoly.var("f") - one, QSeries([F(1)] * 13))
+
+
+def walk_stages(ups, K=24):
+    """(eq, p1, p2) of the walk with steps -1 and ``ups``, as the pipeline
+    builds them at series order K."""
+    eq = parse_equation(_oracle.walk_equation((-1, *sorted(ups))))
+    sx = expand_series(eq, K)
+    p1 = guess_algeq(specialize_y0(sx), 3, 3)
+    return eq, p1, eliminate_g(eq, p1, sx)
+
+
+@pytest.fixture
+def count_checks(monkeypatch):
+    """Counts the witness substitutions certify makes."""
+    calls = []
+    real = certify_mod._first_nonzero
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(certify_mod, "_first_nonzero", spy)
+    return calls
 
 
 class TestEliminateG:
@@ -85,6 +117,33 @@ class TestDefectAnnihilator:
         assert M == z
         assert vanishing_bound(M, "z") == 0
 
+    @given(st.sets(st.integers(0, 2), min_size=1))
+    @settings(max_examples=10, deadline=None)
+    def test_both_elimination_orders_agree(self, ups):
+        eq, p1, p2 = walk_stages(ups)
+        zq = z - eq.Q
+        p1g = p1.P.rename_var("f", "g")
+        psi_first = _eliminate(zq, p1g, p2.P, first_psi=True)
+        g_first = _eliminate(zq, p1g, p2.P, first_psi=False)
+        assert not psi_first.is_zero
+        assert (squarefree_primitive(psi_first, "z")
+                == squarefree_primitive(g_first, "z"))
+
+    def test_collapse_falls_back_to_g_first(self, monkeypatch):
+        eq, p1, p2 = walk_stages({0, 1})
+        want = defect_annihilator(eq, p1, p2)
+        calls = []
+        real = certify_mod.resultant
+
+        def collapse_first(A, B, v):
+            calls.append(v)
+            return MPoly.zero() if len(calls) == 1 else real(A, B, v)
+
+        monkeypatch.setattr(certify_mod, "resultant", collapse_first)
+        assert defect_annihilator(eq, p1, p2) == want
+        # psi first collapses at once; g first then runs in full
+        assert calls == ["psi", "g", "psi"]
+
     def test_flagship_shape_via_certificate(self, tutte_cert):
         M = tutte_cert.annihilator
         for v, d in _frozen.TUTTE_M_DEGREES.items():
@@ -133,3 +192,43 @@ class TestCertify:
                                          + [RatFunc.const(0)] * 7))
         with pytest.raises(AmbiguousBranch):
             certify(eq, p1, p2)
+
+
+class TestWitnessCheck:
+    """certify skips its first p2 check only for eliminate_g's own output."""
+
+    def test_own_output_is_checked_once(self, count_checks):
+        eq, p1, p2 = walk_stages({1})
+        count_checks.clear()
+        own = certify(eq, p1, p2)
+        own_checks = list(count_checks)
+        count_checks.clear()
+        rebuilt = certify(eq, p1, BivarAlgEq(p2.P, p2.branch))
+        assert own.is_proven
+        # WellPosedness has no __eq__; its repr shows every field
+        assert ([rebuilt.annihilator, rebuilt.bound, rebuilt.checkedOrder,
+                 rebuilt.status, repr(rebuilt.kernel)]
+                == [own.annihilator, own.bound, own.checkedOrder,
+                    own.status, repr(own.kernel)])
+        assert len(count_checks) == len(own_checks) + 1
+        assert count_checks.count(p2.P) == own_checks.count(p2.P) + 1
+
+    def test_foreign_nonvanishing_p2_is_refuted_at_its_order(self):
+        eq, p1, p2 = walk_stages({1})
+        cert = certify(eq, p1, BivarAlgEq(p2.P + x**3, p2.branch))
+        # the defect at the witness is x**3 itself
+        assert cert.status == "refuted" and cert.annihilator is None
+        assert cert.checkedOrder == 3
+
+    def test_reassigned_P_is_checked_again(self, count_checks):
+        eq, p1, p2 = walk_stages({1})
+        count_checks.clear()
+        certify(eq, p1, p2)
+        n_own = len(count_checks)
+        p2.P = copy.copy(p2.P)
+        count_checks.clear()
+        assert certify(eq, p1, p2).is_proven
+        assert len(count_checks) == n_own + 1
+        p2.P = p2.P + x**3
+        cert = certify(eq, p1, p2)
+        assert cert.status == "refuted" and cert.checkedOrder == 3

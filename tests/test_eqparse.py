@@ -45,6 +45,11 @@ class TestAccepted:
         eq = parse_equation("psi*(1 + x + y)**20")
         assert len(eq.Q.terms) == 231
 
+    def test_coefficient_of_thousands_of_digits_is_read_exactly(self):
+        big = 10**5000 - 1
+        eq = parse_equation("psi - 1 - " + "9" * 5000 + "*x*psi**2")
+        assert eq.Q == psi - MPoly.const(1) - MPoly.const(big) * x * psi**2
+
     def test_largest_exponent_is_accepted(self):
         eq = parse_equation("psi - x**1048575*psi")
         assert eq.Q.degree("x") == 2**20 - 1
@@ -73,6 +78,19 @@ class TestRejected:
         with pytest.raises(NonPolynomial) as e:
             parse_equation("psi - 1 - x**3000000*psi**2")
         assert e.value.position == 13
+
+    def test_exponent_of_thousands_of_digits_is_refused_at_the_exponent(self):
+        with pytest.raises(NonPolynomial) as e:
+            parse_equation("psi - x**" + "9" * 5000)
+        assert e.value.position == 9
+        # even on a constant base, whose power the term ceiling never stops
+        with pytest.raises(NonPolynomial) as e:
+            parse_equation("psi - 2**" + "1" * 8)
+        assert e.value.position == 9
+
+    def test_leading_zeros_do_not_lengthen_an_exponent(self):
+        eq = parse_equation("psi - x**" + "0" * 5000 + "7")
+        assert eq.Q.degree("x") == 7
 
     def test_product_too_large_is_reported_at_the_star(self):
         with pytest.raises(NonPolynomial) as e:
