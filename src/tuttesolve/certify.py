@@ -173,33 +173,20 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
     return p2
 
 
-def _eliminate(zq: MPoly, p1g: MPoly, p2P: MPoly, first_psi: bool) -> MPoly:
-    """Resultants of z - Q against p2 in psi and p1 in g, in either order.
-
-    A step that collapses to zero ends the chain with zero.
-    """
-    inner = zq
-    for v in (("psi", "g") if first_psi else ("g", "psi")):
-        if inner.degree(v) > 0:
-            inner = (resultant(p2P, inner, v) if v == "psi"
-                     else resultant(inner, p1g, v))
-    return inner
-
-
 def defect_annihilator(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> MPoly:
     """Univariate annihilator M(z, x, y) of the defect z = Q(psi~, g~).
 
-    Double resultant: first eliminate psi against p2, then g against p1;
-    if that collapses, retry in the other order.  Both orders give the
-    same squarefree primitive M; psi first is the cheaper one.
+    Double resultant: eliminate psi against p2, then g against p1.  Neither
+    step can vanish.  z - Q is irreducible and p2 has no z, so they share no
+    factor in psi.  The z-leading coefficient of the first resultant is
+    +-lc_psi(p2)**deg_psi(Q), free of g, so the z-free p1 shares no factor
+    in g with it.
     """
-    zq = MPoly.var("z") - eq.Q
-    p1g = p1.P.rename_var("f", "g")
-    M0 = _eliminate(zq, p1g, p2.P, first_psi=True)
+    M0 = resultant(p2.P, MPoly.var("z") - eq.Q, "psi")
+    if M0.degree("g") > 0:
+        M0 = resultant(M0, p1.P.rename_var("f", "g"), "g")
     if M0.is_zero:
-        M0 = _eliminate(zq, p1g, p2.P, first_psi=False)
-        if M0.is_zero:
-            raise ZeroAnnihilator("defect elimination collapsed to zero in both orders")
+        raise ZeroAnnihilator("defect elimination collapsed to zero")
     return squarefree_primitive(M0, "z")
 
 

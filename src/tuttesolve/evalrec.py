@@ -35,8 +35,7 @@ class SequenceValue:
         return Decimal(self.value.numerator).adjusted() + 1
 
     def __str__(self) -> str:
-        from .report import _frac_str
-        return _frac_str(self.value)
+        return polyq.num_str(self.value)
 
 
 def _iterate(rec, count: int) -> list[Fraction]:

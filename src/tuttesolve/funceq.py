@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyq
@@ -67,18 +68,15 @@ class FuncEq:
         return f"FuncEq({self.render()})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class WellPosedness:
-    """Witness data for a well-posed equation."""
+    """Witness data for a well-posed equation; equal when every field is."""
 
-    __slots__ = ("c0", "kernelA", "kernelB", "kernelValuation", "mode")
-
-    def __init__(self, c0: RatFunc, kernelA: RatFunc, kernelB: RatFunc,
-                 kernelValuation: int, mode: str):
-        self.c0 = c0
-        self.kernelA = kernelA
-        self.kernelB = kernelB
-        self.kernelValuation = kernelValuation
-        self.mode = mode
+    c0: RatFunc
+    kernelA: RatFunc
+    kernelB: RatFunc
+    kernelValuation: int
+    mode: str
 
     @property
     def gamma0(self) -> Fraction:

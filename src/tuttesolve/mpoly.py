@@ -13,7 +13,12 @@ exponents through ``MPoly.items(names)`` and builds from them through
 Elimination is the performance-critical piece.  ``resultant`` runs a
 subresultant polynomial remainder sequence on the packed terms, and
 ``resultant_sylvester`` is an independent fraction-free determinant route
-kept for cross-checking the PRS on small inputs.
+kept for cross-checking the PRS on small inputs.  ``gcd_mpoly`` runs a
+recursive primitive remainder sequence through the same pseudo-remainder,
+``_p_prem``, after one specialization test (``_constant_gcd_certified``)
+that proves most gcds constant without it.  ``squarefree_primitive`` is a
+content gcd and one ``gcd_mpoly(A, dA/dv)``, so that test is also its
+squarefree test.
 """
 
 from __future__ import annotations
@@ -280,17 +285,6 @@ class MPoly:
                 del t[m]
         return _new(t)
 
-    def subs_poly(self, assignments: dict[str, "MPoly"]) -> "MPoly":
-        """Substitute polynomials for variables (small inputs only)."""
-        out = MPoly.zero()
-        for e, c in self.items(VARS):
-            term = MPoly.const(c)
-            for v, k in zip(VARS, e):
-                if k:
-                    term = term * assignments.get(v, MPoly.var(v)) ** k
-            out = out + term
-        return out
-
     def normalized(self) -> "MPoly":
         """Integer content removed, graded-lex leading coefficient positive."""
         if not self.terms:
@@ -332,11 +326,11 @@ class MPoly:
                 elif k > 1:
                     factors.append(f"{v}**{k}")
             if not factors:
-                body = str(abs(c))
+                body = polyq.num_str(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
+                body = "*".join([polyq.num_str(abs(c))] + factors)
             parts.append(("-" if c < 0 else "+", body))
         sign0, body0 = parts[0]
         out = ("-" if sign0 == "-" else "") + body0
@@ -585,6 +579,16 @@ def _pos_sign(P: MPoly) -> MPoly:
     return -P if P.terms[P.leading_term_key()] < 0 else P
 
 
+_POINTS = [(2, 3), (3, 5), (5, 2), (7, 11), (4, 9), (11, 13), (6, 17), (13, 7)]
+
+
+def _specializations(others: Sequence[str]) -> Iterator[dict[str, int]]:
+    """Integer values for the variables ``others``, one dict per point tried."""
+    for point in _POINTS:
+        yield {w: point[j % len(point)] + 2 * (j // len(point))
+               for j, w in enumerate(others)}
+
+
 def _constant_gcd_certified(A: MPoly, B: MPoly) -> bool:
     """True only when the gcd is proven to be an integer.
 
@@ -599,21 +603,13 @@ def _constant_gcd_certified(A: MPoly, B: MPoly) -> bool:
             continue  # gcd has degree 0 in v already
         la = A.as_univariate(v)[-1]
         lb = B.as_univariate(v)[-1]
-        others = [w for w in va if w != v]
-        done = False
-        for assign in _specializations(others):
-            if others and (la.subs_int(assign).is_zero
-                           or lb.subs_int(assign).is_zero):
-                continue
-            sa = A.subs_int(assign) if others else A
-            sb = B.subs_int(assign) if others else B
-            ua = [c.constant_value() for c in sa.as_univariate(v)]
-            ub = [c.constant_value() for c in sb.as_univariate(v)]
-            g = polyq.igcd_poly(ua, ub)
-            if len(g) - 1 == 0:
-                done = True
-            break
-        if not done:
+        assign = next((a for a in _specializations([w for w in va if w != v])
+                       if la.subs_int(a) and lb.subs_int(a)), None)
+        if assign is None:
+            return False
+        ua = [c.constant_value() for c in A.subs_int(assign).as_univariate(v)]
+        ub = [c.constant_value() for c in B.subs_int(assign).as_univariate(v)]
+        if len(polyq.igcd_poly(ua, ub)) > 1:
             return False
     return True
 
@@ -624,46 +620,28 @@ def gcd_mpoly(A: MPoly, B: MPoly) -> MPoly:
         return _pos_sign(B)
     if B.is_zero:
         return _pos_sign(A)
-    va = _names_in(_support(A) | _support(B))
-    if not va:
-        return MPoly.const(math.gcd(A.constant_value(), B.constant_value()))
     if _constant_gcd_certified(A, B):
         return MPoly.const(math.gcd(A.int_content(), B.int_content()))
-    v = va[0]
+    v = _names_in(_support(A) | _support(B))[0]
     if A.degree(v) <= 0 or B.degree(v) <= 0:
         # v appears in only one argument: gcd divides that one's v-content
         short, other = (A, B) if A.degree(v) <= 0 else (B, A)
-        g = short
-        for c in other.as_univariate(v):
-            if c.is_zero:
-                continue
-            g = gcd_mpoly(g, c)
-            if g.total_degree() == 0 and abs(g.constant_value()) == 1:
-                return MPoly.const(1)
-        return _pos_sign(g)
+        return _pos_sign(_coeff_gcd([short, *other.as_univariate(v)]))
     ua = A.as_univariate(v)
     ub = B.as_univariate(v)
     conta = _coeff_gcd(ua)
     contb = _coeff_gcd(ub)
     cont = gcd_mpoly(conta, contb)
-    pa = [c.divexact(conta) for c in ua]
-    pb = [c.divexact(contb) for c in ub]
+    pa = [c.divexact(conta).terms for c in ua]
+    pb = [c.divexact(contb).terms for c in ub]
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    while True:
-        r = polyq.prem(pa, pb)
-        if not r:
-            gpp = pb
-            break
-        if len(r) == 1:
-            gpp = [MPoly.const(1)]
-            break
-        g = _coeff_gcd(r)
-        pa, pb = pb, [c.divexact(g) for c in r]
-    pp = MPoly.from_univariate(gpp, v)
-    gc = _coeff_gcd(pp.as_univariate(v))
-    if not (gc.total_degree() == 0 and abs(gc.constant_value()) == 1):
-        pp = pp.divexact(gc)
+    # pb stays primitive: a remainder of degree 0 leaves the primitive parts
+    # coprime, and no remainder leaves pb as their gcd
+    while len(r := _p_prem(pa, pb)) > 1:
+        g = _coeff_gcd(map(_new, r)).terms
+        pa, pb = pb, [_p_divexact(c, g) for c in r]
+    pp = MPoly.const(1) if r else MPoly.from_univariate(list(map(_new, pb)), v)
     # integer contents flow through the two content gcds, so the primitive
     # part is normalized and the content part keeps the integer factor
     return _pos_sign(pp.normalized() * cont)
@@ -675,22 +653,12 @@ def _coeff_gcd(cs: Iterable[MPoly]) -> MPoly:
         if c.is_zero:
             continue
         g = gcd_mpoly(g, c)
-        if g.total_degree() == 0 and abs(g.constant_value()) == 1:
-            return MPoly.const(1)
+        if g == 1:
+            return g
     return g
 
 
 # --- squarefree primitive part ---
-
-_SQF_POINTS = [(2, 3), (3, 5), (5, 2), (7, 11), (4, 9), (11, 13), (6, 17), (13, 7)]
-
-
-def _specializations(others: Sequence[str]) -> Iterator[dict[str, int]]:
-    """Integer values for the variables ``others``, one dict per point tried."""
-    for point in _SQF_POINTS:
-        yield {w: point[j % len(point)] + 2 * (j // len(point))
-               for j, w in enumerate(others)}
-
 
 def squarefree_primitive(A: MPoly, v: str) -> MPoly:
     """Primitive part of the squarefree part of A with respect to v.
@@ -708,43 +676,20 @@ def squarefree_primitive(A: MPoly, v: str) -> MPoly:
         A = _new({m - low: c for m, c in A.terms.items()})
     d = A.degree(v)
     if d == 0:
-        out = MPoly.var(v) if vval else MPoly.const(1)
-        return out
+        return MPoly.var(v) if vval else MPoly.const(1)
     coeffs = A.as_univariate(v)
     cont = _coeff_gcd(coeffs)
-    if not (cont.total_degree() == 0 and abs(cont.constant_value()) == 1):
-        coeffs = [c.divexact(cont) for c in coeffs]
-        A = MPoly.from_univariate(coeffs, v)
-    part = _squarefree_part(A, v)
+    if cont != 1:
+        A = MPoly.from_univariate([c.divexact(cont) for c in coeffs], v)
+    if d > 1:
+        # A is v-primitive now: gcd_mpoly's constant-gcd test is the
+        # squarefree test, and a nonconstant gcd is the repeated part
+        g = gcd_mpoly(A, A.derivative(v))
+        if g.total_degree() > 0:
+            A = A.divexact(g)
     if vval:
-        part = part * MPoly.var(v)
-    return part.normalized()
-
-
-def _squarefree_part(A: MPoly, v: str) -> MPoly:
-    """Squarefree part in v of a v-primitive polynomial."""
-    d = A.degree(v)
-    if d == 1:
-        return A
-    others = [w for w in A.variables() if w != v]
-    lead = A.as_univariate(v)[-1]
-    for assign in _specializations(others):
-        if others and lead.subs_int(assign).is_zero:
-            continue
-        spec = A.subs_int(assign) if others else A
-        uni = [c.constant_value() for c in spec.as_univariate(v)]
-        if len(uni) - 1 != d:
-            continue
-        g = polyq.igcd_poly(uni, polyq.pderiv(uni))
-        if len(g) - 1 == 0:
-            # specialized gcd is constant and the leading coefficient
-            # survived, so the generic gcd is v-free: A is squarefree in v
-            return A
-        break
-    g = gcd_mpoly(A, A.derivative(v))
-    if g.total_degree() <= 0:
-        return A
-    return A.divexact(g)
+        A = A * MPoly.var(v)
+    return A.normalized()
 
 
 # --- Newton polygon vanishing bound ---

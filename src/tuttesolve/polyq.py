@@ -13,15 +13,17 @@ content, primitive-part, gcd and exact-quotient helpers (``icontent``,
 lists only.
 
 Also here: :class:`RatFunc`, the canonical rational function in one
-variable used as the coefficient domain of bivariate series, and the
+variable used as the coefficient domain of bivariate series, the
 number-theoretic helpers (divisors, rational roots, Pade reconstruction)
-needed by the series-branch search.
+needed by the series-branch search, and ``num_str``, the one conversion of
+an int or Fraction to text, for numbers of any size.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -389,6 +391,15 @@ def pade(series: Sequence[Fraction], dn: int, dd: int) -> tuple[list, list] | No
     return p, q
 
 
+def num_str(c: int | Fraction) -> str:
+    """``str(c)`` for an int or Fraction of any size.
+
+    Decimal has none of the digit limit that Python 3.11+ puts on int <-> str.
+    """
+    num = str(Decimal(c.numerator))
+    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+
+
 def poly_str(a: Sequence, var: str) -> str:
     """Human-readable rendering, highest degree first."""
     if not a:
@@ -407,9 +418,9 @@ def poly_str(a: Sequence, var: str) -> str:
         if mono and abs(c) == 1:
             body = mono
         elif mono:
-            body = f"{abs(c)}*{mono}"
+            body = f"{num_str(abs(c))}*{mono}"
         else:
-            body = f"{abs(c)}"
+            body = num_str(abs(c))
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))
     first_sign, first_body = parts[0]

@@ -26,6 +26,7 @@ from .certify import Certificate
 from .holonomic import ABSENT, LinODE, PRec
 from .evalrec import SequenceValue
 from .mpoly import MPoly
+from .polyq import num_str
 from .series import QSeries
 
 FORMAT_MARKER = "tuttesolve-report"
@@ -42,7 +43,7 @@ COLUMN_LABEL = "guessed, not certified"
 
 def _nested(p: MPoly, pvars: Sequence[str]):
     if not pvars:
-        return p.constant_value()
+        return _int_doc(p.constant_value())
     rows = p.as_univariate(pvars[0])
     return [_nested(r, pvars[1:]) for r in rows]
 
@@ -54,7 +55,7 @@ def poly_to_doc(p: MPoly) -> dict:
 
 def _unnest(node, pvars: Sequence[str]) -> MPoly:
     if not pvars:
-        return MPoly.const(int(node))
+        return MPoly.const(_int_parse(node))
     rows = [_unnest(c, pvars[1:]) for c in node]
     return MPoly.from_univariate(rows, pvars[0])
 
@@ -63,23 +64,38 @@ def poly_from_doc(d: dict) -> MPoly:
     return _unnest(d["coeffs"], list(d["vars"]))
 
 
-def _frac_str(v: Fraction) -> str:
-    """``str(v)`` for a rational of any size.
-
-    Decimal has none of the digit limit that Python 3.11+ puts on int <-> str.
-    """
-    num = str(Decimal(v.numerator))
-    return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
-
-
 def _frac_parse(s: str) -> Fraction:
-    """Inverse of ``_frac_str``: ``Fraction(s)`` for a rational of any size."""
+    """Inverse of ``num_str``: ``Fraction(s)`` for a rational of any size."""
     num, slash, den = s.partition("/")
     try:
         v = Fraction(Decimal(num))
         return v / Fraction(Decimal(den)) if slash else v
     except (InvalidOperation, OverflowError):
         raise ValueError(f"invalid rational number {s!r}") from None
+
+
+# Python 3.11+ neither writes nor reads a JSON integer of more than 4,300
+# digits, so a document carries such an integer as a string of its digits.
+# The bound is fixed, so a document reads the same on every version.
+_JSON_INT_BOUND = 10**4300
+
+
+def _int_doc(c: int) -> int | str:
+    return c if -_JSON_INT_BOUND < c < _JSON_INT_BOUND else num_str(c)
+
+
+def _int_parse(v: int | str) -> int:
+    """Inverse of ``_int_doc``."""
+    if not isinstance(v, str):
+        return int(v)
+    digits = v.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {v!r}")
+    return int(Decimal(v))
+
+
+def _int_rows(rows, conv) -> list[list]:
+    return [list(map(conv, r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +158,13 @@ class Report:
     def to_dict(self) -> dict:
         ode = None if self.ode is None else {
             "vars": ["x"],
-            "coeffs": [list(p) for p in self.ode.coeffs],
-            "inhom": list(self.ode.inhom) if self.ode.inhom else None,
+            "coeffs": _int_rows(self.ode.coeffs, _int_doc),
+            "inhom": ([_int_doc(c) for c in self.ode.inhom]
+                      if self.ode.inhom else None),
         }
         column = None if self.column is None else {
             "index": self.column.index,
-            "series": [_frac_str(v) for v in self.column.series],
+            "series": [num_str(v) for v in self.column.series],
             "equation": (poly_to_doc(self.column.equation)
                          if self.column.equation is not None else None),
             "label": COLUMN_LABEL,
@@ -156,7 +173,7 @@ class Report:
             "index": self.value.index,
             "integer_digits": (self.value.digits
                                if self.value.is_integer else None),
-            "decimal_string": _frac_str(self.value.value),
+            "decimal_string": num_str(self.value.value),
         }
         return {
             "format": FORMAT_MARKER,
@@ -171,7 +188,7 @@ class Report:
             "minimized_recurrence": _rec_to_doc(
                 self.minimized if self.minimized is not ABSENT else None),
             "value": value,
-            "series_prefix": [_frac_str(v) for v in self.series_prefix],
+            "series_prefix": [num_str(v) for v in self.series_prefix],
             "column": column,
             "timings_ms": dict(self.timings_ms),
         }
@@ -186,7 +203,9 @@ class Report:
         branch = QSeries(prefix if prefix else [Fraction(0)])
         ode = None
         if d["ode"] is not None:
-            ode = LinODE(d["ode"]["coeffs"], d["ode"]["inhom"] or (), branch)
+            ode = LinODE(_int_rows(d["ode"]["coeffs"], _int_parse),
+                         [_int_parse(c) for c in d["ode"]["inhom"] or ()],
+                         branch)
         cert = CertificateSummary(
             d["certificate"]["status"], d["certificate"]["bound"],
             d["certificate"]["checked_order"],
@@ -224,14 +243,15 @@ class Report:
 def _rec_to_doc(r) -> dict | None:
     if r is None or r is ABSENT:
         return None
-    return {"coeffs": [list(q) for q in r.coeffs],
-            "initials": [_frac_str(v) for v in r.initials]}
+    return {"coeffs": _int_rows(r.coeffs, _int_doc),
+            "initials": [num_str(v) for v in r.initials]}
 
 
 def _rec_from_doc(d: dict | None) -> PRec | None:
     if d is None:
         return None
-    return PRec(d["coeffs"], [_frac_parse(v) for v in d["initials"]])
+    return PRec(_int_rows(d["coeffs"], _int_parse),
+                [_frac_parse(v) for v in d["initials"]])
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +264,8 @@ def _value_lines(r: Report) -> tuple[str, list[str]]:
         return "not available", []
     name = f"a({v.index})"
     if not v.is_integer or v.digits <= INLINE_DIGIT_LIMIT:
-        return f"{name} = {_frac_str(v.value)}", []
-    lines = textwrap.wrap(_frac_str(v.value), width=70)
+        return f"{name} = {num_str(v.value)}", []
+    lines = textwrap.wrap(num_str(v.value), width=70)
     return (f"{name} is an integer with {v.digits} digits "
             f"(full decimal expansion in the appendix)", lines)
 
@@ -356,7 +376,7 @@ def _render(r: Report, t: dict[str, str]) -> str:
 
     def put_rec(key: str, rec: PRec) -> None:
         put(key, rec=rec.render(), initials=", ".join(
-            f"a({i}) = {_frac_str(v)}" for i, v in enumerate(rec.initials)))
+            f"a({i}) = {num_str(v)}" for i, v in enumerate(rec.initials)))
 
     put("head", equation=r.equation)
     put("proven" if r.proven else "conjectural")
@@ -375,11 +395,11 @@ def _render(r: Report, t: dict[str, str]) -> str:
         put_rec("minimal", r.minimized)
     vline, digits = _value_lines(r)
     put("value", value=vline)
-    put("series", series=", ".join(map(_frac_str, r.series_prefix)))
+    put("series", series=", ".join(map(num_str, r.series_prefix)))
     if r.column is not None:
         col = r.column
         put("column", i=col.index, label=COLUMN_LABEL,
-            series=", ".join(map(_frac_str, col.series)))
+            series=", ".join(map(num_str, col.series)))
         if col.equation is None:
             put("column_none")
         else:

