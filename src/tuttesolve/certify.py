@@ -181,12 +181,25 @@ def defect_annihilator(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> MPoly:
     factor in psi.  The z-leading coefficient of the first resultant is
     +-lc_psi(p2)**deg_psi(Q), free of g, so the z-free p1 shares no factor
     in g with it.
+
+    The z-content of M0 carries up to deg_psi(Q) * deg_g(p1) factors of
+    lc_psi(p2), on which the content gcd of squarefree_primitive is slow.
+    They are divided out first, while they divide exactly.  A z-free factor
+    cannot change M, and the gcd still runs on whatever content is left.
     """
     M0 = resultant(p2.P, MPoly.var("z") - eq.Q, "psi")
     if M0.degree("g") > 0:
         M0 = resultant(M0, p1.P.rename_var("f", "g"), "g")
     if M0.is_zero:
         raise ZeroAnnihilator("defect elimination collapsed to zero")
+    lc = p2.P.coeff_of("psi", p2.P.degree("psi"))
+    # a single term is monomial content, which squarefree_primitive strips
+    if len(lc.terms) > 1:
+        for _ in range(eq.Q.degree("psi") * max(1, p1.degF)):
+            q = M0.try_divexact(lc)
+            if q is None:
+                break
+            M0 = q
     return squarefree_primitive(M0, "z")
 
 

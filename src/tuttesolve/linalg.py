@@ -3,7 +3,10 @@
 ``nullspace`` is a fraction-free (Bareiss) kernel over Q; ``nullspace_field``
 the same echelon construction over any exact field.  ``relations`` is the
 one search both guessers run: a walk over a caller's grid of shapes that
-turns each shape's kernel into integer candidates in one fixed order.
+turns each shape's kernel into integer candidates in one fixed order.  A
+shape whose matrix has full column rank mod the prime ``_P`` has an empty
+kernel over Q, so it is skipped without ``nullspace``: a proof, not a
+heuristic.  Any other shape gets the exact kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .polyq import clear_denominators, trim
+
+#: A word-size prime.  Rank mod _P is at most rank over Q: a nonzero C x C
+#: minor mod _P is the image of a nonzero minor over Q.
+_P = 2**31 - 1
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -48,7 +55,7 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         r += 1
         if r == R:
             break
-    free_cols = [c for c in range(C) if c not in set(piv_cols)]
+    free_cols = sorted(set(range(C)).difference(piv_cols))
     basis = []
     for fc in free_cols:
         v = [Fraction(0)] * C
@@ -65,6 +72,40 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
+def _full_column_rank_mod_p(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """True when the int or Fraction rows have rank C (their width) mod _P,
+    which proves their kernel over Q is {0}.
+
+    Rows go one at a time into an echelon basis, so a full-rank matrix
+    stops at its C-th pivot.  False only means unproven: a denominator
+    divisible by _P, or fewer than C pivots mod _P.
+    """
+    C = len(rows[0]) if rows else 0
+    basis: list[tuple[int, list[int]]] = []   # (pivot, row), row[pivot] == 1
+    for row in rows:
+        v = []
+        for a in row:
+            d = a.denominator % _P
+            if not d:
+                return False
+            v.append(a.numerator * pow(d, -1, _P) % _P if d != 1
+                     else a.numerator % _P)
+        # each basis row is zero at the pivots placed before its own, so
+        # clearing in insertion order leaves v zero at every pivot
+        for c, b in basis:
+            f = v[c]
+            if f:
+                v = [(s - f * t) % _P for s, t in zip(v, b)]
+        c = next((j for j, s in enumerate(v) if s), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, _P)
+        basis.append((c, [s * inv % _P for s in v]))
+        if len(basis) == C:
+            return True
+    return False
+
+
 def relations(shapes: Iterable[tuple[int, int]],
               rows_of: Callable[[int, int], list]) -> Iterator[list[list[int]]]:
     """Integer kernel vectors of each shape's matrix, best first.
@@ -75,11 +116,15 @@ def relations(shapes: Iterable[tuple[int, int]],
     ``[[c_a0, ..., c_ab], ...]``: no trailing zero in a row, no trailing
     empty row.  One shape's grids come ordered by (attained A, attained B,
     max |c|, basis position).  Lazy: a shape's matrix is built only once
-    the consumer asks past the previous shape.
+    the consumer asks past the previous shape.  A shape of full column rank
+    mod _P yields nothing without an exact kernel; its kernel is {0}.
     """
     for A, B in shapes:
+        rows = rows_of(A, B)
+        if _full_column_rank_mod_p(rows):
+            continue
         cands = []
-        for pos, v in enumerate(nullspace(rows_of(A, B))):
+        for pos, v in enumerate(nullspace(rows)):
             ints, _ = clear_denominators(v)
             grid = trim([trim(ints[a * (B + 1):(a + 1) * (B + 1)])
                          for a in range(A + 1)])
@@ -117,7 +162,7 @@ def nullspace_field(rows, zero, one):
         r += 1
         if r == R:
             break
-    free_cols = [c for c in range(C) if c not in set(piv_cols)]
+    free_cols = sorted(set(range(C)).difference(piv_cols))
     basis = []
     for fc in free_cols:
         v = [zero] * C

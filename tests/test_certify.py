@@ -18,7 +18,7 @@ from tuttesolve.certify import BivarAlgEq
 from tuttesolve.errors import (AmbiguousBranch, InvalidElimination,
                                NoVanishingFactor, ResultantVanishes,
                                ZeroAnnihilator)
-from tuttesolve.mpoly import resultant, squarefree_primitive
+from tuttesolve.mpoly import _coeff_gcd, resultant, squarefree_primitive
 from tuttesolve.polyq import RatFunc
 from tuttesolve.series import _loc_subst, _subs
 
@@ -44,13 +44,28 @@ def toy_witness(order: int) -> SeriesX:
 TOY_P1 = AlgEq((one - x) * MPoly.var("f") - one, QSeries([F(1)] * 13))
 
 
-def walk_stages(ups, K=24):
-    """(eq, p1, p2) of the walk with steps -1 and ``ups``, as the pipeline
-    builds them at series order K."""
-    eq = parse_equation(_oracle.walk_equation((-1, *sorted(ups))))
+def stages(equation, K=24, deg=3):
+    """(eq, p1, p2) of an equation, as the pipeline builds them at series
+    order K with guessed degrees up to deg."""
+    eq = parse_equation(equation)
     sx = expand_series(eq, K)
-    p1 = guess_algeq(specialize_y0(sx), 3, 3)
+    p1 = guess_algeq(specialize_y0(sx), deg, deg)
     return eq, p1, eliminate_g(eq, p1, sx)
+
+
+def walk_stages(ups, K=24, deg=3):
+    """stages of the walk with steps -1 and ``ups``."""
+    return stages(_oracle.walk_equation((-1, *sorted(ups))), K, deg)
+
+
+def g_first_annihilator(eq, p1, p2):
+    """M by the other elimination order: g first, then psi."""
+    zq = z - eq.Q
+    if zq.degree("g") > 0:
+        zq = resultant(zq, p1.P.rename_var("f", "g"), "g")
+    g_first = resultant(p2.P, zq, "psi")
+    assert not g_first.is_zero
+    return squarefree_primitive(g_first, "z")
 
 
 @pytest.fixture
@@ -64,6 +79,20 @@ def count_checks(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(certify_mod, "_first_nonzero", spy)
+    return calls
+
+
+@pytest.fixture
+def squarefree_args(monkeypatch):
+    """The polynomials certify hands to squarefree_primitive."""
+    calls = []
+    real = certify_mod.squarefree_primitive
+
+    def spy(A, v):
+        calls.append(A)
+        return real(A, v)
+
+    monkeypatch.setattr(certify_mod, "squarefree_primitive", spy)
     return calls
 
 
@@ -123,11 +152,32 @@ class TestDefectAnnihilator:
     def test_both_elimination_orders_agree(self, ups):
         # defect_annihilator eliminates psi first; g first must give the same M
         eq, p1, p2 = walk_stages(ups)
-        zq = z - eq.Q
-        g_first = resultant(p2.P, resultant(zq, p1.P.rename_var("f", "g"), "g"),
-                            "psi")
-        assert not g_first.is_zero
-        assert defect_annihilator(eq, p1, p2) == squarefree_primitive(g_first, "z")
+        assert defect_annihilator(eq, p1, p2) == g_first_annihilator(eq, p1, p2)
+
+    @pytest.mark.parametrize("equation, divided", [
+        # Tutte's maps: deg_psi(Q) = 2 and deg(p1) = 2, so lc_psi(p2)**4
+        ("y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)", 4),
+        # Catalan: lc_psi(p2) is the single term x, so nothing is divided
+        ("psi - 1 - x*psi**2", 0),
+    ], ids=["maps", "catalan"])
+    def test_orders_agree_with_the_known_content_divided_out(
+            self, equation, divided, squarefree_args):
+        eq, p1, p2 = stages(equation)
+        squarefree_args.clear()
+        assert defect_annihilator(eq, p1, p2) == g_first_annihilator(eq, p1, p2)
+        M0 = resultant(p2.P, z - eq.Q, "psi")
+        if M0.degree("g") > 0:
+            M0 = resultant(M0, p1.P.rename_var("f", "g"), "g")
+        lc = p2.P.coeff_of("psi", p2.P.degree("psi"))
+        assert squarefree_args == [M0.divexact(lc ** divided)]
+
+    def test_squarefree_gets_no_content_but_a_monomial(self, squarefree_args):
+        # up step 3: lc_psi(p2) has ten terms, and M0 holds its fourth power
+        eq, p1, p2 = walk_stages({3}, K=32, deg=4)
+        squarefree_args.clear()
+        defect_annihilator(eq, p1, p2)
+        A, = squarefree_args
+        assert len(_coeff_gcd(A.as_univariate("z")).terms) == 1
 
     def test_collapse_raises_zero_annihilator(self, monkeypatch):
         eq, p1, p2 = walk_stages({0, 1})

@@ -5,8 +5,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
-from tuttesolve.linalg import nullspace, nullspace_field, relations
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tuttesolve import linalg
+from tuttesolve.linalg import _P, nullspace, nullspace_field, relations
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
 
 
@@ -136,6 +142,88 @@ class TestRelations:
         gen = relations([(0, 1), (0, 2), (0, 3)], rows_of)
         assert next(gen) == [[0, 0, 1]]
         assert built == [(0, 1), (0, 2)]
+
+
+def exact_relations(shapes, rows_of):
+    """The reference: relations with the exact nullspace on every shape."""
+    with mock.patch.object(linalg, "_full_column_rank_mod_p",
+                           lambda rows: False):
+        return list(relations(shapes, rows_of))
+
+
+ENTRIES = st.one_of(st.integers(-4, 4),
+                    st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def shape_matrices(draw):
+    """{(A, B): rows} over distinct shapes, each matrix (A+1)(B+1) wide and
+    twisted one of four ways: untouched, a planted kernel vector, a column
+    scaled by _P (its rank drops only mod _P), or an entry whose
+    denominator _P divides."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           min_size=1, max_size=3, unique=True))
+    mats = {}
+    for A, B in shapes:
+        C = (A + 1) * (B + 1)
+        R = draw(st.integers(1, C + 3))
+        rows = draw(st.lists(st.lists(ENTRIES, min_size=C, max_size=C),
+                             min_size=R, max_size=R))
+        twist = draw(st.sampled_from(["none", "kernel", "scale", "denominator"]))
+        k = draw(st.integers(0, C - 1))
+        if twist == "kernel":
+            v = draw(st.lists(st.integers(-3, 3), min_size=C, max_size=C))
+            v[k] = 1
+            for row in rows:
+                row[k] = -sum(row[j] * v[j] for j in range(C) if j != k)
+        elif twist == "scale":
+            for row in rows:
+                row[k] *= _P
+        elif twist == "denominator":
+            num = draw(st.integers(1, 4))
+            den = draw(st.sampled_from([_P, 2 * _P]))
+            rows[draw(st.integers(0, R - 1))][k] = F(num, den)
+        mats[A, B] = rows
+    return mats
+
+
+@given(shape_matrices())
+@settings(max_examples=200, deadline=None)
+def test_mod_p_skip_leaves_the_candidates_unchanged(mats):
+    def rows_of(A, B):
+        return mats[A, B]
+
+    assert list(relations(mats, rows_of)) == exact_relations(mats, rows_of)
+
+
+@pytest.fixture
+def nullspace_calls(monkeypatch):
+    """The matrices relations hands to the exact nullspace."""
+    calls = []
+    real = linalg.nullspace
+
+    def spy(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    return calls
+
+
+class TestModPSkip:
+    def test_full_rank_shape_gets_no_exact_kernel(self, nullspace_calls):
+        mats = {(0, 1): [[1, 2], [F(1, 3), 4], [5, 7]],   # full rank
+                (0, 2): [[1, 1, 0], [0, 0, 1]]}            # a kernel
+        grids = list(relations(mats, lambda A, B: mats[A, B]))
+        assert grids == [[[-1, 1]]]
+        assert nullspace_calls == [mats[0, 2]]
+
+    def test_rank_lost_only_mod_p_falls_through(self, nullspace_calls):
+        for rows in ([[1, 0], [0, _P]],            # rank 2 over Q, 1 mod _P
+                     [[F(1, _P), 0], [0, 1]]):     # no image mod _P
+            assert not linalg._full_column_rank_mod_p(rows)
+            assert list(relations([(0, 1)], lambda A, B: rows)) == []
+        assert len(nullspace_calls) == 2
 
 
 def test_field_nullspace_over_rational_functions():
