@@ -21,7 +21,7 @@ from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
                      specialize_y0)
 from .guessing import AlgEq
 from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
-from .series import SeriesX, _frac_lift, _loc_subst, _subs
+from .series import SeriesX, _frac_lift, _subs, _vanishing_order
 
 
 class BivarAlgEq:
@@ -97,9 +97,10 @@ def _vouched(p2: BivarAlgEq) -> bool:
     return P is p2.P and branch is p2.branch
 
 
-def _first_nonzero(P: MPoly, subst: dict, L: int, lift) -> int | None:
-    """Lowest x-order below L at which P at the series is nonzero."""
-    return next((m for m, v in enumerate(_subs(P, subst, L, lift)) if v), None)
+def _first_nonzero(P: MPoly, f, L: int) -> int | None:
+    """Lowest x-order below L at which P at the rational series f is nonzero."""
+    return next((m for m, v in enumerate(_subs(P, {"f": f}, L, _frac_lift))
+                 if v), None)
 
 
 def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
@@ -156,12 +157,11 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
         raise InvalidElimination("elimination lost the unknown series")
     P2 = squarefree_primitive(R, "psi")
     L = len(witness)
-    subst, ctx = _loc_subst(witness, ())  # P2 is free of g
     factors, rest = _monomial_linear_factors(P2)
     if rest.degree("psi") >= 1:
         factors.append(rest)
     keep = [F for F in factors
-            if _first_nonzero(F, subst, L, ctx.from_ints) is None]
+            if _vanishing_order(F, witness, (), L) is None]  # P2 is g-free
     if not keep:
         raise NoVanishingFactor(
             "no factor of the eliminated equation annihilates the series witness")
@@ -203,11 +203,11 @@ def defect_annihilator(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> MPoly:
     return squarefree_primitive(M0, "z")
 
 
-def _slack(dP: MPoly, subst: dict, lift, cap: int, what: str) -> int:
+def _slack(first_nonzero, cap: int, what: str) -> int:
     # the slack is almost always 0; grow the truncation lazily
     L = 1
     while True:
-        m = _first_nonzero(dP, subst, L, lift)
+        m = first_nonzero(L)
         if m is not None:
             return m
         if L >= cap + 1:
@@ -236,36 +236,36 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     K = witness.order
     g_hat = specialize_y0(witness)
 
-    bad = _first_nonzero(p1.P, {"f": g_hat.coeffs}, K + 1, _frac_lift)
+    bad = _first_nonzero(p1.P, g_hat.coeffs, K + 1)
     if bad is not None:
         return Certificate(None, 0, bad, wp, "refuted")
-    subst, ctx = _loc_subst(witness, g_hat)
     if not _vouched(p2):
-        bad = _first_nonzero(p2.P, subst, K + 1, ctx.from_ints)
+        bad = _vanishing_order(p2.P, witness, g_hat.coeffs, K + 1)
         if bad is not None:
             return Certificate(None, 0, bad, wp, "refuted")
 
     M = defect_annihilator(eq, p1, p2)
     B = vanishing_bound(M, "z")
-    e1 = _slack(p1.P.derivative("f"), {"f": g_hat.coeffs}, _frac_lift, K,
+    dp1, dp2 = p1.P.derivative("f"), p2.P.derivative("psi")
+    e1 = _slack(lambda L: _first_nonzero(dp1, g_hat.coeffs, L), K,
                 "specialized")
-    e2 = _slack(p2.P.derivative("psi"), subst, ctx.from_ints, K, "bivariate")
+    e2 = _slack(lambda L: _vanishing_order(dp2, witness, g_hat.coeffs, L), K,
+                "bivariate")
     # the checked order must leave the defect's valuation strictly above
     # the bound after losing the Hensel slack, and inside Newton's basin
     N = max(B + e1 + e2, 2 * e1 + 1, 2 * e2 + 1, K)
 
     if N > K:
-        sx = expand_series(eq, N)
-        g_hat = specialize_y0(sx)
-        subst, ctx = _loc_subst(sx, g_hat)
-        bad = _first_nonzero(p1.P, {"f": g_hat.coeffs}, N + 1, _frac_lift)
+        witness = expand_series(eq, N)
+        g_hat = specialize_y0(witness)
+        bad = _first_nonzero(p1.P, g_hat.coeffs, N + 1)
         if bad is None:
-            bad = _first_nonzero(p2.P, subst, N + 1, ctx.from_ints)
+            bad = _vanishing_order(p2.P, witness, g_hat.coeffs, N + 1)
         if bad is not None:
             return Certificate(M, B, bad, wp, "refuted")
 
     # defect of the series solution itself; zero by construction
-    if _first_nonzero(eq.Q, subst, N + 1, ctx.from_ints) is not None:
+    if _vanishing_order(eq.Q, witness, g_hat.coeffs, N + 1) is not None:
         raise SelfCheckFailed("series solution failed its own equation")
 
     return Certificate(M, B, N, wp, "proven")

@@ -6,18 +6,23 @@ y, each regular at y = 0).
 
 A ``SeriesX`` stores its coefficients localized: the private
 ``_LocCtx``/``_Loc`` pair writes each one as scale * n(y) / D(y)^e against
-one fixed denominator polynomial D, so the expansion, the table and column
-reads and the certification loops run on integer convolutions and never
-reduce fractions.  The expander hands its own D and coefficients over as
+one fixed denominator polynomial D, so the expansion and the table and
+column reads run on integer convolutions and never reduce fractions.  The expander hands its own D and coefficients over as
 they are.  Canonical :class:`RatFunc` coefficients are built only when a
 caller outside the package asks for them, through indexing, iteration or
 ``coeffs``.
 
 All truncated-series arithmetic goes through one kernel that works over
-any exact coefficient ring, ``Fraction`` and ``_Loc`` alike: ``_mul_trunc``
-is the truncated product, ``_powers`` a table of powers built on it, and
-``_subs`` substitutes series into a polynomial.  ``series_eval`` is the
-public form of ``_subs`` over the localized ring.
+any exact coefficient ring, ``Fraction``, ``_Loc`` and ``int`` alike:
+``_mul_trunc`` is the truncated product, ``_powers`` a table of powers
+built on it, and ``_subs`` substitutes series into a polynomial.
+``series_eval`` is the public form of ``_subs`` over the localized ring.
+
+The certification checks do not use the localized ring.
+``_vanishing_order`` clears the witness's denominators into integer
+polynomials in y and runs ``_subs`` over ints at the single point
+y = 2^B, where 2^B exceeds a height bound that ``_subs`` itself proves on
+1-norms; an x-coefficient is zero exactly when its value there is.
 """
 
 from __future__ import annotations
@@ -330,7 +335,7 @@ def _loc_subst(psi: SeriesX, g: Sequence[Fraction]) -> tuple[dict, _LocCtx]:
 # Coefficients come from any exact ring whose zero is falsy.  A ring is
 # named by its ``lift``, which maps the integer coefficients of a
 # y-polynomial (constant first) into it: ``_frac_lift`` for Fraction,
-# ``ctx.from_ints`` for _Loc.
+# ``ctx.from_ints`` for _Loc, ``_int_lift`` for int.
 
 def _frac_lift(coeffs: list[int]) -> Fraction:
     if len(coeffs) > 1:
@@ -393,6 +398,71 @@ def _subs(P: MPoly, subst: dict[str, Sequence], L: int, lift) -> list:
             if t:
                 acc[m] = acc[m] + t
     return acc
+
+
+def _int_lift(coeffs: list[int]) -> int:
+    # only for y-free polynomials
+    return coeffs[0] if coeffs else 0
+
+
+def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
+                     L: int) -> int | None:
+    """Lowest x-order below L at which P(psi, g, x, y) is nonzero, exactly.
+
+    Works on the witness's ints and never builds a ``_Loc`` value.  Put
+    x = u*D^r with r = max_k ceil(e_k/k), a = max(0, max_k e_k - r*k), and
+    S, S_g the lcms of the denominators of psi's scales and of g.  Then
+    Psi_k = S*scale_k*n_k*D^(a+r*k-e_k) and G_k = S_g*g_k*D^(r*k) lie in
+    Z[y], and the u^m coefficient of (S*D^a)^deg_psi * S_g^deg_g * P at
+    (Psi, G) is Z_m = (S*D^a)^deg_psi * S_g^deg_g * D^(r*m) * [x^m]P, an
+    integer polynomial that is zero exactly when [x^m]P is.
+
+    ``_subs`` runs twice over ints, each polynomial mapped to one int.
+    First to its 1-norm: since |fg|_1 <= |f|_1 |g|_1, that gives an
+    H >= |Z_m|_1 for every m < L.  Then to its value at t = 2^B > H: a
+    nonzero integer polynomial whose coefficients are all below t in size
+    does not vanish at t, so Z_m(t) = 0 exactly when Z_m = 0.  g may be
+    empty, standing for g = 0.
+    """
+    locs = psi.locs[:L]
+    g = g[:L]
+    r = max((-(-c.e // k) for k, c in enumerate(locs) if k), default=0)
+    a = max([0] + [c.e - r * k for k, c in enumerate(locs)])
+    S = math.lcm(*(c.scale.denominator for c in locs))
+    Sg = math.lcm(*(c.denominator for c in g))
+    dpsi, dg = P.degree("psi"), P.degree("g")
+    terms: dict[tuple[int, int, int], list[int]] = {}
+    for (i, j, m, l), c in P.items(("psi", "g", "x", "y")):
+        if m < L:
+            ys = terms.setdefault((i, j, m), [])
+            ys.extend([0] * (l + 1 - len(ys)))
+            ys[l] = c
+
+    def image(ev) -> list[int]:
+        # the x-coefficients of Z with each y-polynomial mapped by ev
+        Dv, sg = ev(psi.ctx.D), ev([Sg])
+        lead = ev([S]) * Dv ** a
+        Psi = [ev([S // c.scale.denominator * c.scale.numerator])
+               * ev(c.num) * Dv ** (a + r * k - c.e)
+               for k, c in enumerate(locs)]
+        G = [ev([Sg // c.denominator * c.numerator]) * Dv ** (r * k)
+             for k, c in enumerate(g)]
+        Pt = MPoly.from_items(("psi", "g", "x"), (
+            (key, ev(ys) * lead ** (dpsi - key[0]) * sg ** (dg - key[1])
+             * Dv ** (r * key[2]))
+            for key, ys in terms.items()))
+        return _subs(Pt, {"psi": Psi, "g": G}, L, _int_lift)
+
+    H = max(image(lambda p: sum(map(abs, p))), default=0)
+    B = H.bit_length()
+
+    def at_t(p: Sequence[int]) -> int:
+        v = 0
+        for c in reversed(p):
+            v = (v << B) + c
+        return v
+
+    return next((m for m, v in enumerate(image(at_t)) if v), None)
 
 
 def series_eval(Q: MPoly, psi: SeriesX, g: QSeries, K: int) -> SeriesX:

@@ -70,15 +70,15 @@ def g_first_annihilator(eq, p1, p2):
 
 @pytest.fixture
 def count_checks(monkeypatch):
-    """Counts the witness substitutions certify makes."""
+    """Counts the checks certify makes on the series witness."""
     calls = []
-    real = certify_mod._first_nonzero
+    real = certify_mod._vanishing_order
 
     def spy(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(certify_mod, "_first_nonzero", spy)
+    monkeypatch.setattr(certify_mod, "_vanishing_order", spy)
     return calls
 
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from tuttesolve import (MPoly, QSeries, SeriesX, expand_series, parse_equation,
                         series_eval, specialize_y0)
-from tuttesolve.certify import _first_nonzero
 from tuttesolve.errors import PoleAtYZero
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
-from tuttesolve.series import _frac_lift, _loc_subst, _subs
+from tuttesolve.series import (_frac_lift, _loc_subst, _subs,
+                               _vanishing_order)
 
 from . import _oracle
 
@@ -96,11 +96,11 @@ def polys(draw, y_free=False):
 
 
 @st.composite
-def loc_series(draw, n):
+def loc_series(draw, n, coeffs=small):
     # c_k(y) = n_k(y) / (1 - y)^e_k: regular at y = 0, poles only at y = 1
     out = []
     for _ in range(n):
-        num = [F(c) for c in draw(st.lists(small, min_size=1, max_size=3))]
+        num = [F(c) for c in draw(st.lists(coeffs, min_size=1, max_size=3))]
         den = [F(1)]
         for _ in range(draw(st.integers(0, 3))):
             den = [a - b for a, b in zip(den + [F(0)], [F(0)] + den)]
@@ -154,5 +154,88 @@ def test_expanded_and_constructed_series_agree(ups, K):
             == [c.y_prefix(4) for c in rf.locs])
     for s in (sx, rf):
         subst, ctx = _loc_subst(s, g)
-        assert _first_nonzero(eq.Q, subst, K + 1, ctx.from_ints) is None
+        assert not any(_subs(eq.Q, subst, K + 1, ctx.from_ints))
+        assert _vanishing_order(eq.Q, s, g.coeffs, K + 1) is None
     assert series_eval(eq.Q, sx, g, K).is_zero
+
+
+# --- the exact zero test over the integers against the _Loc reference ---
+
+def _loc_order(P, s, g, L):
+    """First nonzero x-order below L, over the _Loc ring."""
+    subst, ctx = _loc_subst(s, g)
+    return next((m for m, v in enumerate(_subs(P, subst, L, ctx.from_ints))
+                 if v), None)
+
+
+# equations free of g; the last two localize at a D with D(0) != 0 and
+# give psi_0 a denominator, so r, a > 0 in the expander's layout
+G_FREE = ("psi - 1 - x*psi**2", "psi - 1 - x*y*psi**3 - x*psi",
+          "(1 - y)*psi - 1 - x*psi**2",
+          "(2 - 3*y)*psi - 1 - x*(1 + y)*psi**2")
+
+
+@st.composite
+def vanishing_cases(draw):
+    """(P, witness, g) with P(witness, g) = 0 to the witness's order.
+
+    P is the equation times a small multiplier; the witness is its
+    expansion, or that expansion rebuilt by the public constructor, which
+    localizes with e in {0, 1}.  g is empty when the equation is g-free.
+    """
+    if draw(st.booleans()):
+        ups = draw(st.sets(st.integers(0, 3), min_size=1))
+        text = _oracle.walk_equation((-1, *sorted(ups)))
+    else:
+        text = draw(st.sampled_from(G_FREE))
+    eq = parse_equation(text)
+    sx = expand_series(eq, draw(st.integers(0, 10)))
+    if draw(st.booleans()):
+        sx = SeriesX(list(sx))
+    g = specialize_y0(sx).coeffs if eq.Q.degree("g") else ()
+    return eq.Q * draw(polys()), sx, g
+
+
+@given(vanishing_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vanishing_order_matches_loc_reference(case, data):
+    P, s, g = case
+    L = len(s)
+    assert _vanishing_order(P, s, g, L) is None
+    assert _loc_order(P, s, g, L) is None
+    # a planted c*x^m*y^l is the first thing left
+    m = data.draw(st.integers(0, L - 1))
+    c = data.draw(small.filter(bool))
+    P = P + MPoly.monomial(c, x=m, y=data.draw(st.integers(0, 3)))
+    assert _vanishing_order(P, s, g, L) == _loc_order(P, s, g, L) == m
+
+
+@given(polys(), st.integers(1, 6).flatmap(lambda n: st.tuples(
+    loc_series(n, st.fractions(-3, 3, max_denominator=4)),
+    st.just(()) | st.lists(st.fractions(-3, 3, max_denominator=4),
+                           min_size=n, max_size=n))))
+@settings(max_examples=60, deadline=None)
+def test_vanishing_order_matches_loc_reference_on_random_data(P, data):
+    # non-unit scales, e in {0, 1}, with and without g
+    s, g = data
+    for L in range(len(s) + 1):
+        assert _vanishing_order(P, s, g, L) == _loc_order(P, s, g, L)
+
+
+@pytest.mark.parametrize("s", [2, 64])
+def test_defect_with_a_root_at_a_power_of_two_is_found(s):
+    # psi = 1 + x*y, and [x^m] of the defect is y^2 - 2^s*y, which is zero
+    # at y = 2^s; the test point must lie above it
+    w = SeriesX([RATFUNC_ONE, Y] + [RATFUNC_ZERO] * 6)
+    for m in range(8):
+        P = psi - 1 - x * y + x**m * (y**2 - 2**s * y)
+        assert _vanishing_order(P, w, (), 8) == m
+
+
+def test_planted_defect_on_an_expanded_witness_is_found():
+    eq = parse_equation(_oracle.walk_equation((-1, 1, 2)))
+    sx = expand_series(eq, 12)
+    g = specialize_y0(sx).coeffs
+    for m in range(13):
+        P = eq.Q + x**m * (y**2 - 4 * y)
+        assert _vanishing_order(P, sx, g, 13) == m
