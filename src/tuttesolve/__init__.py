@@ -20,7 +20,7 @@ from .errors import (AmbiguousBranch, DegenerateKernel, EquationSyntaxError,
                      UnknownVariable, ZeroAnnihilator, ZeroPolynomial)
 from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
 from .polyq import RatFunc
-from .series import QSeries, SeriesX, series_eval
+from .series import QSeries, SeriesX
 from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
                      specialize_y0)
 from .guessing import FAIL, AlgEq, guess_algeq
@@ -28,7 +28,7 @@ from .certify import (BivarAlgEq, Certificate, certify, defect_annihilator,
                       eliminate_g)
 from .holonomic import (ABSENT, LinODE, PRec, algeq_to_ode, minimize_rec,
                         ode_to_rec)
-from .evalrec import SequenceValue, tutte_closed_form, unroll
+from .evalrec import SequenceValue, unroll
 from .pipeline import (CoeffTable, PipelineConfig, column_series,
                        run_pipeline)
 from .eqparse import parse_equation
@@ -51,7 +51,6 @@ __all__ = [
     "check_well_posed", "column_series", "defect_annihilator",
     "eliminate_g", "expand_series", "guess_algeq", "minimize_rec",
     "ode_to_rec", "parse_equation", "parse_report", "render_report",
-    "resultant", "run_pipeline", "series_eval", "specialize_y0",
-    "squarefree_primitive", "tutte_closed_form", "unroll",
-    "vanishing_bound",
+    "resultant", "run_pipeline", "specialize_y0", "squarefree_primitive",
+    "unroll", "vanishing_bound",
 ]

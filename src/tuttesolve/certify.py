@@ -21,7 +21,7 @@ from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
                      specialize_y0)
 from .guessing import AlgEq
 from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
-from .series import SeriesX, _frac_lift, _subs, _vanishing_order
+from .series import SeriesX, _vanishing_order
 
 
 class BivarAlgEq:
@@ -95,12 +95,6 @@ def _vouch(p2: BivarAlgEq) -> None:
 def _vouched(p2: BivarAlgEq) -> bool:
     P, branch = _VOUCHED.get(id(p2), (None, None))
     return P is p2.P and branch is p2.branch
-
-
-def _first_nonzero(P: MPoly, f, L: int) -> int | None:
-    """Lowest x-order below L at which P at the rational series f is nonzero."""
-    return next((m for m, v in enumerate(_subs(P, {"f": f}, L, _frac_lift))
-                 if v), None)
 
 
 def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
@@ -230,13 +224,19 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     p2 is checked on its witness at order K + 1 unless it is the very
     object eliminate_g returned, with the same P and branch: eliminate_g
     has checked that one at that order already.
+
+    Every identity check here, p1 and its f-derivative at g^ = psi(x, 0),
+    p2 and its psi-derivative and Q at the witness, asks for the first
+    nonzero x-order of one polynomial, and `series._vanishing_order`
+    answers it exactly over the integers.  p1 goes in with f renamed to g.
     """
     wp = check_well_posed(eq)
     witness = p2.branch
     K = witness.order
     g_hat = specialize_y0(witness)
+    p1g = p1.P.rename_var("f", "g")
 
-    bad = _first_nonzero(p1.P, g_hat.coeffs, K + 1)
+    bad = _vanishing_order(p1g, witness, g_hat.coeffs, K + 1)
     if bad is not None:
         return Certificate(None, 0, bad, wp, "refuted")
     if not _vouched(p2):
@@ -246,8 +246,8 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
 
     M = defect_annihilator(eq, p1, p2)
     B = vanishing_bound(M, "z")
-    dp1, dp2 = p1.P.derivative("f"), p2.P.derivative("psi")
-    e1 = _slack(lambda L: _first_nonzero(dp1, g_hat.coeffs, L), K,
+    dp1, dp2 = p1g.derivative("g"), p2.P.derivative("psi")
+    e1 = _slack(lambda L: _vanishing_order(dp1, witness, g_hat.coeffs, L), K,
                 "specialized")
     e2 = _slack(lambda L: _vanishing_order(dp2, witness, g_hat.coeffs, L), K,
                 "bivariate")
@@ -258,7 +258,7 @@ def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
     if N > K:
         witness = expand_series(eq, N)
         g_hat = specialize_y0(witness)
-        bad = _first_nonzero(p1.P, g_hat.coeffs, N + 1)
+        bad = _vanishing_order(p1g, witness, g_hat.coeffs, N + 1)
         if bad is None:
             bad = _vanishing_order(p2.P, witness, g_hat.coeffs, N + 1)
         if bad is not None:

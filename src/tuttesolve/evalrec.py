@@ -1,4 +1,4 @@
-"""Exact unrolling of P-recurrences and the closed-form test oracle.
+"""Exact unrolling of P-recurrences.
 
 `PRec.terms` iterates term by term with `Fraction`s, because its callers
 need every term.  `unroll` needs one far-out term: it iterates only up to
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 
 from . import polyq
@@ -118,19 +118,3 @@ def unroll(rec, G: int) -> SequenceValue:
     for _, A, a in reversed(stack):
         row, den = _matmul(row, A), den * a
     return SequenceValue(G, Fraction(row[0][0], den))
-
-
-def tutte_closed_form(n: int) -> SequenceValue:
-    """2 * (3n+3)(3n+4)...(4n+1) / (n+1)!  with the empty-product reading.
-
-    n = 0 returns the series' constant term 1; the product is empty at
-    n = 1 (upper limit below lower), giving 2/2! = 1.
-    """
-    if n < 0:
-        raise InvalidIndex(f"closed form needs a nonnegative index, got {n}")
-    if n == 0:
-        return SequenceValue(0, Fraction(1))
-    prod = 1
-    for k in range(3 * n + 3, 4 * n + 2):
-        prod *= k
-    return SequenceValue(n, Fraction(2 * prod, factorial(n + 1)))

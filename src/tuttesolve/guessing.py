@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import InvalidBounds, ZeroPolynomial
 from .mpoly import MPoly, squarefree_primitive
-from .series import QSeries, _frac_lift, _powers, _subs
+from .series import QSeries, _powers
 
 
 class _Fail:
@@ -104,7 +104,11 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
         raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
                                             for j, c in enumerate(row)))
         P = _fix_sign(squarefree_primitive(raw, "f"))
-        # squarefree reduction can weaken a truncated fit; re-verify
-        if not any(_subs(P, {"f": s.coeffs}, L, _frac_lift)):
+        # squarefree reduction can weaken a truncated fit; re-verify on
+        # the power table, which covers P: a factor of the candidate has
+        # no larger f- or x-degree than its shape
+        terms = list(P.items(("f", "x")))
+        if not any(sum(c * pows[i][m - j] for (i, j), c in terms if j <= m)
+                   for m in range(L)):
             return AlgEq(P, s)
     return FAIL

@@ -13,13 +13,13 @@ caller outside the package asks for them, through indexing, iteration or
 ``coeffs``.
 
 All truncated-series arithmetic goes through one kernel that works over
-any exact coefficient ring, ``Fraction``, ``_Loc`` and ``int`` alike:
-``_mul_trunc`` is the truncated product, ``_powers`` a table of powers
-built on it, and ``_subs`` substitutes series into a polynomial.
-``series_eval`` is the public form of ``_subs`` over the localized ring.
+any exact coefficient ring: ``_mul_trunc`` is the truncated product and
+``_powers`` a table of powers built on it, both used over ``Fraction``
+too.  ``_subs`` substitutes series into a polynomial, over ``_Loc`` for
+the expander's rows and over ``int`` for the zero test.
 
-The certification checks do not use the localized ring.
-``_vanishing_order`` clears the witness's denominators into integer
+Every certification check that a polynomial vanishes on a series goes
+through ``_vanishing_order``.  It clears the witness's denominators into integer
 polynomials in y and runs ``_subs`` over ints at the single point
 y = 2^B, where 2^B exceeds a height bound that ``_subs`` itself proves on
 1-norms; an x-coefficient is zero exactly when its value there is.
@@ -324,24 +324,12 @@ class _Loc:
         return f"_Loc({self.to_ratfunc()})"
 
 
-def _loc_subst(psi: SeriesX, g: Sequence[Fraction]) -> tuple[dict, _LocCtx]:
-    """psi and g over the localization of psi, ready for ``_subs``."""
-    ctx = psi.ctx
-    return {"psi": psi.locs, "g": [ctx.from_fraction(c) for c in g]}, ctx
-
-
 # --- the truncated-series kernel ---
 #
-# Coefficients come from any exact ring whose zero is falsy.  A ring is
-# named by its ``lift``, which maps the integer coefficients of a
-# y-polynomial (constant first) into it: ``_frac_lift`` for Fraction,
-# ``ctx.from_ints`` for _Loc, ``_int_lift`` for int.
-
-def _frac_lift(coeffs: list[int]) -> Fraction:
-    if len(coeffs) > 1:
-        raise ValueError("y-dependent coefficient in a series over Q")
-    return Fraction(coeffs[0]) if coeffs else Fraction(0)
-
+# Coefficients come from any exact ring whose zero is falsy.  ``_subs``
+# names its ring by a ``lift``, which maps the integer coefficients of a
+# y-polynomial (constant first) into it: ``ctx.from_ints`` for _Loc,
+# ``_int_lift`` for int.
 
 def _mul_trunc(a: Sequence, b: Sequence, L: int, zero) -> list:
     """The first L coefficients of the product of two series."""
@@ -422,9 +410,10 @@ def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
     H >= |Z_m|_1 for every m < L.  Then to its value at t = 2^B > H: a
     nonzero integer polynomial whose coefficients are all below t in size
     does not vanish at t, so Z_m(t) = 0 exactly when Z_m = 0.  g may be
-    empty, standing for g = 0.
+    empty, standing for g = 0.  A P free of psi ignores the witness: with
+    no locs, r = a = 0 and S = 1, so the test runs on g alone.
     """
-    locs = psi.locs[:L]
+    locs = psi.locs[:L] if P.degree("psi") else ()
     g = g[:L]
     r = max((-(-c.e // k) for k, c in enumerate(locs) if k), default=0)
     a = max([0] + [c.e - r * k for k, c in enumerate(locs)])
@@ -463,14 +452,3 @@ def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
         return v
 
     return next((m for m, v in enumerate(image(at_t)) if v), None)
-
-
-def series_eval(Q: MPoly, psi: SeriesX, g: QSeries, K: int) -> SeriesX:
-    """Truncation to order K in x of Q(psi, g, x, y), exact.
-
-    Both series must carry at least K+1 coefficients.
-    """
-    if psi.order < K or g.order < K:
-        raise ValueError("series truncations shorter than the target order")
-    subst, ctx = _loc_subst(psi, g)
-    return SeriesX._from_locs(ctx, _subs(Q, subst, K + 1, ctx.from_ints))

@@ -70,12 +70,23 @@ def implicit_series(nested, n):
     Requires the constant coefficient of `nested` to vanish and the f^1 x^0
     coefficient to be nonzero, which makes the branch simple: each new
     coefficient is determined linearly by the previous ones.
+
+    The powers f^i are kept as columns grown one coefficient at a time.
+    Since f(0) = 0, [x^k] f^i for i >= 2 needs only f[<k], so step k costs
+    O(deg * k) and the whole series O(deg * n^2).
     """
     c10 = Fraction(nested[1][0])
     assert nested[0][0] == 0 and c10 != 0
     f = [Fraction(0)] * n
+    pows = ([[Fraction(1)] + [Fraction(0)] * (n - 1), f]
+            + [[Fraction(0)] * n for _ in nested[2:]])
     for k in range(1, n):
-        val = poly_eval_series(nested, f, k + 1)[k]
+        for i in range(2, len(nested)):
+            prev = pows[i - 1]
+            pows[i][k] = sum(f[t] * prev[k - t] for t in range(1, k))
+        val = sum(c * pows[i][k - j]
+                  for i, row in enumerate(nested) for j, c in enumerate(row)
+                  if c and j <= k and (i, j) != (1, 0))
         f[k] = -val / c10
     return f
 

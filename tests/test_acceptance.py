@@ -26,7 +26,7 @@ import tuttesolve
 from tuttesolve import (ABSENT, FAIL, AlgEq, MPoly, PipelineConfig, PRec,
                         QSeries, algeq_to_ode, certify, guess_algeq,
                         ode_to_rec, parse_report, render_report, run_pipeline,
-                        tutte_closed_form, unroll)
+                        unroll)
 from tuttesolve.errors import (AmbiguousBranch, PipelineError, PoleAtYZero)
 
 from . import _frozen, _oracle
@@ -70,7 +70,7 @@ def test_criterion_1_cli_tutte_end_to_end():
     rec = rep.minimized if isinstance(rep.minimized, PRec) else rep.recurrence
     got = rec.terms(201)
     for n in range(1, 201):
-        want = tutte_closed_form(n).value
+        want = _oracle.counting_term(n)
         assert got[n] == want and got[n].denominator == 1
     assert elapsed <= 60.0, f"took {elapsed:.1f}s"
 
@@ -114,10 +114,10 @@ def test_no_assert_statements_in_the_package():
 def test_criterion_2_thousandth_coefficient_exact(tutte_report):
     start = time.monotonic()
     got = unroll(tutte_report.minimized, 1000)
-    want = tutte_closed_form(1000)
+    want = _oracle.counting_term(1000)
     elapsed = time.monotonic() - start
-    assert got.value == want.value
-    assert got.is_integer and got.digits == want.digits
+    assert got.value == want
+    assert got.is_integer and got.digits == 969
     assert elapsed <= 10.0, f"took {elapsed:.1f}s"
 
 

@@ -77,6 +77,20 @@ class TestFailure:
             guess_algeq(s, 1, 1, margin=3)
 
 
+class TestTableCheck:
+    def test_squarefree_part_short_of_the_last_order_is_rejected(self):
+        # Catalan with its last coefficient moved: x*A fits every order,
+        # for A the Catalan equation, but its squarefree primitive part A
+        # fits to order L - 2 only, so the guesser must not return it
+        L = 16
+        s = [F(_oracle.catalan(n)) for n in range(L)]
+        s[-1] += 1
+        vals = _oracle.poly_eval_series([[1], [-1], [0, 1]], s, L)
+        assert not any(vals[:L - 1]) and vals[L - 1]
+        assert annihilates(x**2 * f**2 - x * f + x, s)
+        assert guess_algeq(QSeries(s), 2, 2) is FAIL
+
+
 class TestInvariances:
     def test_soundness_annihilation(self):
         s = [_oracle.counting_term(n) for n in range(26)]

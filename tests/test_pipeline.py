@@ -48,6 +48,20 @@ class TestGoldenRuns:
         assert rep.value.value == _oracle.counting_term(1000)
         assert rep.value.digits == 969
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the certificate does not show that the defect's "
+        "psi~ is regular at y = 0, so a p1 that leaves g at order 25 is "
+        "proven"))
+    def test_sparse_walk_is_not_proven_wrong(self):
+        # steps {-1, +4}: the excursion series is sparse, and a degree-2 p1
+        # fits its 25 guessed coefficients but not the 26th
+        steps = (-1, 4)
+        rep = run_pipeline(PipelineConfig(_oracle.walk_equation(steps),
+                                          eval_at=30))
+        want = _oracle.walk_counts(steps, 30, 0)[30][0]
+        assert want == 23751
+        assert not rep.proven or rep.value.value == want
+
 
 class TestStageAttribution:
     def test_ambiguous_branch_stops_well_posedness(self):

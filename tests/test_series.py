@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttesolve import (MPoly, QSeries, SeriesX, expand_series, parse_equation,
-                        series_eval, specialize_y0)
+                        specialize_y0)
 from tuttesolve.errors import PoleAtYZero
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
-from tuttesolve.series import (_frac_lift, _loc_subst, _subs,
-                               _vanishing_order)
+from tuttesolve.series import _subs, _vanishing_order
 
 from . import _oracle
 
@@ -46,35 +46,39 @@ def test_seriesx_accessors():
     assert s.prefix(1).coeffs == (RATFUNC_ONE, Y)
 
 
+def loc_subs(P, s, g, L):
+    """The first L x-coefficients of P(s, g, x, y), over the _Loc ring."""
+    ctx = s.ctx
+    subst = {"psi": s.locs, "g": [ctx.from_fraction(c) for c in g]}
+    return _subs(P, subst, L, ctx.from_ints)
+
+
+def frac_lift(coeffs):
+    # y-free polynomials only
+    return F(coeffs[0]) if coeffs else F(0)
+
+
 def test_series_eval_small_case():
-    # Q = psi*g + x*y at psi = 1 + y*x, g = 1 + 2x
+    # Q = psi*g + x*y at psi = 1 + y*x, g = 1 + 2x, over the _Loc ring
     Q = psi * g + x * y
     sx = SeriesX([RATFUNC_ONE, Y])
-    gs = QSeries([1, 2])
-    out = series_eval(Q, sx, gs, 1)
-    assert out[0] == RATFUNC_ONE
+    out = loc_subs(Q, sx, [F(1), F(2)], 2)
+    assert out[0].to_ratfunc() == RATFUNC_ONE
     # order 1: psi0*g1 + psi1*g0 + y = 2 + y + y
-    assert out[1] == RatFunc([F(2), F(2)])
+    assert out[1].to_ratfunc() == RatFunc([F(2), F(2)])
 
 
 def test_series_eval_matches_independent_convolution():
     # Q = psi^2 - g with psi = sum (1+y)^n x^n-ish data, g its y=0 line
     coeffs = [RatFunc([F(1), F(n)]) for n in range(6)]
     sx = SeriesX(coeffs)
-    gs = QSeries([c.eval0() for c in coeffs])
-    out = series_eval(psi ** 2 - g, sx, gs, 5)
+    out = loc_subs(psi ** 2 - g, sx, [c.eval0() for c in coeffs], 6)
     # independent check at y = 0: (sum x^n)^2 - same = square - line
     a = [F(1)] * 6
     sq = _oracle.ser_mul(a, a, 6)
     for k in range(6):
         got = out[k].eval0()
         assert got == sq[k] - a[k]
-
-
-def test_series_eval_requires_enough_terms():
-    sx = SeriesX([RATFUNC_ONE])
-    with pytest.raises(ValueError):
-        series_eval(psi, sx, QSeries([1]), 3)
 
 
 # --- the kernel against the oracle, in both coefficient rings ---
@@ -86,8 +90,9 @@ small = st.integers(-3, 3)
 
 
 @st.composite
-def polys(draw, y_free=False):
-    exps = [e for e in EXPS if not (y_free and e[3])]
+def polys(draw, y_free=False, psi_free=False):
+    exps = [e for e in EXPS
+            if not (y_free and e[3]) and not (psi_free and e[0])]
     P = MPoly.zero()
     for a, b, j, l in draw(st.lists(st.sampled_from(exps), min_size=1,
                                     max_size=6)):
@@ -118,12 +123,12 @@ def _oracle_terms(P: MPoly) -> dict:
 @settings(max_examples=60, deadline=None)
 def test_localized_kernel_matches_oracle_at_points(P, data):
     sx, gl = data
-    gs = QSeries(gl)
-    K = sx.order
-    out = series_eval(P, sx, gs, K)
+    gs = [F(c) for c in gl]
+    L = len(sx)
+    out = [c.to_ratfunc() for c in loc_subs(P, sx, gs, L)]
     for y0 in Y0S:
         at = [c.evaluate(y0) for c in sx]
-        want = _oracle.subs_at(_oracle_terms(P), at, list(gs), y0, K + 1)
+        want = _oracle.subs_at(_oracle_terms(P), at, gs, y0, L)
         assert [c.evaluate(y0) for c in out] == want
 
 
@@ -134,7 +139,7 @@ def test_localized_kernel_matches_oracle_at_points(P, data):
 def test_rational_kernel_matches_oracle(P, data):
     ps, gl = data
     L = len(ps)
-    got = _subs(P, {"psi": ps, "g": gl}, L, _frac_lift)
+    got = _subs(P, {"psi": ps, "g": gl}, L, frac_lift)
     assert got == _oracle.subs_at(_oracle_terms(P), ps, gl, 0, L)
 
 
@@ -153,19 +158,15 @@ def test_expanded_and_constructed_series_agree(ups, K):
     assert ([c.y_prefix(4) for c in sx.locs]
             == [c.y_prefix(4) for c in rf.locs])
     for s in (sx, rf):
-        subst, ctx = _loc_subst(s, g)
-        assert not any(_subs(eq.Q, subst, K + 1, ctx.from_ints))
+        assert not any(loc_subs(eq.Q, s, g, K + 1))
         assert _vanishing_order(eq.Q, s, g.coeffs, K + 1) is None
-    assert series_eval(eq.Q, sx, g, K).is_zero
 
 
 # --- the exact zero test over the integers against the _Loc reference ---
 
 def _loc_order(P, s, g, L):
     """First nonzero x-order below L, over the _Loc ring."""
-    subst, ctx = _loc_subst(s, g)
-    return next((m for m, v in enumerate(_subs(P, subst, L, ctx.from_ints))
-                 if v), None)
+    return next((m for m, v in enumerate(loc_subs(P, s, g, L)) if v), None)
 
 
 # equations free of g; the last two localize at a D with D(0) != 0 and
@@ -220,6 +221,43 @@ def test_vanishing_order_matches_loc_reference_on_random_data(P, data):
     s, g = data
     for L in range(len(s) + 1):
         assert _vanishing_order(P, s, g, L) == _loc_order(P, s, g, L)
+
+
+def _frac_order(P, g, L):
+    """First nonzero x-order below L of a psi-free P at g, over Fraction."""
+    by_y: dict[int, dict] = {}
+    for (_, b, j, l), c in _oracle_terms(P).items():
+        by_y.setdefault(l, {})[(0, b, j, 0)] = c
+    cols = [_oracle.subs_at(t, [], g, 0, L) for t in by_y.values()]
+    return next((m for m in range(L) if any(col[m] for col in cols)), None)
+
+
+rationals = st.fractions(-3, 3, max_denominator=4)
+
+
+@given(polys(psi_free=True), st.integers(1, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vanishing_order_of_a_psi_free_polynomial(P, n, more):
+    # the shape of certify's p1 checks: P in (g, x, y) at a rational g,
+    # with a witness passed along that P does not read
+    s = more.draw(loc_series(n, rationals))
+    g = more.draw(st.lists(rationals, min_size=n, max_size=n))
+    # at least one entry negative and not an integer
+    g[more.draw(st.integers(0, n - 1))] = more.draw(
+        st.sampled_from((F(-1, 2), F(-4, 3), F(-3, 4))))
+    for L in range(n + 1):
+        assert _vanishing_order(P, s, g, L) == _frac_order(P, g, L)
+    # d*(G(x) - g) vanishes to order n, for G the polynomial of g; a
+    # planted c*x^m*y^l on a multiple of it is the first thing left
+    d = math.lcm(*(c.denominator for c in g))
+    G = sum((MPoly.monomial(int(d * c), x=k) for k, c in enumerate(g) if c),
+            MPoly.zero())
+    Z = (G - MPoly.const(d) * MPoly.var("g")) * more.draw(polys(psi_free=True))
+    assert _vanishing_order(Z, s, g, n) is None
+    m = more.draw(st.integers(0, n - 1))
+    Z = Z + MPoly.monomial(more.draw(small.filter(bool)), x=m,
+                           y=more.draw(st.integers(0, 3)))
+    assert _vanishing_order(Z, s, g, n) == _frac_order(Z, g, n) == m
 
 
 @pytest.mark.parametrize("s", [2, 64])
