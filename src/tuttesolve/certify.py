@@ -97,13 +97,20 @@ def _vouched(p2: BivarAlgEq) -> bool:
     return P is p2.P and branch is p2.branch
 
 
+#: Integer coefficients wider than this are not factored for the split
+#: below: the trial divisors need the divisors of both, and factoring a
+#: large composite does not finish in useful time.
+_SPLIT_BITS = 64
+
+
 def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
     """Split off visible factors  c2*m2*psi + c1*m1  by trial division.
 
     m1, m2 are monomials in x, y.  Returns (factors, remaining cofactor).
     Only attempted while the leading and trailing psi-coefficients are
-    single monomials, the shape this shortcut is meant for; anything
-    subtler is left whole, which is always sound.
+    single monomials with integer coefficients of at most _SPLIT_BITS
+    bits, the shape this shortcut is meant for; anything else is left
+    whole, which is always sound.
     """
     found: list[MPoly] = []
     work = P
@@ -116,6 +123,8 @@ def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
             break
         ((tx, ty), tc), = trail.items(("x", "y"))
         ((lx, ly), lc), = lead.items(("x", "y"))
+        if max(abs(lc), abs(tc)).bit_length() > _SPLIT_BITS:
+            break
         heads = [MPoly.monomial(c, psi=1, x=a, y=b) for c, a, b in product(
             polyq.int_divisors(abs(lc)), range(lx + 1), range(ly + 1))]
         tails = [MPoly.monomial(c, x=a, y=b) for c, a, b in product(

@@ -1,17 +1,19 @@
 """Guess an exact algebraic equation P(f, x) = 0 from series coefficients.
 
-The fit is exact rational linear algebra over every available coefficient,
-so a returned equation annihilates the whole input prefix by construction.
+The fit is exact linear algebra over every available coefficient, posed
+over the integers: the series is put over one common denominator d, and
+the table of powers of d*s it reads is integer.  A returned equation
+annihilates the whole input prefix by construction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from . import linalg
 from .errors import InvalidBounds, ZeroPolynomial
 from .mpoly import MPoly, squarefree_primitive
-from .series import QSeries, _powers
+from .series import QSeries, _mul_trunc
 
 
 class _Fail:
@@ -90,12 +92,18 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
             f"need maxDegF >= 1, maxDegX >= 0, margin >= 4; got ({maxDegF}, {maxDegX}, {margin})"
         )
     L = len(s)
-    pows = _powers(s.coeffs, maxDegF, L, Fraction(1), Fraction(0))
+    d = math.lcm(*(c.denominator for c in s.coeffs))
+    base = [c.numerator * (d // c.denominator) for c in s.coeffs]
+    pows = [[1] + [0] * (L - 1)]          # pows[i] = (d*s)^i mod x^L, built on demand
     shapes = ((dF, dX) for dF in range(1, maxDegF + 1)
               for dX in range(maxDegX + 1) if (dF + 1) * (dX + 1) + margin <= L)
 
-    def rows_of(dF: int, dX: int) -> list[list[Fraction]]:
-        return [[pows[i][m - j] if m >= j else Fraction(0)
+    def rows_of(dF: int, dX: int) -> list[list[int]]:
+        # d^dF times the matrix of s^i x^j: the same kernel, over Z
+        while len(pows) <= dF:
+            pows.append(_mul_trunc(pows[-1], base, L, 0))
+        scaled = [[c * d ** (dF - i) for c in pows[i]] for i in range(dF + 1)]
+        return [[scaled[i][m - j] if m >= j else 0
                  for i in range(dF + 1) for j in range(dX + 1)]
                 for m in range(L)]
 
@@ -106,9 +114,11 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
         P = _fix_sign(squarefree_primitive(raw, "f"))
         # squarefree reduction can weaken a truncated fit; re-verify on
         # the power table, which covers P: a factor of the candidate has
-        # no larger f- or x-degree than its shape
-        terms = list(P.items(("f", "x")))
-        if not any(sum(c * pows[i][m - j] for (i, j), c in terms if j <= m)
+        # no larger f- or x-degree than its shape.  The sum is d^degF(P)
+        # times P(s, x)'s x^m coefficient.
+        top = P.degree("f")
+        terms = [(i, j, c * d ** (top - i)) for (i, j), c in P.items(("f", "x"))]
+        if not any(sum(c * pows[i][m - j] for i, j, c in terms if j <= m)
                    for m in range(L)):
             return AlgEq(P, s)
     return FAIL

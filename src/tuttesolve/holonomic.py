@@ -384,14 +384,17 @@ def minimize_rec(r: PRec, data: QSeries, maxC: int):
     """Smallest certified recurrence with order+degree <= maxC, or ABSENT.
 
     Shapes are tried by order+degree, then by order; within a shape,
-    `linalg.relations` orders the candidates.  Certification is exact
-    agreement with the proven recurrence r on a window long enough to
-    pass every singular index of both.
+    `linalg.relations` orders the candidates.  The rows are integer: the
+    data are put over one common denominator, which scales each row and
+    leaves the kernel as it is.  Certification is exact agreement with
+    the proven recurrence r on a window long enough to pass every
+    singular index of both.
     """
     shapes = ((sp, c - sp) for c in range(1, maxC + 1) for sp in range(1, c + 1))
-    data_vals = list(data.coeffs)
+    den = math.lcm(*(c.denominator for c in data.coeffs))
+    data_vals = [c.numerator * (den // c.denominator) for c in data.coeffs]
 
-    def rows_of(sp: int, dp: int) -> list[list[Fraction]]:
+    def rows_of(sp: int, dp: int) -> list[list[int]]:
         rows_avail = len(data_vals) - sp
         if rows_avail < (sp + 1) * (dp + 1) + 2:
             raise InsufficientData("data too short to fit the complexity grid")

@@ -13,10 +13,12 @@ caller outside the package asks for them, through indexing, iteration or
 ``coeffs``.
 
 All truncated-series arithmetic goes through one kernel that works over
-any exact coefficient ring: ``_mul_trunc`` is the truncated product and
-``_powers`` a table of powers built on it, both used over ``Fraction``
-too.  ``_subs`` substitutes series into a polynomial, over ``_Loc`` for
-the expander's rows and over ``int`` for the zero test.
+any exact coefficient ring: ``_mul_trunc`` is the truncated product, over
+``int`` for the guesser's power table and over ``Fraction`` for the ODE
+check and the Newton lift of the well-posedness branch search.
+``_powers`` is the table of powers built on it that ``_subs`` reads.
+``_subs`` substitutes series into a polynomial, over ``_Loc`` for the
+expander's rows and over ``int`` for the zero test.
 
 Every certification check that a polynomial vanishes on a series goes
 through ``_vanishing_order``.  It clears the witness's denominators into integer

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify,
                         defect_annihilator, eliminate_g, expand_series,
-                        guess_algeq, parse_equation, specialize_y0,
-                        vanishing_bound)
+                        guess_algeq, parse_equation, polyq,
+                        specialize_y0, vanishing_bound)
 from tuttesolve.certify import BivarAlgEq
 from tuttesolve.errors import (AmbiguousBranch, InvalidElimination,
                                NoVanishingFactor, ResultantVanishes,
@@ -112,6 +112,17 @@ class TestEliminateG:
         witness = SeriesX([RatFunc.const(0), rf(1)] + [RatFunc.const(0)] * 6)
         p2 = eliminate_g(eq, p1, witness)
         assert p2.P == (psi - x).normalized()
+
+    def test_wide_coefficients_are_not_factored(self, monkeypatch):
+        # a 5,000-digit lead coefficient is left whole: factoring it for
+        # the trial divisors would not finish
+        def no_factoring(n):
+            raise AssertionError("factored a wide coefficient")
+
+        monkeypatch.setattr(polyq, "factorize", no_factoring)
+        big = MPoly.const(10**5000 - 1)      # 5,000 nines
+        P = big * x * psi**2 - psi + one
+        assert certify_mod._monomial_linear_factors(P) == ([], P)
 
     def test_no_factor_vanishes(self):
         eq = parse_equation("g + (psi - x)*(psi + 1)")

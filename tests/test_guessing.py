@@ -6,9 +6,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tuttesolve import FAIL, MPoly, QSeries, guess_algeq
+from tuttesolve import FAIL, MPoly, QSeries, guess_algeq, linalg
 from tuttesolve.errors import InvalidBounds
+from tuttesolve.guessing import _fix_sign
+from tuttesolve.mpoly import squarefree_primitive
+from tuttesolve.series import _powers
 
 from . import _oracle
 
@@ -115,3 +120,94 @@ class TestInvariances:
         # substituting f -> c*f into the scaled equation recovers the plain one
         back = _oracle.subs_poly(scaled.P, {"f": MPoly.const(c) * f})
         assert back.normalized() == plain.P.normalized()
+
+
+def fraction_table_guess(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
+    """The reference guesser: the same search on a Fraction power table of
+    s itself, with the squarefree step and the re-verify.  Returns P or
+    FAIL."""
+    L = len(s)
+    pows = _powers(s.coeffs, maxDegF, L, F(1), F(0))
+    shapes = ((dF, dX) for dF in range(1, maxDegF + 1)
+              for dX in range(maxDegX + 1) if (dF + 1) * (dX + 1) + margin <= L)
+
+    def rows_of(dF, dX):
+        return [[pows[i][m - j] if m >= j else F(0)
+                 for i in range(dF + 1) for j in range(dX + 1)]
+                for m in range(L)]
+
+    for grid in linalg.relations(shapes, rows_of):
+        raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
+                                            for j, c in enumerate(row)))
+        P = _fix_sign(squarefree_primitive(raw, "f"))
+        terms = list(P.items(("f", "x")))
+        if not any(sum(c * pows[i][m - j] for (i, j), c in terms if j <= m)
+                   for m in range(L)):
+            return P
+    return FAIL
+
+
+ALGEBRAIC = [lambda n: [F(_oracle.catalan(k)) for k in range(n)],
+             lambda n: [F(_oracle.motzkin(k)) for k in range(n)],
+             lambda n: [F(_oracle.planar_maps(k)) for k in range(n)],
+             _oracle.sqrt_one_minus_x,
+             lambda n: [_oracle.counting_term(k) for k in range(n)]]
+
+
+@st.composite
+def guess_inputs(draw):
+    """(series, maxDegF, maxDegX, margin): a random series with a common
+    denominator up to 10^6, a known algebraic series scaled by 1/c, or
+    the series root of a random equation within the bounds, scaled by 1/c."""
+    dF, dX = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    L = draw(st.integers(8, 30))
+    kind = draw(st.sampled_from(["random", "known", "implicit", "implicit"]))
+    if kind == "random":
+        den = draw(st.integers(1, 10**6))
+        s = [F(a, den) for a in draw(st.lists(st.integers(-1000, 1000),
+                                              min_size=L, max_size=L))]
+    else:
+        if kind == "known":
+            s = draw(st.sampled_from(ALGEBRAIC))(L)
+        else:
+            row = st.lists(st.integers(-3, 3), min_size=1, max_size=dX + 1)
+            nested = draw(st.lists(row, min_size=2, max_size=dF + 1))
+            nested[0][0] = 0
+            nested[1][0] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            s = _oracle.implicit_series(nested, L)
+        c = draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, -1]))
+        s = [t / c for t in s]
+    return QSeries(s), dF, dX, draw(st.integers(4, 8))
+
+
+class TestIntegerTable:
+    @given(guess_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_same_equation_as_the_fraction_table(self, args):
+        want = fraction_table_guess(*args)
+        got = guess_algeq(*args)
+        assert (got is FAIL) == (want is FAIL)
+        if got is not FAIL:
+            assert got.P == want
+
+    def test_denominator_divisible_by_the_rank_prime(self, monkeypatch):
+        # over one common denominator divisible by _P every matrix is zero
+        # mod _P, so no shape is proven kernel-free and each one takes the
+        # exact kernel
+        proven = []
+        real = linalg._full_column_rank_mod_p
+
+        def spy(rows):
+            proven.append(real(rows))
+            return proven[-1]
+
+        monkeypatch.setattr(linalg, "_full_column_rank_mod_p", spy)
+        s = QSeries([F(_oracle.catalan(n), linalg._P) for n in range(14)])
+        got = guess_algeq(s, 2, 1)
+        assert proven and not any(proven)
+        want = fraction_table_guess(s, 2, 1)
+        assert want is not FAIL and got.P == want
+        # C = _P f satisfies x C^2 - C + 1 = 0
+        p = MPoly.const(linalg._P)
+        want_P = x * p**2 * f**2 - p * f + MPoly.const(1)
+        assert got.P.normalized() == want_P.normalized()

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from tuttesolve import (ABSENT, AlgEq, LinODE, MPoly, PRec, QSeries,
-                        algeq_to_ode, minimize_rec, ode_to_rec)
+                        algeq_to_ode, linalg, minimize_rec, ode_to_rec, polyq)
 from tuttesolve.errors import InsufficientData, NonSquarefree, SelfCheckFailed
 from tuttesolve.holonomic import _check_ode
 
@@ -138,3 +139,45 @@ class TestMinimize:
         rec = ode_to_rec(algeq_to_ode(catalan_eq()))
         with pytest.raises(InsufficientData):
             minimize_rec(rec, QSeries([F(1), F(1)]), 6)
+
+    @pytest.mark.parametrize("scale", [F(1), F(1, linalg._P)],
+                             ids=["plain", "rank-prime"])
+    def test_fraction_data(self, scale):
+        # a_n = C(2n, n) / 4^n, the coefficients of (1 - x)^(-1/2); over
+        # the denominator _P no shape is kernel-free mod _P
+        base = [F(comb(2 * n, n), 4**n) for n in range(64)]
+        p1 = AlgEq((one - x) * f**2 - one, QSeries(base[:12]))
+        full = ode_to_rec(algeq_to_ode(p1))
+        # a recurrence is linear and homogeneous: scaled initials, scaled terms
+        rec = PRec(full.coeffs, [scale * v for v in full.initials])
+        terms = [scale * t for t in base]
+        data = QSeries(terms)
+        small = minimize_rec(rec, data, 2)
+        # 2(n+1) a_(n+1) - (2n+1) a_n = 0
+        assert small.coeffs == ((-1, -2), (2, 2))
+        assert small == fraction_rows_minimize(rec, data, 2)
+        assert small.terms(64) == terms
+
+
+def fraction_rows_minimize(r: PRec, data: QSeries, maxC: int):
+    """The reference minimizer: the same search on rows of the Fraction
+    data themselves."""
+    shapes = ((sp, c - sp) for c in range(1, maxC + 1) for sp in range(1, c + 1))
+    vals = list(data.coeffs)
+
+    def rows_of(sp, dp):
+        return [[n ** e * vals[n + t] for t in range(sp + 1) for e in range(dp + 1)]
+                for n in range(len(vals) - sp)]
+
+    roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
+    for qs in linalg.relations(shapes, rows_of):
+        if len(qs) < 2:
+            continue
+        roots_c = [u for u in polyq.integer_roots(qs[-1]) if u >= 0]
+        Lstar = len(r.initials) + max(roots_c + roots_r + [-1]) + r.order + len(qs) + 7
+        ref = r.terms(Lstar)
+        need_c = len(qs) + (max(roots_c) if roots_c else -1)
+        cand = PRec(qs, ref[:need_c])
+        if cand.terms(Lstar) == ref:
+            return cand
+    return ABSENT
