@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import product
 
 from . import polyq
 from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
@@ -97,39 +96,44 @@ def _vouched(p2: BivarAlgEq) -> bool:
     return P is p2.P and branch is p2.branch
 
 
-#: Integer coefficients wider than this are not factored for the split
-#: below: the trial divisors need the divisors of both, and factoring a
-#: large composite does not finish in useful time.
-_SPLIT_BITS = 64
-
-
 def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
-    """Split off visible factors  c2*m2*psi + c1*m1  by trial division.
+    """Split off visible factors  v*m2*psi - u*m1  by trial division.
 
-    m1, m2 are monomials in x, y.  Returns (factors, remaining cofactor).
-    Only attempted while the leading and trailing psi-coefficients are
-    single monomials with integer coefficients of at most _SPLIT_BITS
-    bits, the shape this shortcut is meant for; anything else is left
-    whole, which is always sound.
+    m1, m2 are coprime monomials in x, y.  Returns (factors, remaining
+    cofactor).  Only attempted while the leading and trailing
+    psi-coefficients are single monomials, the shape this shortcut is meant
+    for; anything else is left whole, which is always sound.
+
+    The root psi = (u/v)*x^a*y^b of such a factor has a shift (a, b) in
+    [-lx, tx] x [-ly, ty], from the lead and trail monomials.  Under it the
+    terms that land on the lead term's monomial sum to a polynomial E(r),
+    and u/v is a nonzero rational root of E.  A term c*psi^k*x^i*y^j lands
+    there for the one shift ((i-lx)/(d-k), (j-ly)/(d-k)), if integral.
     """
     found: list[MPoly] = []
     work = P
     progress = True
     while progress and work.degree("psi") >= 2:
         progress = False
+        d = work.degree("psi")
         trail = work.coeff_of("psi", 0)
-        lead = work.coeff_of("psi", work.degree("psi"))
+        lead = work.coeff_of("psi", d)
         if len(trail.terms) != 1 or len(lead.terms) != 1:
             break
-        ((tx, ty), tc), = trail.items(("x", "y"))
+        ((tx, ty), _), = trail.items(("x", "y"))
         ((lx, ly), lc), = lead.items(("x", "y"))
-        if max(abs(lc), abs(tc)).bit_length() > _SPLIT_BITS:
-            break
-        heads = [MPoly.monomial(c, psi=1, x=a, y=b) for c, a, b in product(
-            polyq.int_divisors(abs(lc)), range(lx + 1), range(ly + 1))]
-        tails = [MPoly.monomial(c, x=a, y=b) for c, a, b in product(
-            polyq.int_divisors(abs(tc)), range(tx + 1), range(ty + 1))]
-        cands = [cand for h in heads for m in tails for cand in (h + m, h - m)]
+        E: dict[tuple[int, int], list[int]] = {}
+        for (k, i, j), c in work.items(("psi", "x", "y")):
+            if k == d:
+                continue  # the lead term itself
+            (a, ra), (b, rb) = divmod(i - lx, d - k), divmod(j - ly, d - k)
+            if not ra and not rb and -lx <= a <= tx and -ly <= b <= ty:
+                E.setdefault((a, b), [0] * d + [lc])[k] += c
+        cands = [MPoly.monomial(r.denominator, psi=1,
+                                x=max(0, -a), y=max(0, -b))
+                 - MPoly.monomial(r.numerator, x=max(0, a), y=max(0, b))
+                 for (a, b), e in sorted(E.items())
+                 for r in polyq.rational_roots(e) if r]
         for cand in cands:
             q = work.try_divexact(cand)
             if q is not None:

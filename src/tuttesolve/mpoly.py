@@ -10,15 +10,14 @@ next field.  The layout is private to this module; other code reads
 exponents through ``MPoly.items(names)`` and builds from them through
 ``MPoly.from_items(names, pairs)``.
 
-Elimination is the performance-critical piece.  ``resultant`` runs a
-subresultant polynomial remainder sequence on the packed terms, and
-``resultant_sylvester`` is an independent fraction-free determinant route
-kept for cross-checking the PRS on small inputs.  ``gcd_mpoly`` runs a
-recursive primitive remainder sequence through the same pseudo-remainder,
-``_p_prem``, after one specialization test (``_constant_gcd_certified``)
-that proves most gcds constant without it.  ``squarefree_primitive`` is a
-content gcd and one ``gcd_mpoly(A, dA/dv)``, so that test is also its
-squarefree test.
+Elimination is the performance-critical piece.  ``resultant`` reduces the
+higher-degree argument by one pseudo-remainder, ``_p_prem``, and takes the
+Sylvester determinant of what is left by fraction-free elimination on the
+packed terms (``_p_det``).  ``gcd_mpoly`` runs a recursive primitive
+remainder sequence through the same pseudo-remainder after one
+specialization test (``_constant_gcd_certified``) that proves most gcds
+constant without it.  ``squarefree_primitive`` is a content gcd and one
+``gcd_mpoly(A, dA/dv)``, so that test is also its squarefree test.
 """
 
 from __future__ import annotations
@@ -440,7 +439,7 @@ def _p_try_divexact(a: dict, d: dict) -> dict | None:
 def _p_divexact(a: dict, d: dict) -> dict:
     q = _p_try_divexact(a, d)
     if q is None:
-        raise ArithmeticError("inexact division inside the PRS")
+        raise ArithmeticError("inexact division in an exact elimination")
     return q
 
 
@@ -466,104 +465,72 @@ def _p_prem(A: list[dict], B: list[dict]) -> list[dict]:
     return R
 
 
-def _p_resultant(A: list[dict], B: list[dict]) -> dict:
-    """Subresultant PRS resultant of packed dense coefficient lists."""
-    sign = 1
-    dA, dB = len(A) - 1, len(B) - 1
-    if dA < dB:
-        A, B = B, A
-        if (dA * dB) % 2:
-            sign = -sign
-        dA, dB = dB, dA
-    one = {0: 1}
-    g, h = one, one
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if (dA * dB) % 2:
-            sign = -sign
-        R = _p_prem(A, B)
-        if not R:
-            return {}
-        div = _p_mul(g, _p_pow(h, delta)) if delta else g
-        R = [_p_divexact(c, div) for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _p_divexact(_p_pow(g, delta), _p_pow(h, delta - 1))
-        if len(B) - 1 == 0:
-            dAp = len(A) - 1
-            lb = B[0]
-            if dAp == 0:
-                res = one
-            elif dAp == 1:
-                res = lb
-            else:
-                res = _p_divexact(_p_pow(lb, dAp), _p_pow(h, dAp - 1))
-            if sign == -1:
-                res = {m: -c for m, c in res.items()}
-            return res
+def _p_det(M: list[list[dict]]) -> dict:
+    """Determinant of a square matrix of packed polynomials, in place.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each entry
+    stays a minor of the matrix, so every division by the previous pivot is
+    exact.  A zero pivot swaps in a lower row.
+    """
+    n = len(M)
+    neg = False
+    prev = {0: 1}
+    for k in range(n - 1):
+        if not M[k][k]:
+            r = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if r is None:
+                return {}
+            M[k], M[r] = M[r], M[k]
+            neg = not neg
+        piv, top = M[k][k], M[k]
+        for row in M[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                num = _p_mul(row[j], piv)
+                if lead and top[j]:
+                    _p_submul(num, lead, top[j])
+                row[j] = _p_divexact(num, prev) if k else num
+        prev = piv
+    det = M[-1][-1]
+    return {m: -c for m, c in det.items()} if neg else det
 
 
 def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
-    """Resultant of A and B with respect to v, exact.
+    """Resultant of A and B with respect to v, exact, with the sign of the
+    Sylvester determinant.
 
-    Subresultant PRS on packed monomials; agrees with the Sylvester
-    determinant including sign.
+    With deg A >= deg B (else swapped), one pseudo-remainder
+    R = lc(B)^(dA-dB+1) * A mod B gives Res(B, A) = lc(B)^e * Res(B, R),
+    e = dA - dR - (dA-dB+1)*dB <= 0, and Res(B, R) is R^dB for a constant
+    R and otherwise the determinant of the (dB+dR)-square Sylvester matrix.
     """
     dA, dB = A.degree(v), B.degree(v)
     if dA <= 0 or dB <= 0:
         raise InvalidElimination(
             f"resultant in {v} needs positive degree, got {dA} and {dB}")
-    return MPoly(_p_resultant([c.terms for c in A.as_univariate(v)],
-                              [c.terms for c in B.as_univariate(v)]))
-
-
-def resultant_sylvester(A: MPoly, B: MPoly, v: str) -> MPoly:
-    """Resultant via Bareiss fraction-free elimination of the Sylvester matrix.
-
-    Independent of the PRS route; intended for cross-checks at small degree.
-    """
-    dA, dB = A.degree(v), B.degree(v)
-    if dA <= 0 or dB <= 0:
-        raise InvalidElimination(
-            f"resultant in {v} needs positive degree, got {dA} and {dB}")
-    a = A.as_univariate(v)
-    b = B.as_univariate(v)
-    n = dA + dB
-    M: list[list[MPoly]] = []
-    for i in range(dB):
-        row = [MPoly.zero()] * n
-        for k, c in enumerate(reversed(a)):
-            row[i + k] = c
-        M.append(row)
-    for i in range(dA):
-        row = [MPoly.zero()] * n
-        for k, c in enumerate(reversed(b)):
-            row[i + k] = c
-        M.append(row)
-    sign = 1
-    prev = MPoly.const(1)
-    for k in range(n - 1):
-        if M[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero()
-        piv = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * piv - M[i][k] * M[k][j]
-                M[i][j] = num.divexact(prev)
-            M[i][k] = MPoly.zero()
-        prev = piv
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
+    a = [c.terms for c in A.as_univariate(v)]
+    b = [c.terms for c in B.as_univariate(v)]
+    # Res(A, B) = (-1)^(dA*dB) Res(B, A), and Res(B, A) is what is computed;
+    # B's coefficients fill dR rows, so at equal degrees the smaller is B
+    neg = dA * dB % 2 == 1
+    if (dA, len(A.terms)) < (dB, len(B.terms)):
+        a, b, dA, dB, neg = b, a, dB, dA, False
+    r = _p_prem(a, b)
+    if not r:
+        return MPoly.zero()
+    dR = len(r) - 1
+    if dR == 0:
+        res = _p_pow(r[0], dB)
+    else:
+        n = dB + dR
+        res = _p_det([[{}] * i + b[::-1] + [{}] * (n - dB - 1 - i)
+                      for i in range(dR)]
+                     + [[{}] * i + r[::-1] + [{}] * (n - dR - 1 - i)
+                        for i in range(dB)])
+    e = dA - dR - (dA - dB + 1) * dB
+    if e:
+        res = _p_divexact(res, _p_pow(b[-1], -e))
+    return _new({m: -c for m, c in res.items()} if neg else res)
 
 
 # --- multivariate gcd (recursive primitive PRS with a coprimality fast path) ---

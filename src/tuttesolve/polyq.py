@@ -13,8 +13,8 @@ content, primitive-part, gcd and exact-quotient helpers (``icontent``,
 lists only.
 
 Also here: :class:`RatFunc`, the canonical rational function in one
-variable used as the coefficient domain of bivariate series, the
-number-theoretic helpers (divisors, rational roots, Pade reconstruction)
+variable used as the coefficient domain of bivariate series, the rational
+roots (found p-adically, with no integer factored) and Pade reconstruction
 needed by the series-branch search, and ``num_str``, the one conversion of
 an int or Fraction to text, for numbers of any size.
 """
@@ -22,7 +22,6 @@ an int or Fraction to text, for numbers of any size.
 from __future__ import annotations
 
 import math
-import random
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -70,18 +69,6 @@ def pmul(a: Sequence, b: Sequence, zero=0) -> list:
             for j, cb in enumerate(bs, i):
                 out[j] += ca * cb
     return trim(out)
-
-
-def ppow(a: Sequence, n: int) -> list:
-    out = [1]
-    base = list(a)
-    while n:
-        if n & 1:
-            out = pmul(out, base)
-        n >>= 1
-        if n:
-            base = pmul(base, base)
-    return out
 
 
 def peval(a: Sequence, x, zero=0):
@@ -242,91 +229,31 @@ def pgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(c, g[-1]) for c in g]
 
 
-# --- integer factorization (for rational root candidates) ---
+# --- rational roots, p-adically (Loos, SIAM J. Comput. 12, 1983) ---
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(0xC0FFEE ^ n)
+def _simple_roots_mod(s: Sequence[int]) -> tuple[int, list[int]]:
+    """The least prime p not dividing lc(s) at which every root of s mod p
+    is simple, and those roots.  s must be squarefree over Q."""
+    p = 1
     while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    out: dict[int, int] = {}
-    for p in range(2, 100000):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
+        p += 1
+        if s[-1] % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def int_divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n| (n nonzero)."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+        sp = [c % p for c in s]
+        dsp = pderiv(sp)
+        roots = [r for r in range(p) if peval(sp, r) % p == 0]
+        if all(peval(dsp, r) % p for r in roots):
+            return p, roots
 
 
 def rational_roots(a: Sequence[int]) -> list[Fraction]:
     """All rational roots of an integer polynomial, without multiplicity.
 
-    Complete by the rational root theorem; every candidate is verified by
-    exact evaluation.
+    No integer is factored.  Each root u/v of the squarefree part s has
+    |u| <= |s(0)| and 0 < v <= |lc(s)|, and reduces mod p to a simple root
+    of s mod p; Hensel's lemma lifts that root uniquely to p^k > 2|s(0) lc(s)|,
+    where rational reconstruction finds u/v.  Every candidate is checked by
+    exact evaluation, so the list is complete and holds roots only.
     """
     a = ipp(a)
     if len(a) <= 1:
@@ -340,15 +267,25 @@ def rational_roots(a: Sequence[int]) -> list[Fraction]:
         a = a[v:]
     if len(a) <= 1:
         return roots
-    seen = set(roots)
-    for p in int_divisors(a[0]):
-        for q in int_divisors(a[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if peval(a, cand) == 0:
-                    roots.append(cand)
+    s = idivexact(a, igcd_poly(a, pderiv(a)))
+    d, ds = len(s) - 1, pderiv(s)
+    N, D = abs(s[0]), abs(s[-1])
+    p, mod_roots = _simple_roots_mod(s)
+    for r in mod_roots:
+        m = p
+        while m <= 2 * N * D:
+            m *= m
+            r = (r - peval(s, r) * pow(peval(ds, r), -1, m)) % m
+        # the first Euclidean remainder at most N, with its cofactor
+        r0, t0, r1, t1 = m, 0, r, 1
+        while r1 > N:
+            q = r0 // r1
+            r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if 0 < t1 <= D and not sum(c * r1**i * t1**(d - i)
+                                   for i, c in enumerate(s)):
+            roots.append(Fraction(r1, t1))
     roots.sort()
     return roots
 

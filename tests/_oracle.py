@@ -165,6 +165,41 @@ def sparse_div_monomial(a, d, dc):
     return out
 
 
+def sparse_det(M, nvars):
+    """Determinant of a square matrix of sparse polynomials, by the
+    permutation expansion: rows are taken top down, and the partial sums
+    are merged on the set of columns used so far."""
+    n = len(M)
+    partial = {0: {(0,) * nvars: 1}}
+    for row in M:
+        nxt = {}
+        for used, acc in partial.items():
+            for j, entry in enumerate(row):
+                if used >> j & 1 or not entry:
+                    continue
+                # each column used above and to the right is an inversion
+                if bin(used >> j).count("1") % 2:
+                    entry = {e: -c for e, c in entry.items()}
+                key = used | 1 << j
+                nxt[key] = sparse_add(nxt.get(key, {}), sparse_mul(acc, entry))
+        partial = nxt
+    return partial.get((1 << n) - 1, {})
+
+
+def sylvester_resultant(a, b, i):
+    """Res(a, b) in slot i: the determinant of the Sylvester matrix."""
+    nvars = len(next(iter(a)))
+    da = max(e[i] for e in a)
+    db = max(e[i] for e in b)
+    n = da + db
+    rows = []
+    for p, d, shifts in ((a, da, db), (b, db, da)):
+        coeffs = [sparse_coeff(p, i, k) for k in range(d, -1, -1)]
+        for s in range(shifts):
+            rows.append([{}] * s + coeffs + [{}] * (n - d - 1 - s))
+    return sparse_det(rows, nvars)
+
+
 def subs_poly(P, assignments):
     """P with the polynomial assignments[v] put in for each variable v.
 
@@ -180,6 +215,36 @@ def subs_poly(P, assignments):
             term = term * assignments.get(v, cls.var(v)) ** k
         out = out + term
     return out
+
+
+# --- rational roots ---------------------------------------------------------
+
+# the product of the Mersenne primes 2^61 - 1 and 2^89 - 1, which Pollard rho
+# does not split in useful time
+WIDE_SEMIPRIME = (2**61 - 1) * (2**89 - 1)
+
+# 2 * 3 * 5 * ... * 47
+PRIMES_BELOW_50 = 614889782588491410
+
+
+def rational_roots_by_divisors(a):
+    """Sorted rational roots of an integer polynomial (constant term first),
+    by the rational root theorem: every p/q with p dividing the lowest
+    nonzero coefficient and q the leading one is tried.  Small coefficients
+    only."""
+    a = list(a)
+    while not a[-1]:
+        a.pop()
+    low = next(c for c in a if c)
+    roots = {Fraction(0)} if not a[0] else set()
+    for p in range(1, abs(low) + 1):
+        for q in range(1, abs(a[-1]) + 1):
+            if low % p or a[-1] % q:
+                continue
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if not sum(c * r ** k for k, c in enumerate(a)):
+                    roots.add(r)
+    return sorted(roots)
 
 
 # --- reference sequences ----------------------------------------------------

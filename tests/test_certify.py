@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify,
                         defect_annihilator, eliminate_g, expand_series,
-                        guess_algeq, parse_equation, polyq,
+                        guess_algeq, parse_equation,
                         specialize_y0, vanishing_bound)
 from tuttesolve.certify import BivarAlgEq
 from tuttesolve.errors import (AmbiguousBranch, InvalidElimination,
@@ -113,16 +113,20 @@ class TestEliminateG:
         p2 = eliminate_g(eq, p1, witness)
         assert p2.P == (psi - x).normalized()
 
-    def test_wide_coefficients_are_not_factored(self, monkeypatch):
-        # a 5,000-digit lead coefficient is left whole: factoring it for
-        # the trial divisors would not finish
-        def no_factoring(n):
-            raise AssertionError("factored a wide coefficient")
-
-        monkeypatch.setattr(polyq, "factorize", no_factoring)
+    def test_wide_coefficients_are_not_factored(self):
+        # a 5,000-digit lead coefficient: the one candidate, from the root
+        # 1/c of c*r^2 - r, is tried and fails; no integer is factored
         big = MPoly.const(10**5000 - 1)      # 5,000 nines
         P = big * x * psi**2 - psi + one
         assert certify_mod._monomial_linear_factors(P) == ([], P)
+
+    def test_factors_with_a_wide_semiprime(self):
+        n = _oracle.WIDE_SEMIPRIME
+        P = (n * x * psi - one) * (psi + y)
+        found, rest = certify_mod._monomial_linear_factors(P)
+        assert len(found) == 1 and rest.degree("psi") == 1
+        assert {p.normalized() for p in found + [rest]} == {
+            (n * x * psi - one).normalized(), (psi + y).normalized()}
 
     def test_no_factor_vanishes(self):
         eq = parse_equation("g + (psi - x)*(psi + 1)")

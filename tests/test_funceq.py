@@ -67,6 +67,12 @@ class TestWellPosedness:
         with pytest.raises(DegenerateKernel):
             check_well_posed(parse_equation("psi - g - x*y"))
 
+    def test_branch_at_one_over_a_wide_semiprime(self):
+        # the branch search finds c0 = 1/n without factoring n
+        n = _oracle.WIDE_SEMIPRIME
+        wp = check_well_posed(parse_equation(f"{n}*psi - 1 - x*psi**2"))
+        assert wp.c0 == RatFunc([F(1, n)]) and wp.mode == "direct"
+
 
 class TestExpansion:
     def test_flagship_prefix_matches_closed_form(self, tutte_sx, tutte_seq):

@@ -105,6 +105,15 @@ class TestPRec:
         ok = PRec(((1,), (-3, 1)), (F(1), F(-1), F(1, 2), F(-1, 6), F(7)))
         assert len(ok.terms(8)) == 8
 
+    def test_wide_leading_coefficient(self):
+        # n^2 + N has no integer root, and (n - 3)(n + N) only n = 3, found
+        # without factoring N
+        N = _oracle.WIDE_SEMIPRIME
+        assert PRec(((1,), (N, 0, 1)), [1]).order == 1
+        with pytest.raises(ValueError):
+            PRec(((1,), (-3 * N, N - 3, 1)), [1] * 4)
+        assert PRec(((1,), (-3 * N, N - 3, 1)), [1] * 5).order == 1
+
     def test_singular_index_pulled_from_initials(self):
         # (k - 1) a(k+1) = a(k): iteration breaks at a(2), which must come
         # from the initial values; afterwards iteration resumes

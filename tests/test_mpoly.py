@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive, vanishing_bound
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import VARS, gcd_mpoly, resultant_sylvester
+from tuttesolve.mpoly import VARS, gcd_mpoly
 
 from . import _oracle
 
 x, y, f, z, psi = (MPoly.var(v) for v in ("x", "y", "f", "z", "psi"))
+FXY = ("f", "x", "y")
 
 
 @st.composite
@@ -194,13 +195,55 @@ class TestExponentWidth:
             MPoly.from_items(("y",), [((2**20,), 1)])
 
 
+@st.composite
+def elimination_pairs(draw):
+    """Two polynomials of f-degree 1 to 4 over Z[x, y], with multi-term
+    coefficients, leading ones included.  Some share a factor, so their
+    resultant is 0; in others A = Q*B + C with C free of f, so the one
+    pseudo-remainder of the larger by the smaller has degree 0."""
+    coeff = small_polys(("x", "y"), max_terms=3, max_exp=1, max_coeff=3)
+    lead = coeff.filter(lambda c: not c.is_zero)
+
+    def poly(d):
+        return sum((draw(coeff) * f ** k for k in range(d)),
+                   draw(lead) * f ** d)
+
+    kind = draw(st.sampled_from(["plain", "shared", "constant remainder"]))
+    if kind == "shared":
+        h = poly(1)
+        return poly(draw(st.integers(0, 3))) * h, poly(draw(st.integers(0, 3))) * h
+    if kind == "constant remainder":
+        b = poly(draw(st.integers(2, 3)))
+        return poly(1) * b + draw(lead), b
+    return poly(draw(st.integers(1, 4))), poly(draw(st.integers(1, 4)))
+
+
 class TestResultant:
-    @given(small_polys(max_exp=2), small_polys(max_exp=2))
-    @settings(max_examples=40, deadline=None)
-    def test_prs_agrees_with_sylvester(self, a, b):
-        if a.degree("f") < 1 or b.degree("f") < 1:
-            return
-        assert resultant(a, b, "f") == resultant_sylvester(a, b, "f")
+    @given(elimination_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_sylvester_determinant(self, pair):
+        a, b = pair
+        want = _oracle.sylvester_resultant(dict(a.items(FXY)),
+                                           dict(b.items(FXY)), 0)
+        assert dict(resultant(a, b, "f").items(FXY)) == want
+
+    @pytest.mark.parametrize("dA", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dB", [1, 2, 3, 4])
+    def test_every_degree_pair_and_its_sign(self, dA, dB):
+        a = sum(((k - x) * f ** k for k in range(dA)), (x + y + 2) * f ** dA)
+        b = sum(((y + k) * f ** k for k in range(dB)), (x - 3) * f ** dB)
+        want = _oracle.sylvester_resultant(dict(a.items(FXY)),
+                                           dict(b.items(FXY)), 0)
+        assert dict(resultant(a, b, "f").items(FXY)) == want
+
+    def test_zero_pivot_swaps_a_row(self):
+        # f^3 + 2f = f*(f^2 + 1) + f: the determinant of the Sylvester
+        # matrix of (f^2 + 1, f) meets a zero pivot in its second column
+        a, b = f ** 3 + 2 * f, f ** 2 + 1
+        assert resultant(a, b, "f") == 1
+        assert resultant(b, a, "f") == 1
+        assert _oracle.sylvester_resultant(dict(a.items(FXY)),
+                                           dict(b.items(FXY)), 0) == {(0, 0, 0): 1}
 
     def test_linear_pair(self):
         r = resultant(f - x, f - y, "f")
@@ -222,9 +265,6 @@ class TestResultant:
     def test_rejects_constant_in_variable(self):
         with pytest.raises(InvalidElimination):
             resultant(x + 1, f - x, "f")
-
-
-FXY = ("f", "x", "y")
 
 
 class TestGcd:

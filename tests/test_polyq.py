@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from tuttesolve.polyq import (RATFUNC_ONE, RATFUNC_ZERO, RatFunc,
                               clear_denominators, deg, idivexact, igcd_poly,
-                              int_divisors,
                               integer_roots, pade, padd, pdivmod, peval, pgcd,
-                              pmul, ppow, pshift, rational_roots, series_div,
-                              trim)
+                              pmul, pshift, rational_roots, series_div, trim)
+
+from . import _oracle
 
 ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(ints, min_size=0, max_size=6)
@@ -42,11 +42,6 @@ class TestArithmetic:
             assert deg(c) == deg(a) + deg(b)
         for x in (F(0), F(1), F(-2), F(1, 3)):
             assert peval(c, x) == peval(a, x) * peval(b, x)
-
-    def test_pow_matches_repeated_mul(self):
-        a = [1, 2, 1]
-        assert ppow(a, 3) == pmul(pmul(a, a), a)
-        assert ppow(a, 0) == [1]
 
     @given(polys, st.integers(min_value=-4, max_value=4))
     @settings(max_examples=60)
@@ -88,11 +83,10 @@ class TestArithmetic:
         assert (pmul(s, den) + [0] * n)[:n] == (num + [0] * n)[:n]
 
 
-class TestNumberTheory:
-    def test_int_divisors(self):
-        assert int_divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert int_divisors(1) == [1]
+wide = st.integers(min_value=-2**200, max_value=2**200)
 
+
+class TestNumberTheory:
     def test_rational_roots(self):
         # 6x^2 - 5x + 1 = (2x-1)(3x-1)
         assert sorted(rational_roots([1, -5, 6])) == [F(1, 3), F(1, 2)]
@@ -102,6 +96,45 @@ class TestNumberTheory:
     def test_integer_roots_with_zero_constant(self):
         # n(n-3): roots 0 and 3
         assert sorted(integer_roots([0, -3, 1])) == [0, 3]
+
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=7))
+    @settings(max_examples=200)
+    def test_agrees_with_the_divisor_method(self, a):
+        if not trim(list(a)):
+            return
+        assert rational_roots(a) == _oracle.rational_roots_by_divisors(a)
+
+    def test_roots_that_meet_mod_a_small_prime(self):
+        # 1 and 3 are one double root mod 2, and 1/3 has no image mod 3
+        assert rational_roots([3, -4, 1]) == [1, 3]
+        assert rational_roots(pmul([-1, 3], [3, -4, 1])) == [F(1, 3), 1, 3]
+
+    @given(st.lists(st.tuples(wide, wide.map(abs).filter(bool),
+                              st.integers(1, 2)), max_size=3),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_wide_roots(self, planted, cofactor, lead_has_small_primes):
+        # u/v with |u|, |v| up to 2^200, some twice; a leading coefficient
+        # divisible by every prime below 50 leaves no small prime to work at
+        a = trim(list(cofactor))
+        if not a:
+            return
+        want = set(_oracle.rational_roots_by_divisors(a))
+        for u, v, mult in planted:
+            a = pmul(a, [-u, v] if mult == 1 else [u * u, -2 * u * v, v * v])
+            want.add(F(u, v))
+        if lead_has_small_primes:
+            a = pmul(a, [1, _oracle.PRIMES_BELOW_50])
+            want.add(F(-1, _oracle.PRIMES_BELOW_50))
+        assert rational_roots(a) == sorted(want)
+
+    def test_wide_semiprime_is_not_factored(self):
+        # the divisor method would factor n; each root here is found at once
+        n = _oracle.WIDE_SEMIPRIME
+        assert rational_roots([-1, n]) == [F(1, n)]
+        assert rational_roots(pmul([-1, n], [n, 1])) == [-n, F(1, n)]
+        assert rational_roots([n, 0, 1]) == []
 
     @given(polys)
     def test_igcd_divides(self, a):
