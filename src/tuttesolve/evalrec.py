@@ -1,27 +1,29 @@
 """Exact unrolling of P-recurrences.
 
 `PRec.terms` iterates term by term with `Fraction`s, because its callers
-need every term.  `unroll` needs one far-out term: it iterates only up to
-the last singular index of the recurrence and then multiplies integer
-companion matrices in a product tree (binary splitting), clearing every
-denominator into one integer that a single gcd reduces at the end.
+need every term.  `unroll` needs one far-out term: past the last singular
+index it multiplies integer companion matrices in a product tree (binary
+splitting), block by block, and sheds common content at every product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import cached_property
+from math import gcd, lcm
+from operator import floordiv, mul
 
 from . import polyq
 from .errors import InvalidIndex, MissingInitials
 
+#: Leaves folded at once into one stack node; it bounds the peak memory.
+_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class SequenceValue:
-    """One exact sequence entry; integers keep their digit count handy."""
+    """One exact sequence entry, converted to decimal once."""
 
     index: int
     value: Fraction
@@ -30,12 +32,16 @@ class SequenceValue:
     def is_integer(self) -> bool:
         return self.value.denominator == 1
 
+    @cached_property
+    def decimal(self) -> str:
+        return polyq.num_str(self.value)
+
     @property
     def digits(self) -> int:
-        return Decimal(self.value.numerator).adjusted() + 1
+        return len(self.decimal.partition("/")[0].lstrip("-"))
 
     def __str__(self) -> str:
-        return polyq.num_str(self.value)
+        return self.decimal
 
 
 def _iterate(rec, count: int) -> list[Fraction]:
@@ -66,26 +72,45 @@ def _iterate(rec, count: int) -> list[Fraction]:
     return out
 
 
-def _matmul(A, B):
-    cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+def _horner(q, ks) -> list[int]:
+    """q(k) for every k in ks, in one vectorised Horner pass."""
+    vals = [q[-1] if q else 0] * len(ks)
+    for c in reversed(q[:-1]):
+        vals = [v * k + c for v, k in zip(vals, ks)]
+    return vals
+
+
+def _fold(E: list[list[int]], D: list[int], s: int):
+    """Product of s x s integer matrices; node i, first to last, has entry
+    (r, c) at E[r*s + c][i] over D[i].  Each level multiplies adjacent
+    pairs, the later on the left, and divides each product by the gcd of
+    its denominator and entries.  Returns the one node left, in that form.
+    """
+    idx = range(s)
+    while len(D) > 1:
+        L, R = [e[1::2] for e in E], [e[0::2] for e in E]
+        P = [list(map(sum, zip(*(map(mul, L[r * s + t], R[t * s + c])
+                                 for t in idx)))) for r in idx for c in idx]
+        den = list(map(mul, D[1::2], D[0::2]))
+        g = list(map(gcd, den, *P))
+        m = 2 * len(den)  # an odd last node waits for the next level
+        E = [list(map(floordiv, p, g)) + e[m:] for p, e in zip(P, E)]
+        D = list(map(floordiv, den, g)) + D[m:]
+    return E, D
 
 
 def unroll(rec, G: int) -> SequenceValue:
     """Value of the sequence at index G, without the terms before it.
 
-    With s = rec.order, every index from head = s + (last nonnegative
-    integer root of the leading coefficient q_s) + 1 on is regular:
-    a(k+s) = -(q_0(k) a(k) + ... + q_(s-1)(k) a(k+s-1)) / q_s(k) holds for
-    every k >= head - s.  Below head the value comes from `_iterate`, which
-    takes singular indices from the initials.  From there on, the step
-    k -> k+1 is the integer companion matrix C(k), with q_s(k) on the
-    superdiagonal and -q_0(k) .. -q_(s-1)(k) in its last row, over the
-    denominator q_s(k).  Binary splitting multiplies adjacent products of
-    equal length into a balanced product tree of integer matrices and
-    integer denominators; one Fraction, so one big gcd, then gives a(G).
-    The cost is a few products of O(G log G)-bit integers instead of G
-    rational steps, and no term other than a(G) is kept.
+    With s = rec.order and head = s + (last nonnegative integer root of
+    q_s) + 1, every step k -> k+1 with k >= head - s is the integer
+    companion matrix C(k), with q_s(k) on the superdiagonal and -q_0(k) ..
+    -q_(s-1)(k) in its last row, over q_s(k).  Below head the value comes
+    from `_iterate`.  The leaves, first to last, are the start matrix
+    (first column a(head-s) .. a(head-1) over their common denominator)
+    and C(head-s) .. C(G-s).  Each block of `_BLOCK` leaves folds to one
+    node, the block nodes merge on a stack keyed by size, and a(G) is
+    entry (s-1, 0) of the top node over its denominator.
     """
     if G < 0:
         raise InvalidIndex(f"sequence index must be nonnegative, got {G}")
@@ -98,23 +123,24 @@ def unroll(rec, G: int) -> SequenceValue:
         return SequenceValue(G, Fraction(0))
     v = _iterate(rec, head)[head - s:]
     scale = lcm(*(x.denominator for x in v))
+    start = [0] * (s * s)
+    start[::s] = [x.numerator * (scale // x.denominator) for x in v]
     *rest, lead = rec.coeffs
-    # the factors, first to last: the start vector, then C(head-s) ..
-    # C(G-s), each over its denominator.  A product of 2^j factors merges
-    # with its left neighbour once that one holds 2^j too, so the stack
-    # keeps at most log2(G) products.
-    stack = [(1, [[x.numerator * (scale // x.denominator)] for x in v], scale)]
-    for k in range(head - s, G - s + 1):
-        b = polyq.peval(lead, k)
-        B = [[b if j == i + 1 else 0 for j in range(s)] for i in range(s - 1)]
-        B.append([-polyq.peval(q, k) for q in rest])
-        size = 1
-        while stack and stack[-1][0] == size:
-            _, A, a = stack.pop()
-            B, b, size = _matmul(B, A), a * b, 2 * size
-        stack.append((size, B, b))
-    # a(G) is the last entry of the product: fold the last row into it
-    row, den = [[0] * (s - 1) + [1]], 1
-    for _, A, a in reversed(stack):
-        row, den = _matmul(row, A), den * a
-    return SequenceValue(G, Fraction(row[0][0], den))
+    lo, n = head - s, G - head + 2  # leaf j >= 1 is C(lo + j - 1)
+    stack = []  # (size, node): a node of size 2^i holds 2^i blocks
+    for j in range(0, n, _BLOCK):
+        ks = range(lo + max(j, 1) - 1, lo + min(j + _BLOCK, n) - 1)
+        b = _horner(lead, ks)
+        E = [b if c == r + 1 else [0] * len(b)
+             for r in range(s - 1) for c in range(s)]
+        E += [_horner([-c for c in q], ks) for q in rest]
+        if not j:
+            E, b = [[x] + e for x, e in zip(start, E)], [scale] + b
+        node, size = _fold(E, b, s), 1
+        # the last block folds in everything the stack holds
+        while stack and (stack[-1][0] == size or j + _BLOCK >= n):
+            (_, (E, b)), size = stack.pop(), 2 * size
+            node = _fold([p + e for p, e in zip(E, node[0])], b + node[1], s)
+        stack.append((size, node))
+    (_, (E, D)), = stack
+    return SequenceValue(G, Fraction(E[(s - 1) * s][0], D[0]))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -414,9 +415,16 @@ def _p_try_divexact(a: dict, d: dict) -> dict | None:
     dl = max(d)
     dc = d[dl]
     q: dict[int, int] = {}
+    # a max-heap of the remainder's monomials; a popped one that has
+    # cancelled since it was pushed is skipped
+    heap = [-m for m in a]
+    heapify(heap)
+    get = a.get
     while a:
-        al = max(a)
-        ac = a[al]
+        al = -heappop(heap)
+        ac = get(al)
+        if ac is None:
+            continue
         # a remainder exponent past the guard cannot occur in an exact
         # division: its exponents are bounded by those of the dividend
         t = (al | _GUARD) - dl
@@ -425,11 +433,13 @@ def _p_try_divexact(a: dict, d: dict) -> dict | None:
         m = t ^ _GUARD
         qc = ac // dc
         q[m] = qc
-        get = a.get
         for mm, cc in d.items():
             k = m + mm
-            s = get(k, 0) - qc * cc
-            if s:
+            s = get(k)
+            if s is None:
+                a[k] = -qc * cc
+                heappush(heap, -k)
+            elif s := s - qc * cc:
                 a[k] = s
             else:
                 del a[k]

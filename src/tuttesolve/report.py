@@ -173,7 +173,7 @@ class Report:
             "index": self.value.index,
             "integer_digits": (self.value.digits
                                if self.value.is_integer else None),
-            "decimal_string": num_str(self.value.value),
+            "decimal_string": self.value.decimal,
         }
         return {
             "format": FORMAT_MARKER,
@@ -264,8 +264,8 @@ def _value_lines(r: Report) -> tuple[str, list[str]]:
         return "not available", []
     name = f"a({v.index})"
     if not v.is_integer or v.digits <= INLINE_DIGIT_LIMIT:
-        return f"{name} = {num_str(v.value)}", []
-    lines = textwrap.wrap(num_str(v.value), width=70)
+        return f"{name} = {v.decimal}", []
+    lines = textwrap.wrap(v.decimal, width=70)
     return (f"{name} is an integer with {v.digits} digits "
             f"(full decimal expansion in the appendix)", lines)
 

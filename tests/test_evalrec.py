@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import PRec, SequenceValue, unroll
+from tuttesolve import PRec, SequenceValue, evalrec, unroll
 from tuttesolve.errors import InvalidIndex
 from tuttesolve.polyq import peval
 
@@ -57,16 +58,20 @@ class TestUnroll:
 
 CATALAN = PRec(((-2, -4), (2, 1)), (F(1),))
 MOTZKIN = PRec(((-3, -3), (-5, -2), (4, 1)), (F(1), F(1)))
+# the same recurrences times -1: the leading coefficient is negative at
+# every index
+NEG_CATALAN = PRec(((2, 4), (-2, -1)), (F(1),))
+NEG_MOTZKIN = PRec(((3, 3), (5, 2), (-4, -1)), (F(1), F(1)))
 
-coeff_polys = st.lists(st.integers(-5, 5), max_size=3)
+coeff_polys = st.lists(st.integers(-5, 5), max_size=4)
 
 
 @st.composite
 def precs(draw):
-    """Order 1-3, degree <= 2, with zero middle coefficients, leading
+    """Order 1-4, degree <= 3, with zero middle coefficients, leading
     coefficients that vanish at a nonnegative integer, and rational
     initials beyond the ones the singular indices need."""
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 4))
     rest = [draw(coeff_polys) for _ in range(s)]
     root = draw(st.none() | st.integers(0, 6))
     if root is None:
@@ -83,11 +88,53 @@ def precs(draw):
     return PRec(rest + [lead], initials)
 
 
+def _head(rec) -> int:
+    return rec.order + rec._last_singular() + 1
+
+
+def _block_edges(block: int, blocks: int):
+    """Offsets from head at which the leaf count (G - head + 2) is one
+    below, at or one above a multiple of the block."""
+    return [k * block + d for k in range(1, blocks + 1) for d in (-3, -2, -1)]
+
+
 class TestBinarySplitting:
-    @given(precs(), st.integers(0, 400))
-    @settings(max_examples=60, deadline=None)
-    def test_agrees_with_iteration(self, rec, G):
-        assert unroll(rec, G).value == rec.terms(G + 1)[G]
+    @given(precs(), st.sampled_from([1, 2, 3, 4, 5, 64]), st.integers(0, 6),
+           st.integers(-3, -1))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_iteration(self, rec, block, k, d):
+        # blocks of a few leaves put G past several of them at a small
+        # reference cost; the index sits next to a block edge
+        G = max(0, _head(rec) + k * block + d)
+        with mock.patch.object(evalrec, "_BLOCK", block):
+            assert unroll(rec, G).value == rec.terms(G + 1)[G]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, evalrec._BLOCK])
+    def test_block_edges_against_oracles(self, block):
+        pairs = [(CATALAN, _oracle.catalan), (NEG_CATALAN, _oracle.catalan),
+                 (MOTZKIN, _oracle.motzkin), (NEG_MOTZKIN, _oracle.motzkin)]
+        with mock.patch.object(evalrec, "_BLOCK", block):
+            for off in _block_edges(block, 5 if block < 5 else 2):
+                for rec, want in pairs:
+                    G = max(0, _head(rec) + off)
+                    assert unroll(rec, G).value == want(G)
+
+    @pytest.mark.parametrize("block", [1, 3, evalrec._BLOCK])
+    def test_initials_that_need_a_scale(self, block):
+        # start values over 2 and 3 (scale 6); the second recurrence is
+        # singular at index 3 and starts from values over 5 and 7
+        mixed = PRec(MOTZKIN.coeffs, (F(1, 2), F(-2, 3)))
+        basis = [PRec(MOTZKIN.coeffs, (F(1), F(0))),
+                 PRec(MOTZKIN.coeffs, (F(0), F(1)))]
+        singular = PRec(((-1, 2), (3, 0, 1), (-1, 1)),
+                        (F(1, 2), F(-2, 3), F(3, 5), F(-1, 7)))
+        with mock.patch.object(evalrec, "_BLOCK", block):
+            for G in (0, 1, 2, 5, 40):
+                assert unroll(mixed, G).value == mixed.terms(G + 1)[G]
+                assert unroll(singular, G).value == singular.terms(G + 1)[G]
+            G = 2 * evalrec._BLOCK + 1
+            a, b = (unroll(r, G).value for r in basis)
+            assert unroll(mixed, G).value == a / 2 - 2 * b / 3
 
     def test_motzkin_oracle(self):
         want = [1, 1, 2, 4, 9, 21, 51, 127, 323]
@@ -109,6 +156,17 @@ class TestBinarySplitting:
         finally:
             tracemalloc.stop()
         assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_memory_stays_small_far_out_at_order_two(self):
+        # the blocks keep this near 0.3 MB; one fold over all 30000
+        # leaves at once peaks near 11 MB
+        tracemalloc.start()
+        try:
+            unroll(MOTZKIN, 30000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # the flagship's golden recurrence,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive, vanishing_bound
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import VARS, gcd_mpoly
+from tuttesolve.mpoly import VARS, _p_try_divexact, gcd_mpoly
 
 from . import _oracle
 
@@ -159,6 +159,18 @@ class TestAgainstOracle:
         got = P.try_divexact(MPoly.from_items(VARS, [(d, dc)]))
         want = _oracle.sparse_div_monomial(p, d, dc)
         assert (got is None and want is None) or view(got) == want
+
+    @given(paired(), paired(), EXP6, st.integers(-4, 4).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_multi_term_division_by_the_heap(self, a, b, e, c):
+        (Q, _), (D, _) = a, b
+        assume(len(D.terms) > 1)
+        QD = (Q * D).terms
+        assert _p_try_divexact(QD, D.terms) == Q.terms
+        # a multi-term D divides no monomial, so one more term (cancelling
+        # a term of Q*D or not) leaves the product indivisible
+        extra = (Q * D + MPoly.monomial(c, **dict(zip(VARS, e)))).terms
+        assert _p_try_divexact(extra, D.terms) is None
 
     def test_borrow_from_a_lower_field_does_not_divide(self):
         assert (x ** 3).try_divexact(x * y) is None
