@@ -1,22 +1,26 @@
 """Algebraic equation -> linear ODE -> P-recurrence, plus minimization.
 
-The ODE step works in the residue ring Q(x)[f]/(P) and looks for the
-lowest-order linear dependence among the derivatives of f, preferring a
-homogeneous one.  The recurrence step is the classical coefficient
-extraction x^j f^(i) |-> falling-factorial shift, with an explicit
-validity repair at small indices checked against the witness series.
+The ODE step works over Z[x] with ``MPoly``: each derivative of the branch
+is an integer polynomial in f and x over a power of dP/df, reduced mod P by
+a pseudo-remainder, and the lowest-order linear dependence among 1, f, f',
+..., homogeneous preferred, comes from a fraction-free kernel
+(``linalg.nullspace_field``).  The recurrence step is the classical
+coefficient extraction x^j f^(i) |-> falling-factorial shift, with an
+explicit validity repair at small indices checked against the witness
+series.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from . import linalg, polyq
 from .errors import InsufficientData, NonSquarefree, SelfCheckFailed
 from .guessing import AlgEq
-from .polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
+from .mpoly import MPoly, prem, resultant
 from .series import QSeries, _mul_trunc
 
 
@@ -136,155 +140,74 @@ class PRec:
 
 
 # ---------------------------------------------------------------------------
-# residue ring Q(x)[f]/(P) with RatFunc scalars
+# the ODE over Z[x]
 
-def _rf_deriv(r: RatFunc) -> RatFunc:
-    n, d = list(r.num), list(r.den)
-    return RatFunc(polyq.psub(polyq.pmul(polyq.pderiv(n), d),
-                              polyq.pmul(n, polyq.pderiv(d))),
-                   polyq.pmul(d, d))
-
-
-def _ext_gcd_rf(a: list[RatFunc], b: list[RatFunc]):
-    # returns (g, s) with s*a = g mod b
-    r0, r1 = list(a), list(b)
-    s0, s1 = [RATFUNC_ONE], []
-    while r1:
-        q, r = polyq.pdivmod(r0, r1, RATFUNC_ZERO)
-        r0, r1 = r1, r
-        s0, s1 = s1, polyq.psub(s0, polyq.pmul(q, s1, RATFUNC_ZERO))
-    return r0, s0
-
-
-class _Residue:
-    """Arithmetic for Q(x)[f]/(P), elements are RatFunc coordinate lists."""
-
-    def __init__(self, P):
-        rows = P.as_univariate("f")
-        self.mod = [RatFunc(self._xpoly(r)) for r in rows]
-        self.d = len(self.mod) - 1
-
-    @staticmethod
-    def _xpoly(m) -> list[Fraction]:
-        out = [Fraction(0)] * (m.degree("x") + 1)
-        for (j,), c in m.items(("x",)):
-            out[j] += c
-        return out
-
-    def elem(self, coords: Sequence[RatFunc]) -> list[RatFunc]:
-        out = list(coords[: self.d])
-        out += [RATFUNC_ZERO] * (self.d - len(out))
-        return out
-
-    def reduce(self, poly: list[RatFunc]) -> list[RatFunc]:
-        _, r = polyq.pdivmod(poly, self.mod, RATFUNC_ZERO)
-        return self.elem(r)
-
-    def mul(self, u: list[RatFunc], v: list[RatFunc]) -> list[RatFunc]:
-        return self.reduce(polyq.pmul(u, v, RATFUNC_ZERO))
-
-    def inv(self, u: list[RatFunc]) -> list[RatFunc]:
-        g, s = _ext_gcd_rf(self.elem(u), self.mod)
-        if len(g) != 1:
-            raise NonSquarefree(
-                "cannot invert the derivative in the residue ring; "
-                "the equation is not squarefree along the branch")
-        ginv = RATFUNC_ONE / g[0]
-        return self.elem([c * ginv for c in s])
-
-    def deriv(self, u: list[RatFunc], fprime: list[RatFunc]) -> list[RatFunc]:
-        # d/dx (sum u_i f^i) = sum u_i' f^i + (sum i u_i f^(i-1)) f'
-        part1 = [_rf_deriv(c) for c in u]
-        part2 = [RATFUNC_ZERO] * self.d
-        for i in range(1, self.d):
-            part2[i - 1] = u[i] * RatFunc([Fraction(i)])
-        mixed = self.mul(part2, fprime)
-        return self.elem([a + b for a, b in zip(part1, mixed)])
-
-
-def _clear_relation(vec: list[RatFunc]) -> list[list[int]]:
-    """Common-denominator integer polynomial coefficients of the relation."""
-    den = [Fraction(1)]
-    for c in vec:
-        d = list(c.den)
-        g = polyq.pgcd(den, d)
-        if polyq.deg(g) > 0:
-            d, _ = polyq.pdivmod(d, g)
-        den = polyq.pmul(den, d)
-    out_fr = []
-    for c in vec:
-        if c.is_zero:
-            out_fr.append([])
-            continue
-        q, r = polyq.pdivmod(polyq.pmul(list(c.num), den), list(c.den))
-        if r:
-            raise SelfCheckFailed(
-                "relation denominator is not a multiple of every coefficient's")
-        out_fr.append(q)
-    # the sign this may flip is renormalised by the caller
-    flat, _ = polyq.clear_denominators([v for p in out_fr for v in p])
-    it = iter(flat)
-    return [[next(it) for _ in p] for p in out_fr]
+def _xcoeffs(m: MPoly) -> list[int]:
+    """Dense integer coefficients of a polynomial in x alone."""
+    out = [0] * (m.degree("x") + 1)
+    for (j,), c in m.items(("x",)):
+        out[j] = c
+    return out
 
 
 def algeq_to_ode(p: AlgEq) -> LinODE:
     """Lowest-order linear ODE for the branch of the algebraic equation.
 
-    Differentiates in Q(x)[f]/(P) and searches 1, f, f', f'', ... for the
-    first dependence, homogeneous preferred.  Order never exceeds the
-    f-degree of P.
+    With delta(H) = H_x*P_f - H_f*P_x, dH/dx = delta(H)/P_f along the
+    branch, so f^(k) = V_k / P_f^(2k) with V_0 = f and
+    V_(k+1) = delta(V_k)*P_f - 2k*V_k*delta(P_f): products and
+    derivatives, no inverse.  At order r each of 1, f, ..., f^(r) is
+    multiplied by P_f^(2r) and reduced mod P by one pseudo-remainder in f,
+    all to one power of lc_f(P).  P is squarefree (its discriminant in f is
+    nonzero), so P_f is a unit of Q(x)[f]/(P): every column is scaled by the
+    same unit, and the kernel over Q(x) is that of the derivatives.  The
+    first dependence that involves the newest derivative, homogeneous
+    preferred, is unique up to a Q(x) scalar; its primitive form over Z[x]
+    is the ODE.  Order never exceeds the f-degree of P.
     """
-    ring = _Residue(p.P)
-    d = ring.d
-    Pf = _rows_to_elem(ring, p.P.derivative("f"))
-    Px = _rows_to_elem(ring, p.P.derivative("x"))
-    fprime = ring.mul([-c for c in Px], ring.inv(Pf))
+    P = p.P
+    d = P.degree("f")
+    Pf, Px = P.derivative("f"), P.derivative("x")
+    if d > 1 and resultant(P, Pf, "f").is_zero:
+        raise NonSquarefree(
+            "the discriminant in f vanishes; "
+            "the equation is not squarefree along the branch")
 
-    one = ring.elem([RATFUNC_ONE])
-    f_el = ring.reduce([RATFUNC_ZERO, RATFUNC_ONE])
-    derivs = [f_el]  # f^(0), f^(1), ...
+    def delta(H: MPoly) -> MPoly:
+        return H.derivative("x") * Pf - H.derivative("f") * Px
+
+    lc = P.as_univariate("f")[-1]
+    dPf, Pf2 = delta(Pf), Pf * Pf
+    V = [MPoly.var("f")]     # f^(k) = V[k] / P_f^(2k)
     for r in range(1, d + 1):
-        derivs.append(ring.deriv(derivs[-1], fprime))
+        V.append(delta(V[-1]) * Pf - 2 * (r - 1) * V[-1] * dPf)
+        # 1, f, ..., f^(r), each times P_f^(2r)
+        scaled = [Pf2 ** r] + [Vk * Pf2 ** (r - k) for k, Vk in enumerate(V)]
+        # prem scales by lc^max(0, deg - d + 1); bring all to one power
+        exps = [max(0, A.degree("f") - d + 1) for A in scaled]
+        cols = [(prem(A, P, "f") * lc ** (max(exps) - e)).as_univariate("f")
+                for A, e in zip(scaled, exps)]
+        full = [[c[j] if j < len(c) else MPoly.zero() for c in cols]
+                for j in range(d)]
         for use_one in (False, True):
-            cols = ([one] if use_one else []) + derivs[: r + 1]
-            rel = _dependence(cols, d)
+            rows = full if use_one else [row[1:] for row in full]
+            rel = next((v for v in linalg.nullspace_field(rows) if v[-1]),
+                       None)
             if rel is None:
                 continue
-            if use_one:
-                inhom_rf, prest = rel[0], rel[1:]
-            else:
-                inhom_rf, prest = RATFUNC_ZERO, rel
-            ints = _clear_relation(list(prest) + [inhom_rf])
-            coeffs, inhom = ints[:-1], ints[-1]
-            lead = coeffs[-1]
-            low = next(c for c in lead if c)
-            if low < 0:
+            if not use_one:
+                rel = [MPoly.zero()] + rel
+            rel = [_xcoeffs(c) for c in rel]
+            g = reduce(polyq.igcd_poly, [c for c in rel if c])
+            rel = [polyq.idivexact(c, g) if c else [] for c in rel]
+            inhom, coeffs = rel[0], rel[1:]
+            if next(c for c in coeffs[-1] if c) < 0:
                 coeffs = [[-v for v in q] for q in coeffs]
                 inhom = [-v for v in inhom]
             ode = LinODE(coeffs, inhom, p.branch)
             _check_ode(ode, p.branch)
             return ode
     raise NonSquarefree("no linear dependence found; equation is degenerate")
-
-
-def _rows_to_elem(ring: _Residue, m) -> list[RatFunc]:
-    rows = m.as_univariate("f")
-    poly = [RatFunc(_Residue._xpoly(r)) for r in rows]
-    return ring.reduce(poly)
-
-
-def _dependence(cols: list[list[RatFunc]], dim: int):
-    """Relation with nonzero last coordinate, or None.
-
-    The columns are residue-ring elements; a valid relation must actually
-    involve the newest derivative, so the last column may not be a pivot.
-    """
-    rows = [[col[i] for col in cols] for i in range(dim)]
-    basis = linalg.nullspace_field(rows, RATFUNC_ZERO, RATFUNC_ONE)
-    for v in basis:
-        if not v[-1].is_zero:
-            return v
-    return None
 
 
 def _ode_apply(ode: LinODE, s: QSeries) -> list[Fraction]:

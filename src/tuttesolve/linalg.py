@@ -1,12 +1,14 @@
-"""Exact rational linear algebra for the guessers.
+"""Exact linear algebra: the guessers' relation search and the ODE kernel.
 
-``nullspace`` is a fraction-free (Bareiss) kernel over Q; ``nullspace_field``
-the same echelon construction over any exact field.  ``relations`` is the
-one search both guessers run: a walk over a caller's grid of shapes that
-turns each shape's kernel into integer candidates in one fixed order.  A
-shape whose matrix has full column rank mod the prime ``_P`` has an empty
+``nullspace`` is a fraction-free (Bareiss) kernel over Q.  ``relations`` is
+the one search both guessers run: a walk over a caller's grid of shapes
+that turns each shape's kernel into integer candidates in one fixed order.
+A shape whose matrix has full column rank mod the prime ``_P`` has an empty
 kernel over Q, so it is skipped without ``nullspace``: a proof, not a
-heuristic.  Any other shape gets the exact kernel.
+heuristic.  Any other shape gets the exact kernel.  ``nullspace_field`` is
+the same elimination on ``MPoly`` entries, for the ODE step: a kernel over
+the fraction field of the entries' ring, with every division exact and the
+basis vectors in the ring itself.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .mpoly import MPoly
 from .polyq import clear_denominators, trim
 
 #: A word-size prime.  Rank mod _P is at most rank over Q: a nonzero C x C
@@ -134,11 +137,16 @@ def relations(shapes: Iterable[tuple[int, int]],
         yield from (grid for _, grid in cands)
 
 
-def nullspace_field(rows, zero, one):
-    """Right-nullspace basis over an arbitrary exact field.
+# keeps its name: perfbench/tracing.py patches it by name
+def nullspace_field(rows: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
+    """Basis, over the fraction field of its entries' ring, of the right
+    nullspace of rows of ``MPoly`` entries, one vector per free column.
 
-    Elements need +, -, *, /, == and a falsy zero test via == zero.
-    Same deterministic echelon construction as `nullspace`.
+    Fraction-free (Bareiss, Math. Comp. 22, 1968), with the pivots of
+    `nullspace`: every entry left below a pivot is a minor of the matrix,
+    so each division is exact.  The vector of a free column is 1 there in
+    `nullspace`; here it is the last pivot to its left (1 if none), which
+    makes it the Cramer solution, with entries in the ring.
     """
     R = len(rows)
     if R == 0:
@@ -148,27 +156,32 @@ def nullspace_field(rows, zero, one):
     piv_cols: list[int] = []
     r = 0
     for c in range(C):
-        pr = next((i for i in range(r, R) if not M[i][c] == zero), None)
+        pr = next((i for i in range(r, R) if M[i][c]), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        inv = one / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(R):
-            if i != r and not M[i][c] == zero:
-                fi = M[i][c]
-                M[i] = [a - fi * b for a, b in zip(M[i], M[r])]
+        p, top = M[r][c], M[r]
+        for row in M[r + 1:]:
+            lead = row[c]
+            for j in range(c + 1, C):
+                num = row[j] * p - lead * top[j]
+                row[j] = num.divexact(M[r - 1][piv_cols[-1]]) if r else num
         piv_cols.append(c)
         r += 1
         if r == R:
             break
-    free_cols = sorted(set(range(C)).difference(piv_cols))
     basis = []
-    for fc in free_cols:
-        v = [zero] * C
-        v[fc] = one
-        for pr, pc in enumerate(piv_cols):
-            if fc > pc:
-                v[pc] = zero - M[pr][fc]
+    for fc in sorted(set(range(C)).difference(piv_cols)):
+        m = sum(1 for pc in piv_cols if pc < fc)
+        v = [MPoly.zero()] * C
+        v[fc] = M[m - 1][piv_cols[m - 1]] if m else MPoly.const(1)
+        # echelon back-substitution, bottom pivot row first
+        for k in range(m - 1, -1, -1):
+            pc = piv_cols[k]
+            acc = MPoly.zero()
+            for j in range(pc + 1, C):
+                if v[j] and M[k][j]:
+                    acc += M[k][j] * v[j]
+            v[pc] = (-acc).divexact(M[k][pc])
         basis.append(v)
     return basis

@@ -475,6 +475,14 @@ def _p_prem(A: list[dict], B: list[dict]) -> list[dict]:
     return R
 
 
+def prem(A: MPoly, B: MPoly, v: str) -> MPoly:
+    """Pseudo-remainder lc_v(B)^(dA-dB+1) * A mod B in v, for B nonzero;
+    A itself when deg_v A < deg_v B."""
+    r = _p_prem([c.terms for c in A.as_univariate(v)],
+                [c.terms for c in B.as_univariate(v)])
+    return MPoly.from_univariate(list(map(_new, r)), v)
+
+
 def _p_det(M: list[list[dict]]) -> dict:
     """Determinant of a square matrix of packed polynomials, in place.
 

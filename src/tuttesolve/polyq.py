@@ -2,12 +2,11 @@
 
 A polynomial is a plain list of coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty list.  The routines need
-only ``+ - *`` (and ``/`` to divide) and a falsy zero, so one copy serves
-int, Fraction, :class:`RatFunc` and ``MPoly`` coefficients alike.  Those
-that must make a zero of their own (``pmul``, ``peval``, ``pdivmod``) take
-the ring's ``zero`` last, as ``series._mul_trunc`` does; the default suits
-int and Fraction.  ``pdivmod`` divides over the fraction field and lifts its
-inputs with ``zero + c``, so int lists divide exactly into Fractions.  The
+only ``+ - *`` and a falsy zero, so one copy serves int, Fraction and
+``MPoly`` coefficients alike.  ``peval`` also serves :class:`RatFunc`: it
+takes the ring's ``zero`` last, as ``series._mul_trunc`` does, with a
+default that suits int and Fraction.  ``pdivmod`` divides over Q and lifts
+its inputs to Fraction, so int lists divide exactly into Fractions.  The
 content, primitive-part, gcd and exact-quotient helpers (``icontent``,
 ``ipp``, ``igcd_poly``, ``idivexact``) need integer division and take int
 lists only.
@@ -55,10 +54,10 @@ def psub(a: Sequence, b: Sequence) -> list:
     return padd(a, pneg(b))
 
 
-def pmul(a: Sequence, b: Sequence, zero=0) -> list:
+def pmul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     # skip b's low zeros (localized numerators carry a power of y)
     vb = 0
     while vb < len(b) and not b[vb]:
@@ -98,12 +97,12 @@ def pderiv(a: Sequence) -> list:
     return trim([i * a[i] for i in range(1, len(a))])
 
 
-def pdivmod(a: Sequence, b: Sequence, zero=Fraction(0)) -> tuple[list, list]:
-    """Quotient and remainder over the fraction field.  b must be nonzero."""
+def pdivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder over Q.  b must be nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = trim([zero + c for c in a])
-    q = [zero] * max(0, len(r) - len(b) + 1)
+    r = trim([Fraction(c) for c in a])
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
     lead = b[-1]
     while len(r) >= len(b):
         c = r[-1] / lead

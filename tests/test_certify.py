@@ -216,7 +216,29 @@ class TestDefectAnnihilator:
         assert vanishing_bound(M, "z") == _frozen.TUTTE_BOUND
 
 
+PERTURBED = {"catalan": "psi - 1 - x*psi**2",
+             "dyck": _oracle.walk_equation((-1, 1)),
+             "motzkin": _oracle.walk_equation((-1, 0, 1)),
+             "luk2": _oracle.walk_equation((-1, 2)),
+             "maps": "y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)",
+             "walk112": _oracle.walk_equation((-1, 1, 2))}
+
+
 class TestCertify:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: when Q is linear in g or free of it, the defect "
+        "step holds for any p1, so a p1 wrong only past the witness order "
+        "is proven"))
+    @pytest.mark.parametrize("c, i", [(1, 1), (-3, 2), (1, 0)])
+    @pytest.mark.parametrize("name", list(PERTURBED))
+    def test_p1_wrong_past_the_witness_is_not_proven(self, name, c, i):
+        # p1 + c*x^25*f^i fits all 25 coefficients the guess saw
+        eq = parse_equation(PERTURBED[name])
+        sx = expand_series(eq, 24)
+        p1 = guess_algeq(specialize_y0(sx), 3, 3)
+        bad = AlgEq(p1.P + c * x**25 * MPoly.var("f") ** i, p1.branch)
+        assert not certify(eq, bad, eliminate_g(eq, bad, sx)).is_proven
+
     def test_flagship_is_proven(self, tutte_cert):
         assert tutte_cert.status == "proven" and tutte_cert.is_proven
         assert tutte_cert.bound == _frozen.TUTTE_BOUND

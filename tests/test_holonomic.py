@@ -31,7 +31,60 @@ def catalan_eq(n=12):
                  QSeries([F(_oracle.catalan(k)) for k in range(n)]))
 
 
+def excursion_eq(ups, n=40):
+    """p1 of the walk with steps -1 and ``ups``: g = 1 + sum (x*g)^(s+1)."""
+    P = sum(((x * f) ** (s + 1) for s in ups), one - f)
+    rows = _oracle.walk_counts((-1, *ups), n - 1, 0)
+    return AlgEq(P, QSeries([F(row[0]) for row in rows]))
+
+
+def maps_eq(n=40):
+    P = 27 * x**2 * f**2 - 18 * x * f + f + 16 * x - one
+    return AlgEq(P, QSeries([F(_oracle.planar_maps(k)) for k in range(n)]))
+
+
+P1S = {"catalan": lambda: catalan_eq(40), "maps": maps_eq,
+       "dyck": lambda: excursion_eq((1,)),
+       "motzkin": lambda: excursion_eq((0, 1)),
+       "luk2": lambda: excursion_eq((2,)), "luk3": lambda: excursion_eq((3,)),
+       "walk112": lambda: excursion_eq((1, 2)),
+       "walk102": lambda: excursion_eq((0, 2)),
+       "walk23": lambda: excursion_eq((2, 3)),
+       "walk13": lambda: excursion_eq((1, 3))}
+
+# (coeffs, inhom) of each p1's ODE, as the residue-ring derivation over
+# Q(x) found them
+ODES = {
+    "catalan": (((1, -2), (0, 1, -4)), (-1,)),
+    "maps": (((2, -6), (0, 1, -12)), (-2,)),
+    "dyck": (((2, 0, -4), (0, 1, 0, -4)), (-2,)),
+    "motzkin": (((2, -3, -3), (0, 1, -2, -3)), (-2,)),
+    "luk2": (((0, 0, -54), (10, 0, 0, -108), (0, 4, 0, 0, -27)), ()),
+    "luk3": (((0, 0, 0, -1536), (-21, 0, 0, 0, -4608),
+              (0, 81, 0, 0, 0, -2304), (0, 0, 27, 0, 0, 0, -256)), ()),
+    "walk112": (((6, 2, -42, -336, -558), (0, 14, 94, -54, -722, -1116),
+                 (0, 0, 4, 37, -9, -193, -279)), (-6, -2)),
+    "walk102": (((-10, 18, -62), (10, -36, 42, -124),
+                 (0, 4, -12, 12, -31)), ()),
+    "walk23": (((24, 108, 2736, -1980, 50664, 173736, 464664, 728220),
+                (0, 186, -4368, -282, 5304, 152502, 492288, 1659426, 2184660),
+                (0, 0, 162, -5700, -8250, -45048, 79746, 228702, 962430,
+                 1092330),
+                (0, 0, 0, 27, -1138, -2175, -14406, 9433, 23142, 121683,
+                 121370)),
+               (-24, -108, -2736, 264)),
+    "walk13": (((0, -480, 0, -960, 0, 4320), (105, 0, -1787, 0, 936, 0, 12960),
+                (0, 135, 0, -1525, 0, 2616, 0, 6480),
+                (0, 0, 27, 0, -275, 0, 556, 0, 720)), ()),
+}
+
+
 class TestAlgEqToOde:
+    @pytest.mark.parametrize("name", list(ODES))
+    def test_pinned_odes(self, name):
+        ode = algeq_to_ode(P1S[name]())
+        assert (ode.coeffs, ode.inhom) == ODES[name]
+
     def test_geometric(self):
         ode = algeq_to_ode(geom_eq())
         assert ode.coeffs == ((-1,), (1, -1))

@@ -8,12 +8,11 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import linalg
+from tuttesolve import MPoly, linalg
 from tuttesolve.linalg import _P, nullspace, nullspace_field, relations
-from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
 
 
 def rank_of(rows):
@@ -226,28 +225,64 @@ class TestModPSkip:
         assert len(nullspace_calls) == 2
 
 
-def test_field_nullspace_over_rational_functions():
-    yv = RatFunc([F(0), F(1)])
-    rows = [[RATFUNC_ONE, yv, RATFUNC_ZERO],
-            [RATFUNC_ZERO, RATFUNC_ZERO, RATFUNC_ONE]]
-    basis = nullspace_field(rows, RATFUNC_ZERO, RATFUNC_ONE)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[2].is_zero
-    # first row: v0 + y*v1 = 0
-    assert (v[0] + yv * v[1]).is_zero
-
-
 def test_field_nullspace_matches_fraction_version():
+    # on constant entries each vector is nullspace's, scaled by its value
+    # at the free column: the last pivot to the left of that column
     rng = random.Random(7)
     for _ in range(40):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
-        data = [[F(rng.randint(-5, 5)) for _ in range(m)] for _ in range(n)]
+        data = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
         b_frac = nullspace(data)
-        rows = [[RatFunc([c]) if c else RATFUNC_ZERO for c in r] for r in data]
-        b_field = nullspace_field(rows, RATFUNC_ZERO, RATFUNC_ONE)
-        assert len(b_frac) == len(b_field)
-        for vf, vr in zip(b_frac, b_field):
-            for cf, cr in zip(vf, vr):
-                want = RatFunc([cf]) if cf else RATFUNC_ZERO
-                assert cr == want
+        b_ring = nullspace_field([[MPoly.const(c) for c in r] for r in data])
+        assert len(b_frac) == len(b_ring)
+        for vf, vr in zip(b_frac, b_ring):
+            ints = [c.constant_value() for c in vr]
+            t = ints[vf.index(1)]
+            assert t != 0
+            assert ints == [t * c for c in vf]
+
+
+xpolys = st.lists(st.integers(min_value=-4, max_value=4), max_size=4).map(
+    lambda cs: MPoly.from_items(("x",), (((k,), c) for k, c in enumerate(cs))))
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_field_nullspace_over_polynomials_in_x(R, C, data):
+    # a last column that is a Z[x]-combination of the others plants a
+    # kernel vector; every basis vector must annihilate every row exactly
+    rows = [data.draw(st.lists(xpolys, min_size=C, max_size=C)) for _ in range(R)]
+    lam = data.draw(st.lists(xpolys, min_size=C, max_size=C))
+    rows = [r + [sum((a * b for a, b in zip(r, lam)), MPoly.zero())]
+            for r in rows]
+    basis = nullspace_field(rows)
+    assert basis
+    for v in basis:
+        assert any(v)
+        for r in rows:
+            assert sum((a * b for a, b in zip(r, v)), MPoly.zero()).is_zero
+
+
+def det(M):
+    """Laplace expansion along the first row."""
+    if not M:
+        return MPoly.const(1)
+    return sum(((-1) ** j * M[0][j] * det([r[:j] + r[j + 1:] for r in M[1:]])
+                for j in range(len(M))), MPoly.zero())
+
+
+@given(st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_field_nullspace_is_the_cramer_solution(R, data):
+    # R x (R+1) with an invertible left block: the one vector is, up to
+    # the sign of the row swaps, det(A) at the last column and minus the
+    # determinant with column k swapped for the last one at column k
+    rows = [data.draw(st.lists(xpolys, min_size=R + 1, max_size=R + 1))
+            for _ in range(R)]
+    A = [r[:R] for r in rows]
+    assume(not det(A).is_zero)
+    cramer = [-det([r[:k] + [r[R]] + r[k + 1:R] for r in rows])
+              for k in range(R)] + [det(A)]
+    basis = nullspace_field(rows)
+    assert basis in ([cramer], [[-c for c in cramer]])

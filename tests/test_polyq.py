@@ -24,10 +24,6 @@ def frac_poly(p):
     return [F(c) for c in p]
 
 
-def rf_lift(c):
-    return RatFunc([F(c)], [F(1), F(c)])
-
-
 class TestArithmetic:
     @given(polys, polys)
     def test_mul_commutes(self, a, b):
@@ -58,15 +54,13 @@ class TestArithmetic:
     @given(polys, polys)
     @settings(max_examples=60)
     def test_divmod_identity(self, a, b):
-        # over Q, and over Q(y) with c read as c/(1 + c*y)
-        for lift, zero in ((F, F(0)), (rf_lift, RATFUNC_ZERO)):
-            bl = trim([lift(c) for c in b])
-            if not bl:
-                return
-            al = trim([lift(c) for c in a])
-            q, r = pdivmod(al, bl, zero)
-            assert padd(pmul(q, bl, zero), r) == al
-            assert deg(r) < deg(bl)
+        bl = trim(frac_poly(b))
+        if not bl:
+            return
+        al = trim(frac_poly(a))
+        q, r = pdivmod(al, bl)
+        assert padd(pmul(q, bl), r) == al
+        assert deg(r) < deg(bl)
 
     def test_divmod_of_int_lists_is_exact(self):
         q, r = pdivmod([1, 0, 1], [0, 2])     # (1 + x^2) = (x/2)(2x) + 1
