@@ -11,9 +11,12 @@ exponents through ``MPoly.items(names)`` and builds from them through
 ``MPoly.from_items(names, pairs)``.
 
 Elimination is the performance-critical piece.  ``resultant`` reduces the
-higher-degree argument by one pseudo-remainder, ``_p_prem``, and takes the
-Sylvester determinant of what is left by fraction-free elimination on the
-packed terms (``_p_det``).  ``gcd_mpoly`` runs a recursive primitive
+higher-degree argument A by one pseudo-remainder R = ``_p_prem(A, B)`` and
+takes the determinant of the norm matrix of R modulo B, deg B square, on
+the packed terms.  Up to deg B = ``_MINORS_MAX_DEG`` that is an expansion
+in minors (``_p_minors``), which never divides and wins on sparse entries;
+above it the 2**deg B minors cost more than fraction-free elimination
+(``_p_det``), which takes over.  ``gcd_mpoly`` runs a recursive primitive
 remainder sequence through the same pseudo-remainder after one
 specialization test (``_constant_gcd_certified``) that proves most gcds
 constant without it.  ``squarefree_primitive`` is a content gcd and one
@@ -513,14 +516,52 @@ def _p_det(M: list[list[dict]]) -> dict:
     return {m: -c for m, c in det.items()} if neg else det
 
 
+def _p_minors(M: list[list[dict]]) -> dict:
+    """Determinant of a square matrix of packed polynomials, by expansion
+    in minors (Gentleman and Johnson, ACM TOMS 2, 1976).
+
+    Row by row, each minor of the rows so far, keyed by the set of columns
+    it uses, is multiplied by one entry of the next row; nothing is
+    divided.  Zero entries and minors are skipped, and the sign of a term
+    is the parity of the used columns to the right of its entry.
+    """
+    minors = {0: {0: 1}}
+    for row in M:
+        # _p_submul subtracts, so an even sign takes the negated entry
+        neg = [{m: -c for m, c in e.items()} for e in row]
+        nxt: dict[int, dict] = {}
+        for used, minor in minors.items():
+            for j, e in enumerate(row):
+                if e and not used >> j & 1:
+                    acc = nxt.setdefault(used | 1 << j, {})
+                    _p_submul(acc, minor, e if (used >> j).bit_count() & 1
+                              else neg[j])
+        minors = {k: m for k, m in nxt.items() if m}
+    return minors.get((1 << len(M)) - 1, {})
+
+
+# the largest divisor degree whose norm matrix is expanded in minors: the
+# expansion keeps up to 2**dB minors, so its cost grows exponentially in dB
+# and Bareiss's only polynomially, but on sparse entries it multiplies by
+# one small entry where Bareiss multiplies and divides large minors
+_MINORS_MAX_DEG = 8
+
+
 def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     """Resultant of A and B with respect to v, exact, with the sign of the
     Sylvester determinant.
 
     With deg A >= deg B (else swapped), one pseudo-remainder
     R = lc(B)^(dA-dB+1) * A mod B gives Res(B, A) = lc(B)^e * Res(B, R),
-    e = dA - dR - (dA-dB+1)*dB <= 0, and Res(B, R) is R^dB for a constant
-    R and otherwise the determinant of the (dB+dR)-square Sylvester matrix.
+    e = dA - dR - (dA-dB+1)*dB <= 0.  Res(B, R) is R^dB for a constant R,
+    and otherwise comes from the dB-square norm matrix of R modulo B: row 0
+    is R, row i is v times row i-1, reduced by one pseudo-remainder step
+    once it reaches degree dB.  Its determinant is
+    lc(B)^(dR(dR+1)/2) * N(R), where N(R) is the product of R over the
+    roots of B, and Res(B, R) = lc(B)^dR * N(R), so one exact division by
+    lc(B)^(dR(dR-1)/2 - e) gives Res(B, A).  The determinant is an
+    expansion in minors (``_p_minors``) up to dB = ``_MINORS_MAX_DEG`` and
+    Bareiss elimination (``_p_det``) above it.
     """
     dA, dB = A.degree(v), B.degree(v)
     if dA <= 0 or dB <= 0:
@@ -529,7 +570,8 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     a = [c.terms for c in A.as_univariate(v)]
     b = [c.terms for c in B.as_univariate(v)]
     # Res(A, B) = (-1)^(dA*dB) Res(B, A), and Res(B, A) is what is computed;
-    # B's coefficients fill dR rows, so at equal degrees the smaller is B
+    # at equal degrees the operand with fewer terms is the divisor B, which
+    # reduces the norm matrix's rows and whose lead is divided out
     neg = dA * dB % 2 == 1
     if (dA, len(A.terms)) < (dB, len(B.terms)):
         a, b, dA, dB, neg = b, a, dB, dA, False
@@ -537,17 +579,25 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     if not r:
         return MPoly.zero()
     dR = len(r) - 1
+    k = dR * (dR - 1) // 2 - (dA - dR - (dA - dB + 1) * dB)
     if dR == 0:
         res = _p_pow(r[0], dB)
     else:
-        n = dB + dR
-        res = _p_det([[{}] * i + b[::-1] + [{}] * (n - dB - 1 - i)
-                      for i in range(dR)]
-                     + [[{}] * i + r[::-1] + [{}] * (n - dR - 1 - i)
-                        for i in range(dB)])
-    e = dA - dR - (dA - dB + 1) * dB
-    if e:
-        res = _p_divexact(res, _p_pow(b[-1], -e))
+        rows = [r + [{}] * (dB - 1 - dR)]
+        for i in range(1, dB):
+            # v times the last row; from row dB - dR on it reaches degree
+            # dB, and a pseudo-remainder step scales it by lc(B) once
+            row = [{}] + rows[-1]
+            row = _p_prem(row, b) if i >= dB - dR else row[:-1]
+            rows.append(row + [{}] * (dB - len(row)))
+        if dB > _MINORS_MAX_DEG:
+            res = _p_det(rows)
+        else:
+            # turned half round, which keeps the determinant: expanding
+            # the reduced rows first was measured faster
+            res = _p_minors([row[::-1] for row in rows[::-1]])
+    if k:
+        res = _p_divexact(res, _p_pow(b[-1], k))
     return _new({m: -c for m, c in res.items()} if neg else res)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive, vanishing_bound
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import VARS, _p_try_divexact, gcd_mpoly
+from tuttesolve.mpoly import (_MINORS_MAX_DEG, VARS, _p_det, _p_minors,
+                              _p_try_divexact, gcd_mpoly)
 
 from . import _oracle
 
@@ -249,13 +250,24 @@ class TestResultant:
         assert dict(resultant(a, b, "f").items(FXY)) == want
 
     def test_zero_pivot_swaps_a_row(self):
-        # f^3 + 2f = f*(f^2 + 1) + f: the determinant of the Sylvester
-        # matrix of (f^2 + 1, f) meets a zero pivot in its second column
-        a, b = f ** 3 + 2 * f, f ** 2 + 1
-        assert resultant(a, b, "f") == 1
-        assert resultant(b, a, "f") == 1
-        assert _oracle.sylvester_resultant(dict(a.items(FXY)),
-                                           dict(b.items(FXY)), 0) == {(0, 0, 0): 1}
+        # Bareiss on the Sylvester matrix of (f^2 + x, f) meets a zero
+        # pivot in its second column; the determinant is Res = x
+        one = MPoly.const(1).terms
+        M = [[one, {}, x.terms], [one, {}, {}], [{}, one, {}]]
+        assert _p_det(M) == x.terms
+        assert resultant(f ** 2 + x, f, "f") == x
+
+    def test_divisor_degree_above_the_minors_cutoff(self):
+        # the divisor has degree _MINORS_MAX_DEG + 1, so its norm matrix
+        # goes to Bareiss; sparse and non-monic, at equal degrees (either
+        # order, odd degrees so the sign flips) and at a degree apart
+        d = _MINORS_MAX_DEG + 1
+        same = f ** d + x * f ** 3 - y, (x + 2) * f ** d + y * f ** (d - 2) + 1
+        apart = f ** (d + 1) + x * f - y, (x + 2) * f ** d + y * f ** (d - 1) + 1
+        for a, b in (same, same[::-1], apart):
+            want = _oracle.sylvester_resultant(dict(a.items(FXY)),
+                                               dict(b.items(FXY)), 0)
+            assert dict(resultant(a, b, "f").items(FXY)) == want
 
     def test_linear_pair(self):
         r = resultant(f - x, f - y, "f")
@@ -277,6 +289,33 @@ class TestResultant:
     def test_rejects_constant_in_variable(self):
         with pytest.raises(InvalidElimination):
             resultant(x + 1, f - x, "f")
+
+
+@st.composite
+def packed_matrices(draw):
+    """Square matrices of packed polynomials in x and y, 1x1 to 6x6, with
+    zero entries often, and now and then a zero row or a zero leading
+    column, so that Bareiss meets zero pivots."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(MPoly.zero()),
+                      small_polys(("x", "y"), max_terms=2, max_exp=2))
+    M = [[draw(entry).terms for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["plain", "zero row", "zero column"]))
+    k = draw(st.integers(0, n - 1))
+    if kind == "zero row":
+        M[k] = [{}] * n
+    elif kind == "zero column":
+        for row in M[:k + 1]:
+            row[0] = {}
+    return M
+
+
+class TestDeterminant:
+    @given(packed_matrices())
+    @settings(max_examples=120, deadline=None)
+    def test_minors_agree_with_bareiss(self, M):
+        want = _p_det([row[:] for row in M])
+        assert _p_minors(M) == want
 
 
 class TestGcd:

@@ -48,6 +48,18 @@ class TestGoldenRuns:
         assert rep.value.value == _oracle.counting_term(1000)
         assert rep.value.digits == 969
 
+    @pytest.mark.parametrize("steps", [(-1, 2, 3), (-1, 1, 2, 3), (-1, 1, 3)],
+                             ids=str)
+    def test_walk_beyond_the_corpus(self, steps):
+        # each p1 has degree 4, so certify's g-resultant expands a 4x4 norm
+        # matrix in minors
+        rep = run_pipeline(PipelineConfig(_oracle.walk_equation(steps),
+                                          eval_at=60))
+        want = [row[0] for row in _oracle.walk_counts(steps, 60, 0)]
+        assert rep.proven
+        assert list(rep.series_prefix) == want[:len(rep.series_prefix)]
+        assert rep.value.value == want[60]
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: the certificate does not show that the defect's "
         "psi~ is regular at y = 0, so a p1 that leaves g at order 25 is "
