@@ -12,7 +12,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from . import polyq
 from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
                      ResultantVanishes, SelfCheckFailed, ZeroAnnihilator,
                      ZeroPolynomial)
@@ -96,60 +95,12 @@ def _vouched(p2: BivarAlgEq) -> bool:
     return P is p2.P and branch is p2.branch
 
 
-def _monomial_linear_factors(P: MPoly) -> tuple[list[MPoly], MPoly]:
-    """Split off visible factors  v*m2*psi - u*m1  by trial division.
-
-    m1, m2 are coprime monomials in x, y.  Returns (factors, remaining
-    cofactor).  Only attempted while the leading and trailing
-    psi-coefficients are single monomials, the shape this shortcut is meant
-    for; anything else is left whole, which is always sound.
-
-    The root psi = (u/v)*x^a*y^b of such a factor has a shift (a, b) in
-    [-lx, tx] x [-ly, ty], from the lead and trail monomials.  Under it the
-    terms that land on the lead term's monomial sum to a polynomial E(r),
-    and u/v is a nonzero rational root of E.  A term c*psi^k*x^i*y^j lands
-    there for the one shift ((i-lx)/(d-k), (j-ly)/(d-k)), if integral.
-    """
-    found: list[MPoly] = []
-    work = P
-    progress = True
-    while progress and work.degree("psi") >= 2:
-        progress = False
-        d = work.degree("psi")
-        trail = work.coeff_of("psi", 0)
-        lead = work.coeff_of("psi", d)
-        if len(trail.terms) != 1 or len(lead.terms) != 1:
-            break
-        ((tx, ty), _), = trail.items(("x", "y"))
-        ((lx, ly), lc), = lead.items(("x", "y"))
-        E: dict[tuple[int, int], list[int]] = {}
-        for (k, i, j), c in work.items(("psi", "x", "y")):
-            if k == d:
-                continue  # the lead term itself
-            (a, ra), (b, rb) = divmod(i - lx, d - k), divmod(j - ly, d - k)
-            if not ra and not rb and -lx <= a <= tx and -ly <= b <= ty:
-                E.setdefault((a, b), [0] * d + [lc])[k] += c
-        cands = [MPoly.monomial(r.denominator, psi=1,
-                                x=max(0, -a), y=max(0, -b))
-                 - MPoly.monomial(r.numerator, x=max(0, a), y=max(0, b))
-                 for (a, b), e in sorted(E.items())
-                 for r in polyq.rational_roots(e) if r]
-        for cand in cands:
-            q = work.try_divexact(cand)
-            if q is not None:
-                found.append(cand.normalized())
-                work = q
-                progress = True
-                break
-    return found, work
-
-
 def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
     """Eliminate the specialized series between Q and its equation.
 
-    The result annihilates the witness to its full order; when the
-    squarefree resultant visibly factors, only the factors vanishing on
-    the witness are kept.
+    The result is the squarefree primitive part of the resultant in psi,
+    kept whole: no factor of it is sought.  It annihilates the witness to
+    its full order, or NoVanishingFactor is raised.
     """
     if p1.degF < 1:
         raise InvalidElimination("equation for the specialization must involve f")
@@ -163,19 +114,10 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
     if R.degree("psi") < 1:
         raise InvalidElimination("elimination lost the unknown series")
     P2 = squarefree_primitive(R, "psi")
-    L = len(witness)
-    factors, rest = _monomial_linear_factors(P2)
-    if rest.degree("psi") >= 1:
-        factors.append(rest)
-    keep = [F for F in factors
-            if _vanishing_order(F, witness, (), L) is None]  # P2 is g-free
-    if not keep:
+    if _vanishing_order(P2, witness, (), len(witness)) is not None:  # g-free
         raise NoVanishingFactor(
             "no factor of the eliminated equation annihilates the series witness")
-    prod = keep[0]
-    for F in keep[1:]:
-        prod = prod * F
-    p2 = BivarAlgEq(prod.normalized(), witness)
+    p2 = BivarAlgEq(P2.normalized(), witness)
     _vouch(p2)
     return p2
 

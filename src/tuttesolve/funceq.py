@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polyq
+from . import linalg, polyq
 from .errors import (
     AmbiguousBranch,
     DegenerateKernel,
@@ -93,11 +93,18 @@ class WellPosedness:
 # rational function c(y) with gamma = c(0).  Roots are found without a
 # factorization engine: specialize y at a sample point keeping the
 # polynomial squarefree of full degree, take the rational roots there,
-# Newton-lift each to a power series, reconstruct a rational function by
-# Pade approximation, and verify the candidate exactly.  Completeness: a
+# Newton-lift each to a power series s, read a rational function p/q back
+# from it, and verify the candidate exactly.  Completeness: a
 # rational-function root is regular at the sample point (its denominator
 # divides the leading coefficient, nonzero there) and distinct roots take
 # distinct values there (discriminant nonzero), so every root is hit.
+#
+# Reading back is the Pade relation q*s - p = 0 mod t^(2dY+1) with
+# deg p, q <= dY, one kernel vector of `linalg.nullspace`, the guessers'
+# kernel.  Its q is never zero: q = 0 leaves p = 0 mod t^(2dY+1), so p = 0.
+# A root n/d has degree <= dY (d divides the leading, n the trailing
+# coefficient), and q*n - p*d has degree <= 2dY and vanishes to that order,
+# so p/q = n/d.  Any other candidate fails the exact check.
 
 def _fpoly_from_bivar(R: MPoly, gval: Fraction | None) -> list[list[Fraction]]:
     """Coefficients [psi-power][y-power] of R with g := gval substituted."""
@@ -173,15 +180,16 @@ def _ratfunc_roots(P: list[list[Fraction]]) -> list[RatFunc]:
             "could not find a regular sample point for the order-0 branch search")
     out: list[RatFunc] = []
     shifted = [polyq.pshift(row, sample) for row in rows]
-    order = 2 * dY + 2
     spec_int, _ = polyq.clear_denominators(spec_poly)
     for r0 in polyq.rational_roots(spec_int):
-        series = _newton_lift(shifted, r0, order)
-        pq = polyq.pade(series, dY, dY)
-        if pq is None:
-            continue
-        num, den = pq
-        cand = RatFunc(polyq.pshift(num, -sample), polyq.pshift(den, -sample))
+        series = _newton_lift(shifted, r0, 2 * dY)
+        # columns p_0..p_dY, q_0..q_dY; row k is the t^k coefficient of q*s - p
+        vec = linalg.nullspace(
+            [[-1 if j == k else 0 for j in range(dY + 1)]
+             + [series[k - j] if j <= k else 0 for j in range(dY + 1)]
+             for k in range(2 * dY + 1)])[0]
+        cand = RatFunc(polyq.pshift(vec[:dY + 1], -sample),
+                       polyq.pshift(vec[dY + 1:], -sample))
         # exact verification against the original (pre-reduction) polynomial
         if not _rf_horner(P, cand) and cand not in out:
             out.append(cand)

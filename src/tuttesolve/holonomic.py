@@ -236,12 +236,14 @@ def ode_to_rec(L: LinODE) -> PRec:
     """P-recurrence for the coefficient sequence of the ODE's solution.
 
     x^j f^(i) contributes q(n) a_(n+i-j) with q the falling factorial
-    (n+i-j)...(n-j+1).  The shape is shift-normalized to reference a_n;
-    small indices where the polynomial relation fails (checked against
-    the witness) are repaired by an (n - index) factor.
+    (n+i-j)...(n-j+1).  The shape is shift-normalized to reference a_n,
+    and its common factor in Z[n], content included, is divided out
+    exactly, signed so that the last coefficient is positive.  Small
+    indices where the polynomial relation fails (checked against the
+    witness) are repaired by an (n - index) factor.
     """
     s = L.branch
-    shifts: dict[int, list[Fraction]] = {}
+    shifts: dict[int, list[int]] = {}
     tmax_j = 0
     for i, p in enumerate(L.coeffs):
         for j, pc in enumerate(p):
@@ -249,9 +251,9 @@ def ode_to_rec(L: LinODE) -> PRec:
                 continue
             tmax_j = max(tmax_j, j)
             # falling factorial in n: product_(u=1..i) (n - j + u)
-            ff = [Fraction(pc)]
+            ff = [pc]
             for u in range(1, i + 1):
-                ff = polyq.pmul(ff, [Fraction(u - j), Fraction(1)])
+                ff = polyq.pmul(ff, [u - j, 1])
             t = i - j
             shifts[t] = polyq.padd(shifts.get(t, []), ff)
     shifts = {t: polyq.trim(q) for t, q in shifts.items()}
@@ -262,26 +264,14 @@ def ode_to_rec(L: LinODE) -> PRec:
     # relation valid (polynomial shape) for original m >= n0
     n0 = max(tmax_j, (len(L.inhom) - 1) + 1 if L.inhom else 0)
     # reference a_k..a_(k+order) with k = m + tmin: valid for k >= n0 + tmin
-    qs: list[list[Fraction]] = []
-    for t in range(tmin, tmax + 1):
-        q = shifts.get(t, [])
-        qs.append(polyq.pshift([Fraction(c) for c in q], Fraction(-tmin))
-                  if q else [])
+    qs = [polyq.pshift(shifts.get(t, []), -tmin) for t in range(tmin, tmax + 1)]
     valid_from = max(0, n0 + tmin)
 
-    # strip common polynomial factor, then content
-    nz = [q for q in qs if q]
-    com = nz[0]
-    for q in nz[1:]:
-        com = polyq.pgcd(com, q)
-        if polyq.deg(com) == 0:
-            break
-    if polyq.deg(com) > 0:
-        qs = [polyq.pdivmod(q, com)[0] if q else [] for q in qs]
-    flat = [v for q in qs for v in q]
-    ints_flat, _ = polyq.clear_denominators(flat)
-    it = iter(ints_flat)
-    qi: list[list[int]] = [[next(it) for _ in q] for q in qs]
+    # strip the common factor, content included; the last entry positive
+    com = reduce(polyq.igcd_poly, [q for q in qs if q])
+    if qs[-1][-1] * com[-1] < 0:
+        com = [-c for c in com]
+    qi = [polyq.idivexact(q, com) if q else [] for q in qs]
 
     # validity repair below valid_from, certified against the witness
     for nu in range(valid_from - 1, -1, -1):

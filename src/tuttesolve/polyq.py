@@ -5,17 +5,16 @@ trailing zeros; the zero polynomial is the empty list.  The routines need
 only ``+ - *`` and a falsy zero, so one copy serves int, Fraction and
 ``MPoly`` coefficients alike.  ``peval`` also serves :class:`RatFunc`: it
 takes the ring's ``zero`` last, as ``series._mul_trunc`` does, with a
-default that suits int and Fraction.  ``pdivmod`` divides over Q and lifts
-its inputs to Fraction, so int lists divide exactly into Fractions.  The
+default that suits int and Fraction.  No polynomial is divided over Q: the
 content, primitive-part, gcd and exact-quotient helpers (``icontent``,
 ``ipp``, ``igcd_poly``, ``idivexact``) need integer division and take int
 lists only.
 
 Also here: :class:`RatFunc`, the canonical rational function in one
 variable used as the coefficient domain of bivariate series, the rational
-roots (found p-adically, with no integer factored) and Pade reconstruction
-needed by the series-branch search, and ``num_str``, the one conversion of
-an int or Fraction to text, for numbers of any size.
+roots (found p-adically, with no integer factored) needed by the
+series-branch search, and ``num_str``, the one conversion of an int or
+Fraction to text, for numbers of any size.
 """
 
 from __future__ import annotations
@@ -44,14 +43,6 @@ def padd(a: Sequence, b: Sequence) -> list:
     for i, c in enumerate(b):
         out[i] += c
     return trim(out)
-
-
-def pneg(a: Sequence) -> list:
-    return [-c for c in a]
-
-
-def psub(a: Sequence, b: Sequence) -> list:
-    return padd(a, pneg(b))
 
 
 def pmul(a: Sequence, b: Sequence) -> list:
@@ -95,24 +86,6 @@ def pshift(a: Sequence, s) -> list:
 
 def pderiv(a: Sequence) -> list:
     return trim([i * a[i] for i in range(1, len(a))])
-
-
-def pdivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Quotient and remainder over Q.  b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = trim([Fraction(c) for c in a])
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lead
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] -= c * bc
-        r.pop()
-        trim(r)
-    return trim(q), r
 
 
 def prem(a: Sequence, b: Sequence) -> list:
@@ -220,14 +193,6 @@ def clear_denominators(a: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     return [c // g for c in ints], Fraction(g, lcm)
 
 
-def pgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd over the rationals (via primitive integer PRS)."""
-    ia, _ = clear_denominators(a)
-    ib, _ = clear_denominators(b)
-    g = igcd_poly(ia, ib)
-    return [Fraction(c, g[-1]) for c in g]
-
-
 # --- rational roots, p-adically (Loos, SIAM J. Comput. 12, 1983) ---
 
 def _simple_roots_mod(s: Sequence[int]) -> tuple[int, list[int]]:
@@ -291,40 +256,6 @@ def rational_roots(a: Sequence[int]) -> list[Fraction]:
 
 def integer_roots(a: Sequence[int]) -> list[int]:
     return [int(r) for r in rational_roots(a) if r.denominator == 1]
-
-
-def pade(series: Sequence[Fraction], dn: int, dd: int) -> tuple[list, list] | None:
-    """Reconstruct p/q with deg p <= dn, deg q <= dd from dn+dd+1 series terms.
-
-    Returns (p, q) with q(0) != 0 and p = q * series mod t^(dn+dd+1), or None
-    when no such pair exists.  Uses the extended Euclidean scheme.
-    """
-    order = dn + dd + 1
-    if len(series) < order:
-        raise ValueError("not enough series terms for Pade reconstruction")
-    s = trim([Fraction(c) for c in series[:order]])
-    rm1 = [Fraction(0)] * order + [Fraction(1)]
-    r0 = s
-    vm1: list = []
-    v0: list = [Fraction(1)]
-    while r0 and deg(r0) > dn:
-        q, r1 = pdivmod(rm1, r0)
-        v1 = psub(vm1, pmul(q, v0))
-        rm1, r0 = r0, r1
-        vm1, v0 = v0, v1
-    p, q = r0, v0
-    if not q or deg(q) > dd:
-        return None
-    g = pgcd(p, q) if p else []
-    if g and deg(g) > 0:
-        p, _ = pdivmod(p, g)
-        q, _ = pdivmod(q, g)
-    if not q or not q[0]:
-        return None
-    check = pmul(q, s)
-    if trim(check[:order]) != p:
-        return None
-    return p, q
 
 
 def num_str(c: int | Fraction) -> str:

@@ -247,6 +247,34 @@ def rational_roots_by_divisors(a):
     return sorted(roots)
 
 
+def poly_divmod_q(a, b):
+    """Quotient and remainder over Q of lists (constant term first), by
+    long division in Fractions; b must have a nonzero last entry."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    while r and not r[-1]:
+        r.pop()
+    while q and not q[-1]:
+        q.pop()
+    return q, r
+
+
+def poly_gcd_q(a, b):
+    """Monic gcd over Q by Euclid's algorithm; gcd(0, 0) = 0 (the empty list)."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, poly_divmod_q(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
 # --- reference sequences ----------------------------------------------------
 
 def counting_term(n: int) -> Fraction:

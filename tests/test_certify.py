@@ -106,27 +106,13 @@ class TestEliminateG:
 
     def test_keeps_only_vanishing_factor(self):
         # after eliminating g the polynomial splits as (psi - x)(psi + 1);
-        # the witness psi = x singles out the first factor
+        # no factor is sought, and the whole product vanishes on the
+        # witness psi = x
         eq = parse_equation("g + (psi - x)*(psi + 1)")
         p1 = AlgEq(MPoly.var("f"), QSeries([F(0)] * 8))
         witness = SeriesX([RatFunc.const(0), rf(1)] + [RatFunc.const(0)] * 6)
         p2 = eliminate_g(eq, p1, witness)
-        assert p2.P == (psi - x).normalized()
-
-    def test_wide_coefficients_are_not_factored(self):
-        # a 5,000-digit lead coefficient: the one candidate, from the root
-        # 1/c of c*r^2 - r, is tried and fails; no integer is factored
-        big = MPoly.const(10**5000 - 1)      # 5,000 nines
-        P = big * x * psi**2 - psi + one
-        assert certify_mod._monomial_linear_factors(P) == ([], P)
-
-    def test_factors_with_a_wide_semiprime(self):
-        n = _oracle.WIDE_SEMIPRIME
-        P = (n * x * psi - one) * (psi + y)
-        found, rest = certify_mod._monomial_linear_factors(P)
-        assert len(found) == 1 and rest.degree("psi") == 1
-        assert {p.normalized() for p in found + [rest]} == {
-            (n * x * psi - one).normalized(), (psi + y).normalized()}
+        assert p2.P == ((psi - x) * (psi + one)).normalized()
 
     def test_no_factor_vanishes(self):
         eq = parse_equation("g + (psi - x)*(psi + 1)")

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tuttesolve import (FuncEq, MPoly, check_well_posed, expand_series,
                         parse_equation, specialize_y0)
@@ -15,6 +17,10 @@ from tuttesolve.polyq import RatFunc
 from . import _frozen, _oracle
 
 psi, g, x, y = (MPoly.var(v) for v in ("psi", "g", "x", "y"))
+
+
+def poly_y(cs):
+    return sum((c * y**i for i, c in enumerate(cs)), MPoly.zero())
 
 
 class TestFuncEqType:
@@ -72,6 +78,32 @@ class TestWellPosedness:
         n = _oracle.WIDE_SEMIPRIME
         wp = check_well_posed(parse_equation(f"{n}*psi - 1 - x*psi**2"))
         assert wp.c0 == RatFunc([F(1, n)]) and wp.mode == "direct"
+
+    # the order-0 branch c0(y) is not constant, so it is read back from its
+    # series by the Pade relation
+    @pytest.mark.parametrize("text, c0, A", [
+        ("(1-y)*psi - 1 - x*psi**2*y", ([1], [1, -1]), [1, -1]),
+        ("(1+2*y)*psi - (1+y) - x*g*psi", ([1, 1], [1, 2]), [1, 2]),
+        ("(1 - y + 2*y**2)*psi - (1 + 3*y**2) - x*psi**2",
+         ([1, 0, 3], [1, -1, 2]), [1, -1, 2]),
+    ], ids=["pole-at-1", "with-g", "degree-2"])
+    def test_rational_branch(self, text, c0, A):
+        wp = check_well_posed(parse_equation(text))
+        assert wp.c0 == RatFunc(*c0) and wp.mode == "direct"
+        assert wp.kernelA == RatFunc(A) and wp.kernelB.is_zero
+
+    def test_two_rational_branches_are_ambiguous(self):
+        with pytest.raises(AmbiguousBranch, match=r"-y \+ 1, y \+ 1"):
+            check_well_posed(parse_equation("(psi - 1 - y)*(psi - 1 + y) - x*psi"))
+
+    @given(st.lists(st.integers(-6, 6), max_size=3),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_branch_is_any_rational_function(self, n, d):
+        # d*psi - n - x*psi**2 has the one order-0 branch n/d
+        assume(d[0] and len(_oracle.poly_gcd_q(n, d)) == 1)
+        eq = FuncEq(poly_y(d) * psi - poly_y(n) - x * psi**2)
+        assert check_well_posed(eq).c0 == RatFunc(n, d)
 
 
 class TestExpansion:

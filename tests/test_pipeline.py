@@ -48,8 +48,8 @@ class TestGoldenRuns:
         assert rep.value.value == _oracle.counting_term(1000)
         assert rep.value.digits == 969
 
-    @pytest.mark.parametrize("steps", [(-1, 2, 3), (-1, 1, 2, 3), (-1, 1, 3)],
-                             ids=str)
+    @pytest.mark.parametrize("steps", [(-1, 2, 3), (-1, 1, 2, 3), (-1, 1, 3),
+                                       (-1, 0, 3)], ids=str)
     def test_walk_beyond_the_corpus(self, steps):
         # each p1 has degree 4, so certify's g-resultant expands a 4x4 norm
         # matrix in minors

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from tuttesolve.polyq import (RATFUNC_ONE, RATFUNC_ZERO, RatFunc,
                               clear_denominators, deg, idivexact, igcd_poly,
-                              integer_roots, pade, padd, pdivmod, peval, pgcd,
-                              pmul, pshift, rational_roots, series_div, trim)
+                              integer_roots, padd, peval, pmul, pshift,
+                              rational_roots, series_div, trim)
 
 from . import _oracle
 
@@ -45,27 +45,6 @@ class TestArithmetic:
         shifted = pshift(frac_poly(a), s)
         for x in (F(0), F(2), F(-1)):
             assert peval(shifted, x) == peval(frac_poly(a), x + s)
-
-    def test_divmod_exact(self):
-        a = frac_poly([2, 3, 1])            # (x+1)(x+2)
-        q, r = pdivmod(a, frac_poly([1, 1]))
-        assert trim(r) == [] and trim(q) == [F(2), F(1)]
-
-    @given(polys, polys)
-    @settings(max_examples=60)
-    def test_divmod_identity(self, a, b):
-        bl = trim(frac_poly(b))
-        if not bl:
-            return
-        al = trim(frac_poly(a))
-        q, r = pdivmod(al, bl)
-        assert padd(pmul(q, bl), r) == al
-        assert deg(r) < deg(bl)
-
-    def test_divmod_of_int_lists_is_exact(self):
-        q, r = pdivmod([1, 0, 1], [0, 2])     # (1 + x^2) = (x/2)(2x) + 1
-        assert q == [F(0), F(1, 2)] and r == [F(1)]
-        assert all(type(c) is F for c in q + r)
 
     @given(polys, polys, st.integers(min_value=0, max_value=8))
     @settings(max_examples=60)
@@ -168,14 +147,6 @@ class TestClearDenominators:
             assert math.gcd(*ints_out) == 1 and ints_out[-1] > 0
 
 
-class TestPade:
-    def test_geometric(self):
-        # 1/(1-2x) from its series; compare as canonical rational functions
-        series = [F(2) ** k for k in range(8)]
-        num, den = pade(series, 0, 1)
-        assert RatFunc(num, den) == RatFunc([F(1)], [F(1), F(-2)])
-
-
 class TestRatFunc:
     def test_canonical_form(self):
         r = RatFunc([F(2), F(2)], [F(4)])   # (2+2y)/4 -> (1/2)(1+y)
@@ -211,8 +182,8 @@ class TestRatFunc:
             return
         r = RatFunc(pmul(num, h), pmul(den, h))
         n, d = trim(list(num)), trim(list(den))
-        g = pgcd(n, d) if n else [F(1)]
-        n, d = pdivmod(n, g)[0], pdivmod(d, g)[0]
+        g = _oracle.poly_gcd_q(n, d) if n else [F(1)]
+        n, d = _oracle.poly_divmod_q(n, g)[0], _oracle.poly_divmod_q(d, g)[0]
         assert r.num == tuple(c / d[-1] for c in n)
         assert r.den == (tuple(c / d[-1] for c in d) if n else (F(1),))
 
@@ -231,13 +202,6 @@ class TestRatFunc:
                 continue
             lhs = peval(list(s.num), x) / peval(list(s.den), x)
             assert lhs == 1 / da + peval(frac_poly(b), x)
-
-
-def test_pgcd_of_common_factor():
-    a = pmul(frac_poly([1, 1]), frac_poly([2, 1]))
-    b = pmul(frac_poly([1, 1]), frac_poly([3, 1]))
-    g = pgcd(a, b)
-    assert trim(g) == [F(1), F(1)]
 
 
 @given(polys, polys)
