@@ -4,6 +4,10 @@
 need every term.  `unroll` needs one far-out term: past the last singular
 index it multiplies integer companion matrices in a product tree (binary
 splitting), block by block, and sheds common content at every product.
+A lacunary recurrence, whose nonzero coefficients sit a multiple of a
+period d apart (walks whose steps share a period give these), is stepped
+by d along the residue class of the index, with companion matrices of
+order s/d.
 """
 
 from __future__ import annotations
@@ -99,18 +103,31 @@ def _fold(E: list[list[int]], D: list[int], s: int):
     return E, D
 
 
+def _stretch(q, c: int, d: int) -> list[int]:
+    """Coefficients of q(c + d*j) as a polynomial in j."""
+    return [x * d**i for i, x in enumerate(polyq.pshift(q, c))]
+
+
 def unroll(rec, G: int) -> SequenceValue:
     """Value of the sequence at index G, without the terms before it.
 
     With s = rec.order and head = s + (last nonnegative integer root of
-    q_s) + 1, every step k -> k+1 with k >= head - s is the integer
-    companion matrix C(k), with q_s(k) on the superdiagonal and -q_0(k) ..
-    -q_(s-1)(k) in its last row, over q_s(k).  Below head the value comes
-    from `_iterate`.  The leaves, first to last, are the start matrix
-    (first column a(head-s) .. a(head-1) over their common denominator)
-    and C(head-s) .. C(G-s).  Each block of `_BLOCK` leaves folds to one
-    node, the block nodes merge on a stack keyed by size, and a(G) is
-    entry (s-1, 0) of the top node over its denominator.
+    q_s) + 1, the values below head come from `_iterate`.  Past head the
+    recurrence steps by its period: with T = {t : q_t != 0}, t0 = min T and
+    d = gcd(s - t : t in T) (1 if T = {s}), row n links only indices
+    n + t0 + d*u, so b_j = a(i0 + d*j), with i0 = G (mod d) in [t0, t0+d),
+    satisfies sum_u p_u(j) b_(j+u) = 0 with p_u(j) = q_(t0+d*u)(i0-t0+d*j),
+    of order S = (s - t0)/d.  Each row that makes a b at or past head has
+    q_s != 0 there, so b is fixed by its values below head.
+
+    A step j -> j+1 of b is the integer companion matrix C(j), with p_S(j)
+    on the superdiagonal and -p_0(j) .. -p_(S-1)(j) in its last row, over
+    p_S(j).  The leaves, first to last, are the start matrix (first column
+    b_lo .. b_(lo+S-1), the last S values of b below head, over their
+    common denominator) and C(lo) .. C(J-S), with J = (G - i0)/d.  Each
+    block of `_BLOCK` leaves folds to one node, the block nodes merge on a
+    stack keyed by size, and b_J is entry (S-1, 0) of the top node over
+    its denominator.
     """
     if G < 0:
         raise InvalidIndex(f"sequence index must be nonnegative, got {G}")
@@ -118,29 +135,36 @@ def unroll(rec, G: int) -> SequenceValue:
     head = s + rec._last_singular() + 1
     if G < head:
         return SequenceValue(G, _iterate(rec, G + 1)[G])
-    if s == 0:
-        # q_0(G) a(G) = 0 with q_0(G) != 0
+    T = [t for t, q in enumerate(rec.coeffs) if q]
+    t0, d = T[0], gcd(*(s - t for t in T)) or 1
+    S = (s - t0) // d
+    if not S:
+        # q_s(G - s) a(G) = 0 with q_s(G - s) != 0
         return SequenceValue(G, Fraction(0))
-    v = _iterate(rec, head)[head - s:]
+    i0 = t0 + (G - t0) % d
+    v = _iterate(rec, head)[i0::d]
+    lo = len(v) - S
+    v = v[lo:]
     scale = lcm(*(x.denominator for x in v))
-    start = [0] * (s * s)
-    start[::s] = [x.numerator * (scale // x.denominator) for x in v]
-    *rest, lead = rec.coeffs
-    lo, n = head - s, G - head + 2  # leaf j >= 1 is C(lo + j - 1)
+    start = [0] * (S * S)
+    start[::S] = [x.numerator * (scale // x.denominator) for x in v]
+    *rest, lead = (_stretch(rec.coeffs[t], i0 - t0, d)
+                   for t in range(t0, s + 1, d))
+    n = (G - i0) // d - lo - S + 2  # leaf j >= 1 is C(lo + j - 1)
     stack = []  # (size, node): a node of size 2^i holds 2^i blocks
     for j in range(0, n, _BLOCK):
         ks = range(lo + max(j, 1) - 1, lo + min(j + _BLOCK, n) - 1)
         b = _horner(lead, ks)
         E = [b if c == r + 1 else [0] * len(b)
-             for r in range(s - 1) for c in range(s)]
+             for r in range(S - 1) for c in range(S)]
         E += [_horner([-c for c in q], ks) for q in rest]
         if not j:
             E, b = [[x] + e for x, e in zip(start, E)], [scale] + b
-        node, size = _fold(E, b, s), 1
+        node, size = _fold(E, b, S), 1
         # the last block folds in everything the stack holds
         while stack and (stack[-1][0] == size or j + _BLOCK >= n):
             (_, (E, b)), size = stack.pop(), 2 * size
-            node = _fold([p + e for p, e in zip(E, node[0])], b + node[1], s)
+            node = _fold([p + e for p, e in zip(E, node[0])], b + node[1], S)
         stack.append((size, node))
     (_, (E, D)), = stack
-    return SequenceValue(G, Fraction(E[(s - 1) * s][0], D[0]))
+    return SequenceValue(G, Fraction(E[(S - 1) * S][0], D[0]))

@@ -289,7 +289,10 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
 class _Expander:
     """Taylor-jet engine: carries the x-coefficients of every normalized
     mixed partial of Q at the current partial sums, over localized
-    coefficients with the fixed denominator D = den(c0) * num(A)."""
+    coefficients with the fixed denominator D = den(c0) * num(A) / y^v,
+    where v is the order of A's zero at y = 0.  Both factors are nonzero
+    at y = 0, and the division by A shifts out the v low coefficients of
+    each numerator, which vanish exactly when c_k is regular there."""
 
     def __init__(self, eq: FuncEq, wp: WellPosedness, K: int):
         self.K = K
@@ -300,7 +303,8 @@ class _Expander:
         q_int, _ = polyq.clear_denominators(wp.c0.den)
         an_int, an_scale = polyq.clear_denominators(wp.kernelA.num)
         ad_int, ad_scale = polyq.clear_denominators(wp.kernelA.den)
-        self.ctx = _LocCtx(polyq.pmul(q_int, an_int))
+        self._val_a = v = next(i for i, c in enumerate(an_int) if c)
+        self.ctx = _LocCtx(polyq.pmul(q_int, an_int[v:]))
         self.c0 = self.ctx.localize(wp.c0)
         self._div_num = polyq.pmul(ad_int, q_int)
         self._div_scale = ad_scale / an_scale
@@ -328,10 +332,14 @@ class _Expander:
         if wp.mode == "kernel":
             self.t_val = wp.kernelA.series(1)[1] + wp.kernelB.series(1)[1]
 
-    def _div_by_a(self, v: _Loc) -> _Loc:
+    def _div_by_a(self, v: _Loc, k: int) -> _Loc:
         if v.is_zero:
             return v
-        return _Loc(self.ctx, polyq.pmul(v.num, self._div_num),
+        if any(v.num[:self._val_a]):
+            raise PoleAtYZero(
+                f"coefficient of x^{k} has a pole at y = 0; "
+                "the equation does not define a power series")
+        return _Loc(self.ctx, polyq.pmul(v.num[self._val_a:], self._div_num),
                     v.scale * self._div_scale, v.e + 1)
 
     def solve_order(self, k: int) -> tuple[_Loc, Fraction]:
@@ -346,11 +354,7 @@ class _Expander:
                     "in the kernel mode; no solution")
             gam = -N.y_coeff(1) / self.t_val
         numer = (B.scaled(gam) + N) if self.dg else N
-        ck = self._div_by_a(numer.scaled(Fraction(-1)))
-        if not ck.regular_at_0():
-            raise PoleAtYZero(
-                f"coefficient of x^{k} has a pole at y = 0; "
-                "the equation does not define a power series")
+        ck = self._div_by_a(numer.scaled(Fraction(-1)), k)
         if ck.eval0() != gam:
             raise DegenerateKernel(
                 f"order {k}: computed c_k(0) = {ck.eval0()} conflicts with "

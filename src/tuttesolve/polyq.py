@@ -14,13 +14,15 @@ Also here: :class:`RatFunc`, the canonical rational function in one
 variable used as the coefficient domain of bivariate series, the rational
 roots (found p-adically, with no integer factored) needed by the
 series-branch search, and ``num_str``, the one conversion of an int or
-Fraction to text, for numbers of any size.
+Fraction to text, with its inverse ``int_parse``, for numbers of any size.
+Both work by divide and conquer on pieces that ``str()`` and ``int()``
+convert, below Python's 4,300-digit limit; reading back is then
+multiplications only.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -49,7 +51,7 @@ def pmul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    # skip b's low zeros (localized numerators carry a power of y)
+    # skip b's low zeros (localized numerators often carry a power of y)
     vb = 0
     while vb < len(b) and not b[vb]:
         vb += 1
@@ -258,13 +260,70 @@ def integer_roots(a: Sequence[int]) -> list[int]:
     return [int(r) for r in rational_roots(a) if r.denominator == 1]
 
 
-def num_str(c: int | Fraction) -> str:
-    """``str(c)`` for an int or Fraction of any size.
+# Digits per piece that str() or int() converts; Python 3.11+ refuses more
+# than 4,300, and both are quadratic in the digit count.
+_PIECE = 3000
 
-    Decimal has none of the digit limit that Python 3.11+ puts on int <-> str.
-    """
-    num = str(Decimal(c.numerator))
-    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+
+def _pow10_ladder(digits: int) -> list[int]:
+    """10^(_PIECE * 2^i) for i = 0, 1, ... up to the first with
+    _PIECE * 2^(i+1) >= digits."""
+    pows = [10**_PIECE]
+    while _PIECE << len(pows) < digits:
+        pows.append(pows[-1] ** 2)
+    return pows
+
+
+def _digits(n: int) -> str:
+    """str(n) for an int n >= 0 of any size, by divide and conquer
+    (Brent and Zimmermann, Modern Computer Arithmetic, 1.7)."""
+    if n.bit_length() <= 3 * _PIECE:  # then n < 8^_PIECE < 10^_PIECE
+        return str(n)
+    # log10(2) < 0.30103, so n has at most this many digits
+    pows = _pow10_ladder(int(n.bit_length() * 0.30103) + 1)
+
+    def part(n: int, i: int, width: int) -> str:
+        # n < 10^(2w) with w = _PIECE * 2^i; zero-padded to width
+        while not width and i >= 0 and n < pows[i]:
+            i -= 1
+        if i < 0:
+            return str(n).zfill(width)
+        hi, lo = divmod(n, pows[i])
+        w = _PIECE << i
+        return part(hi, i - 1, max(width - w, 0)) + part(lo, i - 1, w)
+
+    return part(n, len(pows) - 1, 0)
+
+
+def num_str(c: int | Fraction) -> str:
+    """``str(c)`` for an int or Fraction of any size."""
+    num = c.numerator
+    text = "-" + _digits(-num) if num < 0 else _digits(num)
+    return text if c.denominator == 1 else f"{text}/{_digits(c.denominator)}"
+
+
+def int_parse(s: str) -> int:
+    """``int(s)`` for a string of the form ``-?[0-9]+`` in ASCII, of any
+    length; ValueError on anything else.  Pieces of at most ``_PIECE``
+    digits are read by int() and combined as hi * 10^len(lo) + lo."""
+    digits = s.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {s!r}")
+    if len(digits) <= _PIECE:
+        return int(s)
+    pows = _pow10_ladder(len(digits))
+
+    def part(a: int, b: int, i: int) -> int:
+        # int(digits[a:b]), where b - a <= _PIECE * 2^(i+1)
+        while i >= 0 and b - a <= _PIECE << i:
+            i -= 1
+        if i < 0:
+            return int(digits[a:b])
+        m = b - (_PIECE << i)
+        return part(a, m, i - 1) * pows[i] + part(m, b, i - 1)
+
+    n = part(0, len(digits), len(pows) - 1)
+    return -n if len(digits) < len(s) else n
 
 
 def poly_str(a: Sequence, var: str) -> str:

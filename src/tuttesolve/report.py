@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import textwrap
 from dataclasses import asdict, dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from .certify import Certificate
 from .holonomic import ABSENT, LinODE, PRec
 from .evalrec import SequenceValue
 from .mpoly import MPoly
-from .polyq import num_str
+from .polyq import int_parse, num_str
 from .series import QSeries
 
 FORMAT_MARKER = "tuttesolve-report"
@@ -68,9 +67,8 @@ def _frac_parse(s: str) -> Fraction:
     """Inverse of ``num_str``: ``Fraction(s)`` for a rational of any size."""
     num, slash, den = s.partition("/")
     try:
-        v = Fraction(Decimal(num))
-        return v / Fraction(Decimal(den)) if slash else v
-    except (InvalidOperation, OverflowError):
+        return Fraction(int_parse(num), int_parse(den) if slash else 1)
+    except ValueError:
         raise ValueError(f"invalid rational number {s!r}") from None
 
 
@@ -86,12 +84,7 @@ def _int_doc(c: int) -> int | str:
 
 def _int_parse(v: int | str) -> int:
     """Inverse of ``_int_doc``."""
-    if not isinstance(v, str):
-        return int(v)
-    digits = v.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer {v!r}")
-    return int(Decimal(v))
+    return int_parse(v) if isinstance(v, str) else int(v)
 
 
 def _int_rows(rows, conv) -> list[list]:

@@ -163,21 +163,18 @@ class SeriesX:
 # --- localized coefficient engine (package internal) ---
 
 class _LocCtx:
-    """Fixed localization context: denominators are powers of one D(y)."""
+    """Fixed localization context: denominators are powers of one D(y),
+    with D(0) != 0, so every value is regular at y = 0."""
 
-    __slots__ = ("D", "val", "_powers")
+    __slots__ = ("D", "_powers")
 
     def __init__(self, D: Sequence[int]):
         D = polyq.trim(list(D))
-        if not D:
-            raise ZeroDivisionError("localization by the zero polynomial")
+        if not D or not D[0]:
+            raise ZeroDivisionError("localization by a D(y) that vanishes at 0")
         if D[-1] < 0:
             D = [-c for c in D]
         self.D = D
-        v = 0
-        while not D[v]:
-            v += 1
-        self.val = v
         self._powers: dict[int, list[int]] = {0: [1], 1: list(D)}
 
     def power(self, e: int) -> list[int]:
@@ -278,20 +275,8 @@ class _Loc:
             return self.ctx.zero()
         return _Loc(self.ctx, self.num, self.scale * c, self.e)
 
-    def val_y(self) -> int:
-        """y-adic valuation; raises on zero."""
-        if self.is_zero:
-            raise ZeroDivisionError("valuation of zero")
-        v = 0
-        while not self.num[v]:
-            v += 1
-        return v - self.e * self.ctx.val
-
-    def regular_at_0(self) -> bool:
-        return self.is_zero or self.val_y() >= 0
-
     def y_coeff(self, m: int) -> Fraction:
-        """Taylor coefficient of y^m at y = 0; requires regularity."""
+        """Taylor coefficient of y^m at y = 0."""
         if self.is_zero:
             return Fraction(0)
         series = self.y_prefix(m)
@@ -301,22 +286,12 @@ class _Loc:
         return self.y_coeff(0)
 
     def y_prefix(self, m: int) -> list[Fraction]:
-        """Taylor coefficients through y^m; requires regularity at 0."""
+        """Taylor coefficients through y^m."""
         if self.is_zero:
             return [Fraction(0)] * (m + 1)
-        vnum = 0
-        while not self.num[vnum]:
-            vnum += 1
-        vden = self.e * self.ctx.val
-        if vnum < vden:
-            raise PoleAtYZero("localized value has a pole at y = 0")
-        shift = vnum - vden
-        if shift > m:
-            return [Fraction(0)] * (m + 1)
-        n = m + 1 - shift
         den = self.ctx.power(self.e)
-        taylor = polyq.series_div(self.num[vnum:vnum + n], den[vden:vden + n], n)
-        return [Fraction(0)] * shift + [c * self.scale for c in taylor]
+        taylor = polyq.series_div(self.num[:m + 1], den[:m + 1], m + 1)
+        return [c * self.scale for c in taylor]
 
     def to_ratfunc(self) -> RatFunc:
         return RatFunc([c * self.scale for c in self.num],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction as F
+from math import comb
 from unittest import mock
 
 import pytest
@@ -167,6 +168,95 @@ class TestBinarySplitting:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@st.composite
+def lacunary_precs(draw):
+    """q_t = 0 below an offset t0 in 0-3 and off t0 + d*u for a period d in
+    2-4, strided order 1-2, and a leading coefficient that vanishes at a
+    nonnegative integer, so one residue class has a singular strided
+    index; rational initials as `precs` draws them."""
+    d, t0, S = draw(st.integers(2, 4)), draw(st.integers(0, 3)), \
+        draw(st.integers(1, 2))
+    s = t0 + d * S
+    coeffs = [[] for _ in range(s + 1)]
+    coeffs[t0] = draw(coeff_polys.filter(any))
+    for u in range(1, S):
+        coeffs[t0 + d * u] = draw(coeff_polys)
+    root, c = draw(st.integers(0, 9)), draw(st.integers(-3, 3).filter(bool))
+    coeffs[s] = [-root * c, c]
+    count = s + root + 1 + draw(st.integers(0, 2))
+    initials = draw(st.lists(st.fractions(min_value=-20, max_value=20,
+                                          max_denominator=9),
+                             min_size=count, max_size=count))
+    return PRec(coeffs, initials)
+
+
+# the minimized recurrences the pipeline derives for the corpus (and
+# walk112's unminimized one), with the initials it gives them
+DYCK = PRec(((-4, -4), (), (4, 1)), (F(1), F(0)))
+LUK2 = PRec(((-54, -81, -27), (), (), (54, 30, 4)), (F(1), F(0), F(0)))
+LUK3 = PRec(((-1536, -2816, -1536, -256), (), (), (),
+             (1536, 1248, 324, 27)), (F(1), F(0), F(0), F(0)))
+CORPUS_RECS = {
+    "catalan": CATALAN,
+    "maps": PRec(((-6, -12), (3, 1)), (F(1),)),
+    "dyck": DYCK,
+    "motzkin": MOTZKIN,
+    "luk2": LUK2,
+    "luk3": LUK3,
+    "walk112": PRec(((-6510, -11377, -5673, -806),
+                     (-9636, -10938, -3996, -468), (822, 829, 261, 26),
+                     (5688, 4558, 1200, 104)), (F(1), F(0), F(1))),
+    "walk112-full": PRec(((-558, -837, -279), (-1058, -915, -193),
+                          (-168, -81, -9), (506, 279, 37), (110, 42, 4)),
+                         (F(1), F(0), F(1), F(1))),
+    "walk102": PRec(((-62, -93, -31), (60, 54, 12), (-106, -72, -12),
+                     (54, 30, 4)), (F(1), F(1), F(1))),
+}
+
+
+def _fuss_catalan(k: int, G: int) -> int:
+    """Excursions of length G with steps -1 and +k: C((k+1)n, n)/(kn+1)
+    at G = (k+1)n, else 0."""
+    n, r = divmod(G, k + 1)
+    return 0 if r else comb((k + 1) * n, n) // (k * n + 1)
+
+
+class TestStride:
+    @given(lacunary_precs(), st.sampled_from([1, 2, 3, 64]),
+           st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_lacunary_agrees_with_iteration(self, rec, block, k):
+        # four consecutive indices meet every residue class of a period
+        # up to 4, both at the head and past k blocks of the strided steps
+        head = _head(rec)
+        far = head + 4 * k * block
+        terms = rec.terms(far + 4)
+        with mock.patch.object(evalrec, "_BLOCK", block):
+            for G in [*range(max(0, head - 4), head + 4),
+                      *range(far, far + 4)]:
+                assert unroll(rec, G).value == terms[G]
+
+    def test_offset_past_the_first_index(self):
+        # a(n+1) + n a(n+4) = 0: q_0 = 0, so the period 3 starts at t0 = 1
+        rec = PRec(((), (1,), (), (), (0, 1)),
+                   (F(2), F(-1), F(1, 3), F(5), F(7)))
+        terms = rec.terms(100)
+        assert [unroll(rec, G).value for G in range(100)] == terms
+
+    @pytest.mark.parametrize("k, rec", [(1, DYCK), (2, LUK2), (3, LUK3)],
+                             ids=["dyck", "luk2", "luk3"])
+    def test_fuss_catalan_far_out(self, k, rec):
+        for G in range(12000, 12000 + 2 * (k + 1)):
+            assert unroll(rec, G).value == _fuss_catalan(k, G)
+
+    @pytest.mark.parametrize("name", list(CORPUS_RECS))
+    def test_corpus_recurrences_agree_with_iteration(self, name):
+        rec = CORPUS_RECS[name]
+        Gs = [*range(40), 97, 98, 99, 100, 1000, 1001, 1002, 1003, 4097]
+        terms = rec.terms(max(Gs) + 1)
+        assert [unroll(rec, G).value for G in Gs] == [terms[G] for G in Gs]
 
 
 # the flagship's golden recurrence,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from tuttesolve.polyq import (RATFUNC_ONE, RATFUNC_ZERO, RatFunc,
                               clear_denominators, deg, idivexact, igcd_poly,
-                              integer_roots, padd, peval, pmul, pshift,
-                              rational_roots, series_div, trim)
+                              int_parse, integer_roots, num_str, padd, peval,
+                              pmul, pshift, rational_roots, series_div, trim)
 
 from . import _oracle
 
@@ -214,3 +216,49 @@ def test_idivexact_inverts_pmul(a, b):
     if a and deg(b) >= 1:
         with pytest.raises(ArithmeticError):
             idivexact(padd(pmul(a, b), [1]), b)
+
+
+# --- decimal text of any length ---
+#
+# Decimal is the reference: it has no digit limit, where str() and int()
+# stop at 4,300 digits on Python 3.11+.  The lengths straddle that limit,
+# the 3,000-digit pieces and their doublings.
+
+LENGTHS = [1, 2, 2999, 3000, 3001, 4299, 4300, 4301, 5999, 6000, 6001,
+           12000, 12001, 24001, 50000]
+
+
+def _numbers(length: int) -> list[int]:
+    """Random digits, and forms whose pieces are zero or all nines."""
+    rng = random.Random(length)
+    low = 10 ** (length - 1) if length > 1 else 0
+    return [rng.randrange(low, 10**length), low, 10**length - 1,
+            low + 1, low + 10 ** (length // 2)]
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_integers_round_trip(length):
+    for n in _numbers(length):
+        for v in (n, -n):
+            text = num_str(v)
+            assert text == str(Decimal(v))
+            assert int_parse(text) == v
+            assert int_parse(text.replace("-", "-000", 1)) == v
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_fractions_round_trip(length):
+    n = _numbers(length)[0]
+    for v in (F(7 * n + 1, 7**40), F(-3 * n - 1, 3), F(-7, 10 * n + 3)):
+        num, den = num_str(v).split("/")
+        assert (num, den) == (str(Decimal(v.numerator)),
+                              str(Decimal(v.denominator)))
+        assert F(int_parse(num), int_parse(den)) == v
+
+
+@pytest.mark.parametrize("bad", ["", "-", "+7", " 7", "7 ", "7\n", "1_0",
+                                 "1e3", "1.5", "--1", "0x1f", "\u0663",
+                                 "1" * 5000 + "a"])
+def test_int_parse_reads_only_ascii_digits(bad):
+    with pytest.raises(ValueError, match="invalid integer"):
+        int_parse(bad)

@@ -138,6 +138,13 @@ class TestHugeValues:
         with pytest.raises(ValueError):
             parse_report(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", ["1.5", "1e3", " 7", "+7", "1_0",
+                                     "1/ 2", "-/2"])
+    def test_rational_in_any_other_form_is_a_value_error(self, bad):
+        # num_str never writes these forms
+        with pytest.raises(ValueError, match="invalid rational number"):
+            _frac_parse(bad)
+
     @pytest.mark.parametrize("bad", ["1e3", "5.0", "4/2", "+7", " 7", "", "-"])
     def test_malformed_integer_is_a_value_error(self, bad):
         doc = json.loads(render_report(synthetic_report(), "structured"))
