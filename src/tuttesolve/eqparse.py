@@ -18,20 +18,24 @@ offset of the offending token.  A power or product with an exponent of
 have more than ``_MAX_TERMS`` terms is ``ResourceCeiling`` there, refused
 before it is expanded.  An exponent written with more than
 ``_MAX_EXP_DIGITS`` digits is ``NonPolynomial`` at once, whatever its
-base.  Coefficients may have any number of digits.
+base.  Coefficients may have any number of digits, all ASCII ``0-9``;
+a digit of any other script is an unexpected character.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from math import comb
 
 from .errors import (EquationSyntaxError, NonPolynomial, ResourceCeiling,
                      UnknownVariable)
 from .funceq import FuncEq
 from .mpoly import MPoly
+from .polyq import int_parse
 
 _NAMES = ("psi", "g", "x", "y")
+
+#: A number is ASCII digits only; ``str.isdigit`` would take any script's.
+_DIGITS = frozenset("0123456789")
 
 #: Most terms one product or power may build while parsing.
 _MAX_TERMS = 10_000
@@ -57,9 +61,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             out.append(_Token("num", text[i:j], i))
             i = j
@@ -154,8 +158,8 @@ class _Parser:
     def base(self) -> MPoly:
         t = self.take()
         if t.kind == "num":
-            # Decimal reads any number of digits; int(str) stops at 4,300
-            return MPoly.const(int(Decimal(t.text)))
+            # int_parse reads any number of digits; int(str) stops at 4,300
+            return MPoly.const(int_parse(t.text))
         if t.kind == "name":
             return MPoly.var(t.text)
         if t.kind == "(":

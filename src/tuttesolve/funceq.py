@@ -2,7 +2,8 @@
 
 ``check_well_posed`` finds the unique admissible order-0 branch and the
 kernel data; ``expand_series`` solves order by order for the coefficients
-c_k(y); ``specialize_y0`` reads off the diagonal sequence c_k(0).
+c_k(y); ``specialize_y0`` reads off the diagonal sequence c_k(0).  Both
+evaluate polynomials on the branch through ``series._subs`` alone.
 
 Per-order structure: writing the partial sum psi_<k = sum c_i x^i and the
 x^k coefficient of Q(psi_<k + c_k x^k, ...) as A(y) c_k(y) + B(y) c_k(0) +
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .mpoly import MPoly
 from .polyq import RatFunc
-from .series import QSeries, SeriesX, _Loc, _LocCtx, _mul_trunc, _subs
+from .series import QSeries, SeriesX, _int_lift, _Loc, _LocCtx, _subs
 
 _ALLOWED = {"psi", "g", "x", "y"}
 
@@ -105,114 +106,64 @@ class WellPosedness:
 # A root n/d has degree <= dY (d divides the leading, n the trailing
 # coefficient), and q*n - p*d has degree <= 2dY and vanishes to that order,
 # so p/q = n/d.  Any other candidate fails the exact check.
+#
+# Every evaluation goes through `series._subs`: at the branch over
+# RatFunc, where L = 1 keeps only the x^0 terms, and in the Newton lift
+# over Fraction, with the shifted variable t = y - a written as x.  The
+# lift's coefficients there are ints, which Fraction arithmetic takes in.
 
-def _fpoly_from_bivar(R: MPoly, gval: Fraction | None) -> list[list[Fraction]]:
-    """Coefficients [psi-power][y-power] of R with g := gval substituted."""
-    dc = R.degree("psi")
-    dy = max(0, R.degree("y"))
-    out = [[Fraction(0)] * (dy + 1) for _ in range(dc + 1)]
-    for (i, k, l), c in R.items(("psi", "g", "y")):
-        v = Fraction(c)
-        if k:
-            if gval is None:
-                raise ValueError("unexpected g exponent")
-            v *= gval ** k
-        out[i][l] += v
-    return out
-
-
-def _eval_c_series(coeffs: list[list[Fraction]], c: list[Fraction],
-                   n: int) -> list[Fraction]:
-    """Evaluate sum_i coeffs[i](t) * c(t)^i truncated to order n (Horner)."""
-    acc = [Fraction(0)] * n
-    for row in reversed(coeffs):
-        acc = _mul_trunc(acc, c, n, Fraction(0))
-        for j, v in enumerate(row[:n]):
-            acc[j] += v
-    return acc
-
-
-def _newton_lift(coeffs_t: list[list[Fraction]], r0: Fraction,
-                 order: int) -> list[Fraction]:
-    """Series root of sum coeffs_t[i](t) c^i with c(0) = r0, simple root."""
-    dcoeffs = [[c * i for c in row] for i, row in enumerate(coeffs_t)][1:]
+def _newton_lift(St: MPoly, r0: Fraction, order: int) -> list[Fraction]:
+    """Series root c(t) of St(c, t), an MPoly in (psi, x) with t written
+    as x, with c(0) = r0 a simple root."""
+    dSt = St.derivative("psi")
     c = [r0]
     prec = 1
     while prec < order + 1:
         prec = min(2 * prec, order + 1)
         cpad = c + [Fraction(0)] * (prec - len(c))
-        val = _eval_c_series(coeffs_t, cpad, prec)
-        der = _eval_c_series(dcoeffs, cpad, prec)
+        val = _subs(St, {"psi": cpad}, prec, _int_lift)
+        der = _subs(dSt, {"psi": cpad}, prec, _int_lift)
         step = polyq.series_div(val, der, prec)
         c = [cv - sv for cv, sv in zip(cpad, step)]
     return c
 
 
-def _ratfunc_roots(P: list[list[Fraction]]) -> list[RatFunc]:
-    """All rational-function roots c(y) of sum_i P[i](y) c^i = 0."""
-    # squarefree + primitive reduction through the integer layer
-    ints, _ = polyq.clear_denominators([v for row in P for v in row])
-    A = MPoly.from_items(("psi", "y"), zip(
-        ((i, l) for i, row in enumerate(P) for l in range(len(row))), ints))
+def _ratfunc_roots(A: MPoly) -> list[RatFunc]:
+    """All rational-function roots c(y) of an integer A(psi, y) = 0."""
     if A.degree("psi") < 1:
         return []
     from .mpoly import squarefree_primitive
     S = squarefree_primitive(A, "psi")
-    if S.degree("psi") < 1:
+    dC, dY = S.degree("psi"), S.degree("y")
+    if dC < 1:
         return []
-    rows = _fpoly_from_bivar(S, None)
-    dC = len(rows) - 1
-    dY = max(len(polyq.trim(list(r))) - 1 for r in rows if any(r))
-    dY = max(dY, 0)
-    sample = None
     for a in itertools.chain([0], (s * v for v in range(1, 200) for s in (1, -1))):
-        spec = polyq.trim([polyq.peval(row, Fraction(a)) for row in rows])
-        if len(spec) - 1 != dC:
-            continue
-        ispec, _ = polyq.clear_denominators(spec)
-        der = polyq.pderiv(ispec)
-        if len(polyq.igcd_poly(ispec, der)) == 1:
-            sample = Fraction(a)
-            spec_poly = spec
+        spec = [c.constant_value()
+                for c in S.subs_int({"y": a}).as_univariate("psi")]
+        if (len(spec) - 1 == dC
+                and len(polyq.igcd_poly(spec, polyq.pderiv(spec))) == 1):
             break
-    if sample is None:
+    else:
         raise DegenerateKernel(
             "could not find a regular sample point for the order-0 branch search")
+    # S(psi, t + a), Horner in y with y := t + a
+    St, ta = MPoly.zero(), MPoly.var("x") + a
+    for c in reversed(S.as_univariate("y")):
+        St = St * ta + c
     out: list[RatFunc] = []
-    shifted = [polyq.pshift(row, sample) for row in rows]
-    spec_int, _ = polyq.clear_denominators(spec_poly)
-    for r0 in polyq.rational_roots(spec_int):
-        series = _newton_lift(shifted, r0, 2 * dY)
+    for r0 in polyq.rational_roots(spec):
+        series = _newton_lift(St, r0, 2 * dY)
         # columns p_0..p_dY, q_0..q_dY; row k is the t^k coefficient of q*s - p
         vec = linalg.nullspace(
             [[-1 if j == k else 0 for j in range(dY + 1)]
              + [series[k - j] if j <= k else 0 for j in range(dY + 1)]
              for k in range(2 * dY + 1)])[0]
-        cand = RatFunc(polyq.pshift(vec[:dY + 1], -sample),
-                       polyq.pshift(vec[dY + 1:], -sample))
-        # exact verification against the original (pre-reduction) polynomial
-        if not _rf_horner(P, cand) and cand not in out:
+        cand = RatFunc(polyq.pshift(vec[:dY + 1], -a),
+                       polyq.pshift(vec[dY + 1:], -a))
+        # exact verification on S, which has the roots of A
+        if not _subs(S, {"psi": [cand]}, 1, RatFunc)[0] and cand not in out:
             out.append(cand)
     return out
-
-
-def _rf_horner(rows: list[list[Fraction]], c: RatFunc) -> RatFunc:
-    """sum_i rows[i](y) * c^i, with rows[i] the y-coefficients."""
-    return polyq.peval([RatFunc(row) for row in rows], c, polyq.RATFUNC_ZERO)
-
-
-def _eval_at_branch(m: MPoly, c0: RatFunc, g0: Fraction) -> RatFunc:
-    """Evaluate an MPoly in (psi, g, y) at psi = c0(y), g = g0."""
-    gval = g0 if m.degree("g") >= 1 else None
-    return _rf_horner(_fpoly_from_bivar(m, gval), c0)
-
-
-def _kernel_at_branch(eq: FuncEq, c0: RatFunc,
-                      g0: Fraction) -> tuple[RatFunc, RatFunc]:
-    """dQ/dpsi and dQ/dg at x = 0, evaluated on the branch psi = c0, g = g0."""
-    x0 = {"x": 0}
-    return (_eval_at_branch(eq.Q.derivative("psi").subs_int(x0), c0, g0),
-            _eval_at_branch(eq.Q.derivative("g").subs_int(x0), c0, g0))
 
 
 def check_well_posed(eq: FuncEq) -> WellPosedness:
@@ -224,32 +175,30 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
                 "order-0 equation vanishes identically; branch undetermined")
         raise NoSeriesBranch("order-0 equation has no root in psi")
     pairs: list[tuple[RatFunc, Fraction]] = []
-    if R.degree("g") >= 1:
+    dg = R.degree("g")
+    if dg >= 1:
         # consistency polynomial in the shared constant gamma = c(0)
-        T: list[Fraction] = []
-        for (i, k, l), c in R.items(("psi", "g", "y")):
-            if l:
-                continue
-            d = i + k
-            if d >= len(T):
-                T.extend([Fraction(0)] * (d + 1 - len(T)))
-            T[d] += c
+        T = [0] * (R.degree("psi") + dg + 1)
+        for (i, k), c in R.subs_int({"y": 0}).items(("psi", "g")):
+            T[i + k] += c
         if not polyq.trim(T):
             raise DegenerateKernel(
                 "order-0 consistency polynomial vanishes identically")
-        t_int, _ = polyq.clear_denominators(T)
-        for gv in polyq.rational_roots(t_int):
-            rows = _fpoly_from_bivar(R, gv)
-            if not any(any(r) for r in rows):
+        for gv in polyq.rational_roots(T):
+            # gd^dg * R(psi, gn/gd, y), an integer polynomial
+            gn, gd = gv.numerator, gv.denominator
+            Rg = MPoly.from_items(("psi", "y"), (
+                ((i, l), c * gn**k * gd**(dg - k))
+                for (i, k, l), c in R.items(("psi", "g", "y"))))
+            if Rg.is_zero:
                 raise DegenerateKernel(
                     f"order-0 equation vanishes identically at branch value {gv}")
-            for cand in _ratfunc_roots(rows):
+            for cand in _ratfunc_roots(Rg):
                 if cand.regular_at_0 and cand.eval0() == gv:
                     if all(cand != p[0] for p in pairs):
                         pairs.append((cand, gv))
     else:
-        rows = _fpoly_from_bivar(R, None)
-        for cand in _ratfunc_roots(rows):
+        for cand in _ratfunc_roots(R):
             if cand.regular_at_0:
                 pairs.append((cand, cand.eval0()))
     if not pairs:
@@ -260,7 +209,10 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
             f"{len(pairs)} admissible order-0 branches: "
             + ", ".join(str(p[0]) for p in pairs))
     c0, g0 = pairs[0]
-    A, B = _kernel_at_branch(eq, c0, g0)
+    # dQ/dpsi and dQ/dg at x = 0 on the branch: L = 1 keeps the x^0 terms
+    branch = {"psi": [c0], "g": [RatFunc.const(g0)]}
+    A, B = (_subs(eq.Q.derivative(v), branch, 1, RatFunc)[0]
+            for v in ("psi", "g"))
     if A.is_zero:
         raise DegenerateKernel("kernel dQ/dpsi vanishes identically on the branch")
     a0 = A.eval0()

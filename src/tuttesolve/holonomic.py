@@ -142,14 +142,6 @@ class PRec:
 # ---------------------------------------------------------------------------
 # the ODE over Z[x]
 
-def _xcoeffs(m: MPoly) -> list[int]:
-    """Dense integer coefficients of a polynomial in x alone."""
-    out = [0] * (m.degree("x") + 1)
-    for (j,), c in m.items(("x",)):
-        out[j] = c
-    return out
-
-
 def algeq_to_ode(p: AlgEq) -> LinODE:
     """Lowest-order linear ODE for the branch of the algebraic equation.
 
@@ -197,7 +189,8 @@ def algeq_to_ode(p: AlgEq) -> LinODE:
                 continue
             if not use_one:
                 rel = [MPoly.zero()] + rel
-            rel = [_xcoeffs(c) for c in rel]
+            rel = [[a.constant_value() for a in c.as_univariate("x")]
+                   for c in rel]
             g = reduce(polyq.igcd_poly, [c for c in rel if c])
             rel = [polyq.idivexact(c, g) if c else [] for c in rel]
             inhom, coeffs = rel[0], rel[1:]

@@ -1,19 +1,22 @@
 """Exact linear algebra: the guessers' relation search and the ODE kernel.
 
-``nullspace`` is a fraction-free (Bareiss) kernel over Q.  ``relations`` is
-the one search both guessers run: a walk over a caller's grid of shapes
-that turns each shape's kernel into integer candidates in one fixed order.
-A shape whose matrix has full column rank mod the prime ``_P`` has an empty
-kernel over Q, so it is skipped without ``nullspace``: a proof, not a
-heuristic.  Any other shape gets the exact kernel.  ``nullspace_field`` is
-the same elimination on ``MPoly`` entries, for the ODE step: a kernel over
-the fraction field of the entries' ring, with every division exact and the
-basis vectors in the ring itself.
+One fraction-free (Bareiss) elimination, ``_kernel``, serves every ring
+here: ``nullspace`` runs it over Z on rows cleared of denominators and
+scales each vector to 1 at its free column, a kernel over Q;
+``nullspace_field`` runs it on ``MPoly`` entries for the ODE step, a kernel
+over the fraction field of the entries' ring with the basis vectors in the
+ring itself.  ``relations`` is the one search both guessers run: a walk
+over a caller's grid of shapes that turns each shape's kernel into integer
+candidates in one fixed order.  A shape whose matrix has full column rank
+mod the prime ``_P`` has an empty kernel over Q, so it is skipped without
+``nullspace``: a proof, not a heuristic.  Any other shape gets the exact
+kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import floordiv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .mpoly import MPoly
@@ -31,47 +34,17 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     Deterministic: pivots are chosen first-nonzero scanning top down, and
     each basis vector has value 1 at its free column.
     """
-    R = len(rows)
-    if R == 0:
-        raise ValueError("nullspace of an empty matrix is ambiguous")
-    C = len(rows[0])
     # a row's sign and scale cannot change the basis, so clear each one to
     # a primitive int row, padded back over the zeros the clearing trimmed
     M = []
     for row in rows:
         ints, _ = clear_denominators(row)
-        M.append(ints + [0] * (C - len(ints)))
-    piv_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(C):
-        pr = next((i for i in range(r, R) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        p = M[r][c]
-        for i in range(r + 1, R):
-            fi = M[i][c]
-            M[i] = [(p * M[i][j] - fi * M[r][j]) // prev for j in range(C)]
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r == R:
-            break
-    free_cols = sorted(set(range(C)).difference(piv_cols))
+        M.append(ints + [0] * (len(row) - len(ints)))
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * C
-        v[fc] = Fraction(1)
-        # echelon back-substitution, bottom pivot row first
-        for pr in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[pr]
-            acc = Fraction(0)
-            for j in range(pc + 1, C):
-                if v[j]:
-                    acc += M[pr][j] * v[j]
-            v[pc] = -acc / M[pr][pc]
-        basis.append(v)
+    for v in _kernel(M, 0, 1, floordiv):
+        # a Cramer vector's last nonzero entry is its value at its free column
+        d = next(a for a in reversed(v) if a)
+        basis.append([Fraction(a, d) for a in v])
     return basis
 
 
@@ -140,13 +113,21 @@ def relations(shapes: Iterable[tuple[int, int]],
 # keeps its name: perfbench/tracing.py patches it by name
 def nullspace_field(rows: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
     """Basis, over the fraction field of its entries' ring, of the right
-    nullspace of rows of ``MPoly`` entries, one vector per free column.
+    nullspace of rows of ``MPoly`` entries, one vector per free column:
+    the Cramer vectors of `_kernel`, with entries in the ring."""
+    return _kernel(rows, MPoly.zero(), MPoly.const(1), MPoly.divexact)
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968), with the pivots of
-    `nullspace`: every entry left below a pivot is a minor of the matrix,
-    so each division is exact.  The vector of a free column is 1 there in
-    `nullspace`; here it is the last pivot to its left (1 if none), which
-    makes it the Cramer solution, with entries in the ring.
+
+def _kernel(rows: Sequence[Sequence], zero, one, div) -> list[list]:
+    """Cramer basis of the right nullspace of rows over an integral domain
+    whose exact division is ``div``, one vector per free column.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968), pivots chosen
+    first-nonzero scanning top down: every entry left below a pivot is a
+    minor of the matrix, so each division is exact.  The vector of a free
+    column is there the last pivot to its left (``one`` if none) and zero
+    at every other free column, which makes it the Cramer solution, with
+    entries in the ring.
     """
     R = len(rows)
     if R == 0:
@@ -160,12 +141,12 @@ def nullspace_field(rows: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        p, top = M[r][c], M[r]
+        p, top = M[r][c], M[r][c + 1:]
+        prev = M[r - 1][piv_cols[-1]] if r else None
         for row in M[r + 1:]:
             lead = row[c]
-            for j in range(c + 1, C):
-                num = row[j] * p - lead * top[j]
-                row[j] = num.divexact(M[r - 1][piv_cols[-1]]) if r else num
+            new = [a * p - lead * b for a, b in zip(row[c + 1:], top)]
+            row[c + 1:] = new if prev is None else [div(a, prev) for a in new]
         piv_cols.append(c)
         r += 1
         if r == R:
@@ -173,15 +154,15 @@ def nullspace_field(rows: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
     basis = []
     for fc in sorted(set(range(C)).difference(piv_cols)):
         m = sum(1 for pc in piv_cols if pc < fc)
-        v = [MPoly.zero()] * C
-        v[fc] = M[m - 1][piv_cols[m - 1]] if m else MPoly.const(1)
+        v = [zero] * C
+        v[fc] = M[m - 1][piv_cols[m - 1]] if m else one
         # echelon back-substitution, bottom pivot row first
         for k in range(m - 1, -1, -1):
             pc = piv_cols[k]
-            acc = MPoly.zero()
+            acc = zero
             for j in range(pc + 1, C):
                 if v[j] and M[k][j]:
                     acc += M[k][j] * v[j]
-            v[pc] = (-acc).divexact(M[k][pc])
+            v[pc] = div(-acc, M[k][pc])
         basis.append(v)
     return basis

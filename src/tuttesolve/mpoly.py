@@ -26,7 +26,6 @@ constant without it.  ``squarefree_primitive`` is a content gcd and one
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
@@ -732,35 +731,18 @@ def squarefree_primitive(A: MPoly, v: str) -> MPoly:
 def vanishing_bound(M: MPoly, zv: str) -> int:
     """Largest possible x-valuation of a nonzero series root of M in zv.
 
-    Builds the lower Newton polygon of the points (i, val_x(m_i)) over the
-    nonzero zv-coefficients m_i and returns the floor of the maximal finite
-    slope (valuations are read as root valuations, so the slope of the edge
-    from (i1,v1) to (i2,v2), i1 < i2, is (v1-v2)/(i2-i1)).  Guarantee: any
-    series root h with h = 0 mod x^(B+1) is identically zero.  Clamped to be
-    nonnegative; a single-point polygon (monomial in zv) gives 0.
+    Over the points (i, val_x(m_i)) of the nonzero zv-coefficients m_i,
+    returns the floor of the maximal finite slope of the lower Newton
+    polygon, slopes read as root valuations: the edge from (i1,v1) to
+    (i2,v2), i1 < i2, has slope (v1-v2)/(i2-i1).  Those slopes fall from
+    left to right, so the maximal one is that of the first edge, the
+    largest (v0-v)/(i-i0) over the points to the right of the leftmost
+    (i0,v0).  Guarantee: any series root h with h = 0 mod x^(B+1) is
+    identically zero.  Clamped to be nonnegative; a single-point polygon
+    (monomial in zv) gives 0.
     """
     if M.is_zero:
         raise ZeroPolynomial("vanishing bound of the zero polynomial")
-    pts = []
-    for i, c in enumerate(M.as_univariate(zv)):
-        if not c.is_zero:
-            pts.append((i, c.valuation("x")))
-    if len(pts) == 1:
-        return 0
-    hull: list[tuple[int, int]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # pop while the middle point is on or above the new edge
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    best = None
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        w = Fraction(v1 - v2, i2 - i1)
-        if best is None or w > best:
-            best = w
-    b = math.floor(best)
-    return b if b > 0 else 0
+    (i0, v0), *rest = [(i, c.valuation("x"))
+                       for i, c in enumerate(M.as_univariate(zv)) if c]
+    return max([0] + [(v0 - v) // (i - i0) for i, v in rest])

@@ -18,7 +18,9 @@ any exact coefficient ring: ``_mul_trunc`` is the truncated product, over
 check and the Newton lift of the well-posedness branch search.
 ``_powers`` is the table of powers built on it that ``_subs`` reads.
 ``_subs`` substitutes series into a polynomial, over ``_Loc`` for the
-expander's rows and over ``int`` for the zero test.
+expander's rows, over ``int`` for the zero test, and in the branch search
+of ``funceq`` over ``Fraction`` for the Newton lift and over ``RatFunc``
+for the exact check and the kernel data on the branch.
 
 Every certification check that a polynomial vanishes on a series goes
 through ``_vanishing_order``.  It clears the witness's denominators into integer
@@ -306,7 +308,8 @@ class _Loc:
 # Coefficients come from any exact ring whose zero is falsy.  ``_subs``
 # names its ring by a ``lift``, which maps the integer coefficients of a
 # y-polynomial (constant first) into it: ``ctx.from_ints`` for _Loc,
-# ``_int_lift`` for int.
+# ``_int_lift`` for int and for Fraction, whose arithmetic takes ints in,
+# and ``RatFunc`` itself for RatFunc.
 
 def _mul_trunc(a: Sequence, b: Sequence, L: int, zero) -> list:
     """The first L coefficients of the product of two series."""

@@ -111,6 +111,19 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_no_module_imports_decimal():
+    # decimal text is read and written by polyq alone
+    src = Path(tuttesolve.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "decimal" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "decimal")]
+    assert not found, found
+
+
 def test_criterion_2_thousandth_coefficient_exact(tutte_report):
     start = time.monotonic()
     got = unroll(tutte_report.minimized, 1000)

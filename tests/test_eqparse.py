@@ -132,6 +132,16 @@ class TestRejected:
             parse_equation("(psi + x")
         assert e.value.position == 8
 
+    @pytest.mark.parametrize("text, pos", [
+        ("psi - \u0663 - x*psi**2", 6),
+        ("psi**\u0662 - 1 - x", 5),
+    ], ids=["coefficient", "exponent"])
+    def test_digit_of_another_script_is_refused_at_it(self, text, pos):
+        # Arabic-Indic digits: str.isdigit takes them, the grammar does not
+        with pytest.raises(EquationSyntaxError) as e:
+            parse_equation(text)
+        assert e.value.position == pos
+
     def test_stray_character(self):
         with pytest.raises(EquationSyntaxError):
             parse_equation("psi + $")

@@ -80,17 +80,20 @@ class TestWellPosedness:
         assert wp.c0 == RatFunc([F(1, n)]) and wp.mode == "direct"
 
     # the order-0 branch c0(y) is not constant, so it is read back from its
-    # series by the Pade relation
-    @pytest.mark.parametrize("text, c0, A", [
-        ("(1-y)*psi - 1 - x*psi**2*y", ([1], [1, -1]), [1, -1]),
-        ("(1+2*y)*psi - (1+y) - x*g*psi", ([1, 1], [1, 2]), [1, 2]),
+    # series by the Pade relation; with g at order 0, it is searched at each
+    # root gamma of the consistency polynomial
+    @pytest.mark.parametrize("text, c0, A, B", [
+        ("(1-y)*psi - 1 - x*psi**2*y", ([1], [1, -1]), [1, -1], []),
+        ("(1+2*y)*psi - (1+y) - x*g*psi", ([1, 1], [1, 2]), [1, 2], []),
         ("(1 - y + 2*y**2)*psi - (1 + 3*y**2) - x*psi**2",
-         ([1, 0, 3], [1, -1, 2]), [1, -1, 2]),
-    ], ids=["pole-at-1", "with-g", "degree-2"])
-    def test_rational_branch(self, text, c0, A):
+         ([1, 0, 3], [1, -1, 2]), [1, -1, 2], []),
+        ("3*psi - 1 - g - x*psi**2", ([1], [2]), [3], [-1]),
+    ], ids=["pole-at-1", "with-g", "degree-2", "fractional-gamma"])
+    def test_rational_branch(self, text, c0, A, B):
         wp = check_well_posed(parse_equation(text))
         assert wp.c0 == RatFunc(*c0) and wp.mode == "direct"
-        assert wp.kernelA == RatFunc(A) and wp.kernelB.is_zero
+        assert wp.gamma0 == wp.c0.eval0()
+        assert wp.kernelA == RatFunc(A) and wp.kernelB == RatFunc(B)
 
     def test_two_rational_branches_are_ambiguous(self):
         with pytest.raises(AmbiguousBranch, match=r"-y \+ 1, y \+ 1"):

@@ -277,12 +277,20 @@ def det(M):
 def test_field_nullspace_is_the_cramer_solution(R, data):
     # R x (R+1) with an invertible left block: the one vector is, up to
     # the sign of the row swaps, det(A) at the last column and minus the
-    # determinant with column k swapped for the last one at column k
-    rows = [data.draw(st.lists(xpolys, min_size=R + 1, max_size=R + 1))
+    # determinant with column k swapped for the last one at column k.
+    # nullspace runs the same kernel over Z and scales that vector to 1
+    # at its free column.
+    over_z = data.draw(st.booleans())
+    entries = st.integers(-9, 9).map(MPoly.const) if over_z else xpolys
+    rows = [data.draw(st.lists(entries, min_size=R + 1, max_size=R + 1))
             for _ in range(R)]
     A = [r[:R] for r in rows]
     assume(not det(A).is_zero)
     cramer = [-det([r[:k] + [r[R]] + r[k + 1:R] for r in rows])
               for k in range(R)] + [det(A)]
-    basis = nullspace_field(rows)
-    assert basis in ([cramer], [[-c for c in cramer]])
+    if over_z:
+        ints = [[c.constant_value() for c in r] for r in rows]
+        d = cramer[R].constant_value()
+        assert nullspace(ints) == [[F(c.constant_value(), d) for c in cramer]]
+    else:
+        assert nullspace_field(rows) in ([cramer], [[-c for c in cramer]])

@@ -40,6 +40,16 @@ class TestGoldenRuns:
         assert rep.minimized is not None
         assert rep.minimized.coeffs == ((-2, -4), (2, 1))
 
+    def test_fractional_gamma(self):
+        # 3c - 1 - gamma = 0 at y = 0 gives gamma = c0 = 1/2, so psi(x, 0)
+        # = (1 - sqrt(1 - x))/x = C(x/4)/2 with C the Catalan series
+        rep = run_pipeline(PipelineConfig("3*psi - 1 - g - x*psi**2",
+                                          eval_at=40))
+        want = [F(_oracle.catalan(n), 2 * 4**n) for n in range(41)]
+        assert rep.proven
+        assert list(rep.series_prefix) == want[:len(rep.series_prefix)]
+        assert rep.value.value == want[40]
+
     def test_flagship_summary(self, tutte_report):
         rep = tutte_report
         assert rep.proven
