@@ -3,8 +3,9 @@ of the form Q(psi(x, y), psi(x, 0), x, y) = 0 with one catalytic variable.
 
 The pipeline expands the unique series solution, guesses an algebraic
 equation for the specialization psi(x, 0) from finitely many exact
-coefficients, eliminates to an equation for the full bivariate series,
-certifies both a posteriori by a finite computation, converts to a linear
+coefficients, proves it by an exact division of an annihilator built
+from the equation alone, eliminates to an equation for the full
+bivariate series, which then holds by construction, converts to a linear
 ODE and then to a recurrence with polynomial coefficients, minimizes the
 recurrence under a complexity cap, and evaluates the sequence exactly at
 any index.  Everything is exact rational arithmetic; there is no floating
@@ -18,14 +19,13 @@ from .errors import (AmbiguousBranch, DegenerateKernel, EquationSyntaxError,
                      PipelineError, PoleAtYZero, RefutedGuess,
                      ResourceCeiling, ResultantVanishes, TutteSolveError,
                      UnknownVariable, ZeroAnnihilator, ZeroPolynomial)
-from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
+from .mpoly import MPoly, resultant, squarefree_primitive
 from .polyq import RatFunc
 from .series import QSeries, SeriesX
 from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
                      specialize_y0)
 from .guessing import FAIL, AlgEq, guess_algeq
-from .certify import (BivarAlgEq, Certificate, certify, defect_annihilator,
-                      eliminate_g)
+from .certify import BivarAlgEq, Certificate, certify, eliminate_g
 from .holonomic import (ABSENT, LinODE, PRec, algeq_to_ode, minimize_rec,
                         ode_to_rec)
 from .evalrec import SequenceValue, unroll
@@ -48,9 +48,9 @@ __all__ = [
     "Report", "ResourceCeiling", "ResultantVanishes", "SequenceValue",
     "SeriesX", "TutteSolveError", "UnknownVariable", "WellPosedness",
     "ZeroAnnihilator", "ZeroPolynomial", "algeq_to_ode", "certify",
-    "check_well_posed", "column_series", "defect_annihilator",
+    "check_well_posed", "column_series",
     "eliminate_g", "expand_series", "guess_algeq", "minimize_rec",
     "ode_to_rec", "parse_equation", "parse_report", "render_report",
     "resultant", "run_pipeline", "specialize_y0", "squarefree_primitive",
-    "unroll", "vanishing_bound",
+    "unroll",
 ]

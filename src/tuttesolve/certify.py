@@ -1,36 +1,53 @@
-"""Turn a guessed algebraic equation into a theorem, or refute it.
+"""Turn a guessed equation for g = psi(x, 0) into a theorem, or refute it.
 
-The route: eliminate the specialized series to get a bivariate equation
-for the full solution, build a one-variable annihilator of the defect by
-a double resultant, bound the possible x-valuation of any nonzero series
-root of that annihilator by its Newton polygon, and check the defect
-vanishes strictly beyond the bound.  Everything is exact.
+From Q alone, psi and y are eliminated to get D(g, x) != 0 with
+D(g(x), x) = 0.  The guess p1 is proven when it divides D exactly and, by
+Hensel's lemma on the series witness, the root of p1 the witness singles
+out is the root g of D.  p2 then holds by construction: `eliminate_g`
+builds it from Q and the proven p1 by a resultant.  Everything is exact.
+
+D follows the mode of `check_well_posed`.  Direct: psi(x, 0) = g, so
+D = Q(g, g, x, 0).  Kernel: Q_psi(psi(x, y), g, x, y) vanishes on a unique
+series y = Y(x) with Y(0) = 0, and so do Q and, differentiating Q = 0 in
+y, Q_y.  For Q = A*psi + B, D = Res_y(A, B): the kernel method of
+Banderier and Flajolet.  Otherwise (psi(x, Y), Y) is a singular point of
+the curve Q = 0, so Res_psi(Q, Q_psi) has a double root at y = Y, and D =
+Res_y(Delta, Delta_y) for its squarefree primitive part Delta in y, y^v
+divided out: the quadratic method of Bousquet-Melou and Jehanne.  Each
+factor divided out is shown nonzero at (g, x, Y), or ZeroAnnihilator is
+raised and nothing is claimed.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
-from .errors import (InvalidElimination, NonSquarefree, NoVanishingFactor,
-                     ResultantVanishes, SelfCheckFailed, ZeroAnnihilator,
-                     ZeroPolynomial)
+from .errors import (InsufficientData, InvalidElimination, NoVanishingFactor,
+                     ResourceCeiling, ResultantVanishes, SelfCheckFailed,
+                     ZeroAnnihilator, ZeroPolynomial)
 from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
                      specialize_y0)
 from .guessing import AlgEq
-from .mpoly import MPoly, resultant, squarefree_primitive, vanishing_bound
+from .mpoly import MPoly, resultant, squarefree_primitive
 from .series import SeriesX, _vanishing_order
+
+# perfbench/tracing.py wraps these names here, expand_series too, until
+# ROADMAP item 4 retires its call-site patching
+defect_annihilator = vanishing_bound = None
+
+# the largest degree in one variable that the Sylvester bound of a
+# resultant may predict; past it the resultant is not started.  The bench
+# equations and the walks with steps up to +4 predict at most 25.
+MAX_RESULTANT_DEGREE = 1024
 
 
 class BivarAlgEq:
     """Polynomial relation in {psi, x, y} with a series witness.
 
-    Shape checks only; annihilation of the witness is established by the
-    producer (eliminate_g) and re-examined by the certifier for any other
-    producer.
+    Shape checks only; `eliminate_g` checks its output on the witness.
     """
 
-    __slots__ = ("P", "branch", "__weakref__")
+    __slots__ = ("P", "branch")
 
     def __init__(self, P: MPoly, branch: SeriesX):
         if P.is_zero:
@@ -55,11 +72,14 @@ class BivarAlgEq:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the a-posteriori check.
+    """Outcome of the a-posteriori check of p1.
 
-    annihilator is None only when the guess was refuted before the
-    elimination was worth building.  checkedOrder is the verified order
-    for proven status and the first failing order for refuted status.
+    annihilator is D, or None when the witness refuted the guess before D
+    was built.  bound is the Hensel slack e of D at the witness.
+    checkedOrder is the witness order K for proven status.  For refuted
+    status it is the first order that fails on the witness, or K + 1 when
+    the guess holds through K but does not divide D: it must fail at some
+    order past K, and K + 1 is the first it can.
     """
 
     annihilator: MPoly | None
@@ -79,20 +99,23 @@ class Certificate:
 
 # ---------------------------------------------------------------------------
 
-# eliminate_g's own outputs, which it checked on their witness at its full
-# order: id -> (P, branch) as checked.  An entry leaves when its object
-# dies, so a live id names the object vouched for.
-_VOUCHED: dict[int, tuple] = {}
+def _resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
+    """Res_v(A, B), or the v-free operand itself, which has the same zeros.
 
-
-def _vouch(p2: BivarAlgEq) -> None:
-    _VOUCHED[id(p2)] = (p2.P, p2.branch)
-    weakref.finalize(p2, _VOUCHED.pop, id(p2), None)
-
-
-def _vouched(p2: BivarAlgEq) -> bool:
-    P, branch = _VOUCHED.get(id(p2), (None, None))
-    return P is p2.P and branch is p2.branch
+    ResourceCeiling is raised before the work when the Sylvester bound
+    deg_w Res <= deg_v B * deg_w A + deg_v A * deg_w B passes
+    MAX_RESULTANT_DEGREE in some variable w.
+    """
+    dA, dB = A.degree(v), B.degree(v)
+    if dA < 1 or dB < 1:
+        return A if dA < 1 else B
+    for w in dict.fromkeys(A.variables() + B.variables()):
+        bound = dB * max(0, A.degree(w)) + dA * max(0, B.degree(w))
+        if w != v and bound > MAX_RESULTANT_DEGREE:
+            raise ResourceCeiling(
+                f"resultant in {v} may reach degree {bound} in {w}, past "
+                f"the ceiling {MAX_RESULTANT_DEGREE}")
+    return resultant(A, B, v)
 
 
 def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
@@ -100,127 +123,107 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
 
     The result is the squarefree primitive part of the resultant in psi,
     kept whole: no factor of it is sought.  It annihilates the witness to
-    its full order, or NoVanishingFactor is raised.
+    its full order, or NoVanishingFactor is raised; for a proven p1 it
+    holds exactly.
     """
     if p1.degF < 1:
         raise InvalidElimination("equation for the specialization must involve f")
-    Q = eq.Q
-    if Q.degree("g") == 0:
-        R = Q
-    else:
-        R = resultant(Q, p1.P.rename_var("f", "g"), "g")
-        if R.is_zero:
-            raise ResultantVanishes("elimination of the specialization collapsed to zero")
+    R = _resultant(eq.Q, p1.P.rename_var("f", "g"), "g")
+    if R.is_zero:
+        raise ResultantVanishes("elimination of the specialization collapsed to zero")
     if R.degree("psi") < 1:
         raise InvalidElimination("elimination lost the unknown series")
     P2 = squarefree_primitive(R, "psi")
     if _vanishing_order(P2, witness, (), len(witness)) is not None:  # g-free
         raise NoVanishingFactor(
             "no factor of the eliminated equation annihilates the series witness")
-    p2 = BivarAlgEq(P2.normalized(), witness)
-    _vouch(p2)
-    return p2
+    return BivarAlgEq(P2.normalized(), witness)
 
 
-def defect_annihilator(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> MPoly:
-    """Univariate annihilator M(z, x, y) of the defect z = Q(psi~, g~).
+def _at_y0(h: MPoly) -> MPoly:
+    """h(g, g, x, 0): at y = 0, psi is g."""
+    return MPoly.from_items(("g", "x"), (
+        ((i + j, m), c)
+        for (i, j, m, l), c in h.items(("psi", "g", "x", "y")) if not l))
 
-    Double resultant: eliminate psi against p2, then g against p1.  Neither
-    step can vanish.  z - Q is irreducible and p2 has no z, so they share no
-    factor in psi.  The z-leading coefficient of the first resultant is
-    +-lc_psi(p2)**deg_psi(Q), free of g, so the z-free p1 shares no factor
-    in g with it.
 
-    The z-content of M0 carries up to deg_psi(Q) * deg_g(p1) factors of
-    lc_psi(p2), on which the content gcd of squarefree_primitive is slow.
-    They are divided out first, while they divide exactly.  A z-free factor
-    cannot change M, and the gcd still runs on whatever content is left.
+def _annihilator(Q: MPoly, mode: str, witness: SeriesX, g) -> MPoly:
+    """D(g, x) != 0 with D(g(x), x) = 0, built from Q alone.
+
+    The witness only shows factors that were divided out nonzero.
     """
-    M0 = resultant(p2.P, MPoly.var("z") - eq.Q, "psi")
-    if M0.degree("g") > 0:
-        M0 = resultant(M0, p1.P.rename_var("f", "g"), "g")
-    if M0.is_zero:
-        raise ZeroAnnihilator("defect elimination collapsed to zero")
-    lc = p2.P.coeff_of("psi", p2.P.degree("psi"))
-    # a single term is monomial content, which squarefree_primitive strips
-    if len(lc.terms) > 1:
-        for _ in range(eq.Q.degree("psi") * max(1, p1.degF)):
-            q = M0.try_divexact(lc)
-            if q is None:
-                break
-            M0 = q
-    return squarefree_primitive(M0, "z")
+    if mode == "direct":
+        D = _at_y0(Q)
+    elif Q.degree("psi") == 1:
+        D = _resultant(Q.coeff_of("psi", 1), Q.coeff_of("psi", 0), "y")
+    else:
+        dQ = Q.derivative("psi")
+        R1 = _resultant(Q, dQ, "psi")
+        if R1.is_zero:
+            raise ZeroAnnihilator("Q and Q_psi share a factor")
+        v = R1.valuation("y")
+        # y^v is nonzero at Y unless Y = 0, and then Q_psi(g, g, x, 0) = 0
+        if v and _vanishing_order(_at_y0(dQ), witness, g, len(witness)) is None:
+            raise ZeroAnnihilator("the kernel root may be zero")
+        R1 = R1.divexact(MPoly.var("y") ** v)
+        Delta = squarefree_primitive(R1, "y")
+        # the rest is nonzero at (g, x, Y) when its lowest x-coefficient is
+        # nonzero at (g0, 0, 0), since Y(0) = 0
+        rest = R1.divexact(Delta)
+        low = rest.coeff_of("x", rest.valuation("x"))
+        if _vanishing_order(_at_y0(low), witness, g, 1) is None:
+            raise ZeroAnnihilator(
+                "a factor divided out of the discriminant may vanish at the "
+                "kernel root")
+        D = _resultant(Delta, Delta.derivative("y"), "y")
+    if D.is_zero:
+        raise ZeroAnnihilator("the elimination of psi and y collapsed to zero")
+    return D
 
 
-def _slack(first_nonzero, cap: int, what: str) -> int:
-    # the slack is almost always 0; grow the truncation lazily
-    L = 1
-    while True:
-        m = first_nonzero(L)
-        if m is not None:
-            return m
-        if L >= cap + 1:
-            raise NonSquarefree(
-                f"derivative of the {what} equation vanishes on the witness")
-        L = min(L * 2, cap + 1)
+def _slack(P: MPoly, witness: SeriesX, g, K: int) -> int:
+    """The x-valuation e of P at the witness, where K >= 2e + 1 must hold,
+    or InsufficientData."""
+    cap = (K + 1) // 2
+    # e is almost always 0: that alone is tried first
+    e = _vanishing_order(P, witness, g, min(1, cap))
+    if e is None and cap > 1:
+        e = _vanishing_order(P, witness, g, cap)
+    if e is None:
+        raise InsufficientData(
+            f"a witness of order {K} is too short for Hensel's lemma")
+    return e
 
 
-def certify(eq: FuncEq, p1: AlgEq, p2: BivarAlgEq) -> Certificate:
-    """Prove or refute the guessed pair (p1, p2) against the equation.
+def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> Certificate:
+    """Prove or refute the guessed equation p1 for g = psi(x, 0).
 
-    Proven means: the defect of the exact algebraic solution pair is a
-    series root of the annihilator M vanishing beyond the Newton-polygon
-    bound, hence identically zero; uniqueness of the series solution then
-    identifies it with the algebraic one.  Refuted carries the first
-    x-order at which a required identity fails.  An equation that is not
-    well posed raises the typed error of `check_well_posed`: without a
-    unique series solution there is nothing to prove.
+    Proven: p1 divides D, and with e1 and e the x-valuations at the
+    witness of dp1/dg and of the g-derivative of D's squarefree primitive
+    part, K >= 2*e1 + 1 and K >= 2*e + 1.  By Hensel's lemma p1 then has a
+    root that agrees with the witness through order K - e1 >= e, and D has
+    only one such root, g.  The witness is checked against Q through order
+    K, which ties it to the unique series solution.
 
-    p2 is checked on its witness at order K + 1 unless it is the very
-    object eliminate_g returned, with the same P and branch: eliminate_g
-    has checked that one at that order already.
-
-    Every identity check here, p1 and its f-derivative at g^ = psi(x, 0),
-    p2 and its psi-derivative and Q at the witness, asks for the first
-    nonzero x-order of one polynomial, and `series._vanishing_order`
-    answers it exactly over the integers.  p1 goes in with f renamed to g.
+    Refuted: p1 fails on the witness, or does not divide D.  An equation
+    that is not well posed raises the typed error of `check_well_posed`:
+    without a unique series solution there is nothing to prove.  A witness
+    too short for either Hensel step raises InsufficientData.
     """
     wp = check_well_posed(eq)
-    witness = p2.branch
     K = witness.order
-    g_hat = specialize_y0(witness)
+    g_hat = specialize_y0(witness).coeffs
     p1g = p1.P.rename_var("f", "g")
 
-    bad = _vanishing_order(p1g, witness, g_hat.coeffs, K + 1)
+    bad = _vanishing_order(p1g, witness, g_hat, K + 1)
     if bad is not None:
         return Certificate(None, 0, bad, wp, "refuted")
-    if not _vouched(p2):
-        bad = _vanishing_order(p2.P, witness, g_hat.coeffs, K + 1)
-        if bad is not None:
-            return Certificate(None, 0, bad, wp, "refuted")
+    if _vanishing_order(eq.Q, witness, g_hat, K + 1) is not None:
+        raise SelfCheckFailed("series witness fails its own equation")
 
-    M = defect_annihilator(eq, p1, p2)
-    B = vanishing_bound(M, "z")
-    dp1, dp2 = p1g.derivative("g"), p2.P.derivative("psi")
-    e1 = _slack(lambda L: _vanishing_order(dp1, witness, g_hat.coeffs, L), K,
-                "specialized")
-    e2 = _slack(lambda L: _vanishing_order(dp2, witness, g_hat.coeffs, L), K,
-                "bivariate")
-    # the checked order must leave the defect's valuation strictly above
-    # the bound after losing the Hensel slack, and inside Newton's basin
-    N = max(B + e1 + e2, 2 * e1 + 1, 2 * e2 + 1, K)
-
-    if N > K:
-        witness = expand_series(eq, N)
-        g_hat = specialize_y0(witness)
-        bad = _vanishing_order(p1g, witness, g_hat.coeffs, N + 1)
-        if bad is None:
-            bad = _vanishing_order(p2.P, witness, g_hat.coeffs, N + 1)
-        if bad is not None:
-            return Certificate(M, B, bad, wp, "refuted")
-
-    # defect of the series solution itself; zero by construction
-    if _vanishing_order(eq.Q, witness, g_hat.coeffs, N + 1) is not None:
-        raise SelfCheckFailed("series solution failed its own equation")
-
-    return Certificate(M, B, N, wp, "proven")
+    D = _annihilator(eq.Q, wp.mode, witness, g_hat)
+    if D.try_divexact(p1g) is None:
+        return Certificate(D, 0, K + 1, wp, "refuted")
+    _slack(p1g.derivative("g"), witness, g_hat, K)
+    e = _slack(squarefree_primitive(D, "g").derivative("g"), witness, g_hat, K)
+    return Certificate(D, e, K, wp, "proven")

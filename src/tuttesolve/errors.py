@@ -56,7 +56,9 @@ class NoVanishingFactor(TutteSolveError):
 
 
 class ZeroAnnihilator(TutteSolveError):
-    """The defect annihilator collapsed to zero in both elimination orders."""
+    """The annihilator D(g, x) of the specialization is zero, or a factor
+    divided out while building it may vanish at the kernel root; no proof
+    is claimed."""
 
 
 class RefutedGuess(TutteSolveError):

@@ -724,25 +724,3 @@ def squarefree_primitive(A: MPoly, v: str) -> MPoly:
     if vval:
         A = A * MPoly.var(v)
     return A.normalized()
-
-
-# --- Newton polygon vanishing bound ---
-
-def vanishing_bound(M: MPoly, zv: str) -> int:
-    """Largest possible x-valuation of a nonzero series root of M in zv.
-
-    Over the points (i, val_x(m_i)) of the nonzero zv-coefficients m_i,
-    returns the floor of the maximal finite slope of the lower Newton
-    polygon, slopes read as root valuations: the edge from (i1,v1) to
-    (i2,v2), i1 < i2, has slope (v1-v2)/(i2-i1).  Those slopes fall from
-    left to right, so the maximal one is that of the first edge, the
-    largest (v0-v)/(i-i0) over the points to the right of the leftmost
-    (i0,v0).  Guarantee: any series root h with h = 0 mod x^(B+1) is
-    identically zero.  Clamped to be nonnegative; a single-point polygon
-    (monomial in zv) gives 0.
-    """
-    if M.is_zero:
-        raise ZeroPolynomial("vanishing bound of the zero polynomial")
-    (i0, v0), *rest = [(i, c.valuation("x"))
-                       for i, c in enumerate(M.as_univariate(zv)) if c]
-    return max([0] + [(v0 - v) // (i - i0) for i, v in rest])

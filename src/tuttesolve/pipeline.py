@@ -1,11 +1,14 @@
 """End-to-end driver: equation text in, report out.
 
 The run is a fixed sequence of stages; any library error is re-raised as
-``PipelineError`` carrying the stage name.  Two situations restart the
-guessing loop with a doubled expansion order instead of failing outright:
-the guesser returning FAIL (not enough data for any support) and a
-certificate refutation (the guess fit the prefix but not the equation).
-Both are capped by the configured series ceiling.
+``PipelineError`` carrying the stage name.  The guess is certified
+before the full series is eliminated, so a wrong guess costs no
+elimination.  These restart the guessing loop with a doubled expansion
+order instead of failing outright: the guesser returning FAIL (not enough
+data for any support), a certificate refutation (the guess fit the prefix
+but not the equation), a witness too short for the proof, and, with
+proving off, a guess that no factor of the eliminated equation fits.  All
+are capped by the configured series ceiling.
 """
 
 from __future__ import annotations
@@ -159,24 +162,23 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
             K *= 2
             continue
         try:
-            p2 = st.run("eliminate", eliminate_g, eq, p1, sx)
+            cert = st.run("certify", certify, eq, p1, sx) if cfg.prove else None
+            if cert is None or cert.is_proven:
+                p2 = st.run("eliminate", eliminate_g, eq, p1, sx)
+                break
+            err = PipelineError("certify", RefutedGuess(cert.checkedOrder))
         except PipelineError as exc:
-            # an early refutation: the guess fit g(x) but not the equation
-            if isinstance(exc.cause, NoVanishingFactor) and 2 * K <= cfg.max_order:
-                K *= 2
-                continue
-            raise
-        if not cfg.prove:
-            certsum = CertificateSummary.skipped()
-            break
-        cert = st.run("certify", certify, eq, p1, p2)
-        if cert.is_proven:
-            certsum = CertificateSummary.from_certificate(cert)
-            break
+            # a witness too short for the proof's Hensel steps, or, unproven,
+            # a guess that fit g(x) but not the equation
+            if not isinstance(exc.cause, (InsufficientData, NoVanishingFactor)):
+                raise
+            err = exc
         if 2 * K > cfg.max_order:
-            raise PipelineError("certify", RefutedGuess(cert.checkedOrder))
+            raise err
         K *= 2
 
+    certsum = (CertificateSummary.skipped() if cert is None
+               else CertificateSummary.from_certificate(cert))
     ode = st.run("ode", algeq_to_ode, p1)
     rec = st.run("recurrence", ode_to_rec, ode)
     mini = st.run("minimize", _minimize_full, rec, cfg.max_complexity)

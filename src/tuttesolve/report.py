@@ -269,23 +269,23 @@ def _cert_argument(r: Report) -> list[str]:
         return ["Certification was skipped on request; every displayed object",
                 "is a guess fitted to the computed series prefix."]
     if c.status == "refuted":
-        return [f"Certification FAILED at order {c.checked_order}: the guessed",
-                "equations do not annihilate the series there.  All displayed",
-                "objects are conjectural."]
-    return [
-        "The defect of the guessed pair is annihilated by a polynomial",
-        f"M(z, x, y) of monomial support {c.annihilator_support}.  The",
-        f"Newton polygon of M in z gives vanishing bound B = {c.bound}:",
-        "any series root of M with x-valuation exceeding B is identically",
-        f"zero.  The expansion was checked through order N = {c.checked_order},",
-        "chosen at least B plus both Hensel slacks, so",
-        "the algebraic roots singled out by the checked prefixes exist,",
-        "are unique, and their defect is a series root of M vanishing past",
-        "every finite Newton slope.  The defect is therefore zero, and",
-        "since the well-posedness analysis pins the series solution of the",
-        "functional equation to the same prefix, the displayed equations",
-        "hold identically.",
-    ]
+        text = (f"Certification FAILED at order {c.checked_order}: the "
+                "guessed equation for g fails on the series there, or it "
+                "holds on the whole checked prefix but does not divide the "
+                "annihilator D, and then fails at this order or later.  All "
+                "displayed objects are conjectural.")
+    else:
+        text = (
+            "The functional equation alone gives D(g, x) != 0 of monomial "
+            f"support {c.annihilator_support} with D(g(x), x) = 0.  The "
+            "guessed equation for g divides D and holds on the series "
+            f"through order N = {c.checked_order}.  The squarefree part of "
+            f"D has a g-derivative of x-valuation e = {c.bound} there, and "
+            "N is at least 2e + 1, so by Hensel's lemma g is the one root "
+            "of D that agrees with the series past order e, and it is a "
+            "root of the guess.  The equation for the full series follows "
+            "from the proven one by a resultant.")
+    return textwrap.wrap(text, 66)
 
 
 # Each format's wording: str.format templates, one per report part.  A
@@ -295,7 +295,7 @@ _TEXT = {
             "Functional equation (Q = 0 with psi = psi(x, y), g = psi(x, 0)):\n"
             "    {equation}\n",
     "proven": "Status: proven (checked order {c.checked_order}, "
-              "vanishing bound {c.bound})\n",
+              "Hensel slack {c.bound})\n",
     "conjectural": "Status: conjectural (certification {c.status})\n",
     "p1": "1. {tag}Algebraic equation for g(x) = psi(x, 0), written in "
           "f = g(x):\n       {eq}\n",
@@ -315,9 +315,9 @@ _TEXT = {
     "column_eq": "    guessed equation: {eq}",
     "column_none": "    no algebraic equation found within the bounds",
     "appendix_a": "\nAppendix A. Certificate\n    status: {c.status}",
-    "numbers": "    vanishing bound B: {c.bound}\n"
+    "numbers": "    Hensel slack e: {c.bound}\n"
                "    checked order N: {c.checked_order}\n"
-               "    defect annihilator support: {c.annihilator_support}",
+               "    annihilator D support: {c.annihilator_support}",
     "indent": "    ",
     "argument": "{lines}",
     "appendix_b": "\nAppendix B. Decimal digits of a({i})\n{digits}",
@@ -328,7 +328,7 @@ _MARKDOWN = {
             "Functional equation (`Q = 0` with `psi = psi(x, y)`, "
             "`g = psi(x, 0)`):\n\n    {equation}\n",
     "proven": "**Status: proven** (checked order {c.checked_order}, "
-              "vanishing bound {c.bound})\n",
+              "Hensel slack {c.bound})\n",
     "conjectural": "**Status: conjectural** (certification {c.status})\n",
     "p1": "1. {tag}Algebraic equation for `g(x) = psi(x, 0)`, written in "
           "`f = g(x)`:\n   `{eq}`",
@@ -347,9 +347,9 @@ _MARKDOWN = {
     "column_eq": "Guessed equation: `{eq}`",
     "column_none": "No algebraic equation found within the bounds.",
     "appendix_a": "\n## Appendix A. Certificate\n\n- status: {c.status}",
-    "numbers": "- vanishing bound B: {c.bound}\n"
+    "numbers": "- Hensel slack e: {c.bound}\n"
                "- checked order N: {c.checked_order}\n"
-               "- defect annihilator support: {c.annihilator_support}",
+               "- annihilator D support: {c.annihilator_support}",
     "indent": "",
     "argument": "\n{lines}",
     "appendix_b": "\n## Appendix B. Decimal digits of a({i})\n\n{digits}",

@@ -2,9 +2,10 @@
 
 The sequence values and the minimized recurrence are anchored to the
 independent closed form in tests/_oracle.py.  The structural snapshots
-(exact P1, degrees and support sizes of P2 and the defect annihilator, the
-certificate numbers) were produced by certified runs and are pinned here so
-that any behavioral drift shows up as a test failure.
+(exact P1, degrees and support sizes of P2 and of the annihilator D(g, x)
+that proves P1, the certificate numbers) were produced by certified runs
+and are pinned here so that any behavioral drift shows up as a test
+failure.
 """
 
 TUTTE_EQ = "y**2*psi**2+(x+x*g*y-y-y**2)*psi+y-x*g"
@@ -23,11 +24,12 @@ TUTTE_P1_DEGX = 3
 TUTTE_P2_DEGREES = {"psi": 8, "x": 4, "y": 8}
 TUTTE_P2_SUPPORT = 81
 
-TUTTE_M_DEGREES = {"z": 25, "x": 22, "y": 24}
-TUTTE_M_SUPPORT = 1728
+TUTTE_D_DEGREES = {"g": 4, "x": 7}
+TUTTE_D_SUPPORT = 8
 
-TUTTE_BOUND = 1
-TUTTE_CHECKED_ORDER = 30
+# the Hensel slack e of D at the witness, and the witness order
+TUTTE_D_SLACK = 0
+TUTTE_D_CHECKED_ORDER = 30
 
 TUTTE_KERNEL_MODE = "kernel"
 TUTTE_KERNEL_VALUATION = 1

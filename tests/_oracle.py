@@ -8,7 +8,7 @@ genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, floor
+from math import comb, factorial
 
 
 # --- truncated series arithmetic on Fraction lists -------------------------
@@ -225,27 +225,6 @@ WIDE_SEMIPRIME = (2**61 - 1) * (2**89 - 1)
 
 # 2 * 3 * 5 * ... * 47
 PRIMES_BELOW_50 = 614889782588491410
-
-
-def lower_hull_bound(pts):
-    """Floor of the largest slope (v1 - v2)/(i2 - i1) between neighbours on
-    the lower convex hull of the points (i, v), i increasing; 0 when that
-    is negative or there is one point.  Builds the whole hull."""
-    if len(pts) == 1:
-        return 0
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # pop while the middle point is on or above the new edge
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    best = max(Fraction(v1 - v2, i2 - i1)
-               for (i1, v1), (i2, v2) in zip(hull, hull[1:]))
-    return max(0, floor(best))
 
 
 def rational_roots_by_divisors(a):

@@ -40,8 +40,8 @@ def tutte_p2(tutte_eq, tutte_p1, tutte_sx):
 
 
 @pytest.fixture(scope="session")
-def tutte_cert(tutte_eq, tutte_p1, tutte_p2):
-    return certify(tutte_eq, tutte_p1, tutte_p2)
+def tutte_cert(tutte_eq, tutte_p1, tutte_sx):
+    return certify(tutte_eq, tutte_p1, tutte_sx)
 
 
 @pytest.fixture(scope="session")

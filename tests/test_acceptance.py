@@ -181,16 +181,16 @@ def test_criterion_4_guesser_random_algebraic_suite():
 
 
 def test_criterion_5_certification_refutes_any_perturbation(
-        tutte_eq, tutte_p1, tutte_p2, tutte_cert):
+        tutte_eq, tutte_p1, tutte_sx, tutte_cert):
     assert tutte_cert.status == "proven"
-    assert tutte_cert.bound == _frozen.TUTTE_BOUND
+    assert tutte_cert.bound == _frozen.TUTTE_D_SLACK
     f = MPoly.var("f")
     degF, degX = tutte_p1.P.degree("f"), tutte_p1.P.degree("x")
     for i in range(degF + 1):
         for j in range(degX + 1):
             bad = AlgEq(tutte_p1.P + MPoly.monomial(1, f=i, x=j),
                         tutte_p1.branch)
-            cert = certify(tutte_eq, bad, tutte_p2)
+            cert = certify(tutte_eq, bad, tutte_sx)
             assert cert.status == "refuted", (i, j)
 
 

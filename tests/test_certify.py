@@ -1,34 +1,37 @@
-"""Elimination, defect annihilators, and the a-posteriori certificate."""
+"""Elimination, the annihilator D(g, x), and the a-posteriori certificate."""
 
 from __future__ import annotations
 
-import copy
 import importlib
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify,
-                        defect_annihilator, eliminate_g, expand_series,
-                        guess_algeq, parse_equation,
-                        specialize_y0, vanishing_bound)
-from tuttesolve.certify import BivarAlgEq
-from tuttesolve.errors import (AmbiguousBranch, InvalidElimination,
-                               NoVanishingFactor, ResultantVanishes,
-                               ZeroAnnihilator)
-from tuttesolve.mpoly import _coeff_gcd, resultant, squarefree_primitive
+from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify, eliminate_g,
+                        expand_series, guess_algeq, parse_equation,
+                        specialize_y0)
+from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
+                               InvalidElimination, NoVanishingFactor,
+                               ResourceCeiling, ResultantVanishes,
+                               SelfCheckFailed, ZeroAnnihilator)
+from tuttesolve.mpoly import resultant, squarefree_primitive
 from tuttesolve.polyq import RatFunc
-from tuttesolve.series import _subs
+from tuttesolve.series import _subs, _vanishing_order
 
 from . import _frozen, _oracle
 
 # the package binds the name `certify` to the function, not the module
 certify_mod = importlib.import_module("tuttesolve.certify")
 
-psi, g, x, y, z = (MPoly.var(v) for v in ("psi", "g", "x", "y", "z"))
+psi, g, x, y = (MPoly.var(v) for v in ("psi", "g", "x", "y"))
+f = MPoly.var("f")
 one = MPoly.const(1)
+
+CATALAN = "psi - 1 - x*psi**2"
+MAPS = "y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)"
 
 
 def rf(*cs):
@@ -41,59 +44,21 @@ def toy_witness(order: int) -> SeriesX:
     return SeriesX(cs[: order + 1])
 
 
-TOY_P1 = AlgEq((one - x) * MPoly.var("f") - one, QSeries([F(1)] * 13))
+TOY_P1 = AlgEq((one - x) * f - one, QSeries([F(1)] * 13))
 
 
+@lru_cache(maxsize=None)
 def stages(equation, K=24, deg=3):
-    """(eq, p1, p2) of an equation, as the pipeline builds them at series
-    order K with guessed degrees up to deg."""
+    """(eq, p1, witness) of an equation, as the pipeline builds them at
+    series order K with guessed degrees up to deg."""
     eq = parse_equation(equation)
     sx = expand_series(eq, K)
-    p1 = guess_algeq(specialize_y0(sx), deg, deg)
-    return eq, p1, eliminate_g(eq, p1, sx)
+    return eq, guess_algeq(specialize_y0(sx), deg, deg), sx
 
 
 def walk_stages(ups, K=24, deg=3):
     """stages of the walk with steps -1 and ``ups``."""
     return stages(_oracle.walk_equation((-1, *sorted(ups))), K, deg)
-
-
-def g_first_annihilator(eq, p1, p2):
-    """M by the other elimination order: g first, then psi."""
-    zq = z - eq.Q
-    if zq.degree("g") > 0:
-        zq = resultant(zq, p1.P.rename_var("f", "g"), "g")
-    g_first = resultant(p2.P, zq, "psi")
-    assert not g_first.is_zero
-    return squarefree_primitive(g_first, "z")
-
-
-@pytest.fixture
-def count_checks(monkeypatch):
-    """Counts the checks certify makes on the series witness."""
-    calls = []
-    real = certify_mod._vanishing_order
-
-    def spy(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(certify_mod, "_vanishing_order", spy)
-    return calls
-
-
-@pytest.fixture
-def squarefree_args(monkeypatch):
-    """The polynomials certify hands to squarefree_primitive."""
-    calls = []
-    real = certify_mod.squarefree_primitive
-
-    def spy(A, v):
-        calls.append(A)
-        return real(A, v)
-
-    monkeypatch.setattr(certify_mod, "squarefree_primitive", spy)
-    return calls
 
 
 class TestEliminateG:
@@ -109,21 +74,21 @@ class TestEliminateG:
         # no factor is sought, and the whole product vanishes on the
         # witness psi = x
         eq = parse_equation("g + (psi - x)*(psi + 1)")
-        p1 = AlgEq(MPoly.var("f"), QSeries([F(0)] * 8))
+        p1 = AlgEq(f, QSeries([F(0)] * 8))
         witness = SeriesX([RatFunc.const(0), rf(1)] + [RatFunc.const(0)] * 6)
         p2 = eliminate_g(eq, p1, witness)
         assert p2.P == ((psi - x) * (psi + one)).normalized()
 
     def test_no_factor_vanishes(self):
         eq = parse_equation("g + (psi - x)*(psi + 1)")
-        p1 = AlgEq(MPoly.var("f"), QSeries([F(0)] * 8))
+        p1 = AlgEq(f, QSeries([F(0)] * 8))
         witness = SeriesX([rf(1)] + [RatFunc.const(0)] * 7)
         with pytest.raises(NoVanishingFactor):
             eliminate_g(eq, p1, witness)
 
     def test_shared_factor_collapses_resultant(self):
         eq = parse_equation("psi*g - psi*x")
-        p1 = AlgEq(MPoly.var("f") - x, QSeries([F(0), F(1)]))
+        p1 = AlgEq(f - x, QSeries([F(0), F(1)]))
         with pytest.raises(ResultantVanishes):
             eliminate_g(eq, p1, SeriesX([rf(1)] * 2))
 
@@ -139,118 +104,136 @@ class TestEliminateG:
         assert len(tutte_p2.P.terms) == _frozen.TUTTE_P2_SUPPORT
         assert tutte_p2.branch == tutte_sx
 
+    def test_resultant_past_the_ceiling_is_not_started(self):
+        # Res_g(Q, g - x^N) has degree up to N + 1 in x on a walk
+        eq, _, sx = walk_stages({1})
+        N = certify_mod.MAX_RESULTANT_DEGREE
+        p1 = AlgEq(f - x**N, QSeries([F(1)]))
+        with pytest.raises(ResourceCeiling, match=f"degree {N + 1} in x"):
+            eliminate_g(eq, p1, sx)
 
-class TestDefectAnnihilator:
-    def test_linear_toy_gives_bare_z(self):
-        eq = parse_equation("psi - g - x*y")
-        p2 = eliminate_g(eq, TOY_P1, toy_witness(12))
-        M = defect_annihilator(eq, TOY_P1, p2)
-        assert M == z
-        assert vanishing_bound(M, "z") == 0
 
-    @given(st.sets(st.integers(0, 2), min_size=1))
+class TestAnnihilator:
+    @pytest.mark.parametrize("equation", [CATALAN, "(1 - y)*psi - 1 - x*psi**2"])
+    def test_direct_mode_puts_psi_to_g_and_y_to_zero(self, equation):
+        eq, p1, sx = stages(equation)
+        cert = certify(eq, p1, sx)
+        assert cert.kernel.mode == "direct" and cert.is_proven
+        assert cert.annihilator == g - 1 - x * g**2
+
+    @given(st.sets(st.integers(0, 3), min_size=1, max_size=2))
     @settings(max_examples=10, deadline=None)
-    def test_both_elimination_orders_agree(self, ups):
-        # defect_annihilator eliminates psi first; g first must give the same M
-        eq, p1, p2 = walk_stages(ups)
-        assert defect_annihilator(eq, p1, p2) == g_first_annihilator(eq, p1, p2)
+    def test_walk_annihilator_vanishes_on_a_longer_series(self, ups):
+        eq, p1, sx = walk_stages(ups, K=32, deg=4)
+        D = certify(eq, p1, sx).annihilator
+        deep = specialize_y0(expand_series(eq, 60)).coeffs
+        assert _vanishing_order(D, sx, deep, 61) is None
+        assert D.try_divexact(p1.P.rename_var("f", "g")) is not None
 
-    @pytest.mark.parametrize("equation, divided", [
-        # Tutte's maps: deg_psi(Q) = 2 and deg(p1) = 2, so lc_psi(p2)**4
-        ("y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)", 4),
-        # Catalan: lc_psi(p2) is the single term x, so nothing is divided
-        ("psi - 1 - x*psi**2", 0),
-    ], ids=["maps", "catalan"])
-    def test_orders_agree_with_the_known_content_divided_out(
-            self, equation, divided, squarefree_args):
-        eq, p1, p2 = stages(equation)
-        squarefree_args.clear()
-        assert defect_annihilator(eq, p1, p2) == g_first_annihilator(eq, p1, p2)
-        M0 = resultant(p2.P, z - eq.Q, "psi")
-        if M0.degree("g") > 0:
-            M0 = resultant(M0, p1.P.rename_var("f", "g"), "g")
-        lc = p2.P.coeff_of("psi", p2.P.degree("psi"))
-        assert squarefree_args == [M0.divexact(lc ** divided)]
+    def test_flagship_shape_via_certificate(self, tutte_cert, tutte_p1):
+        D = tutte_cert.annihilator
+        assert {v: D.degree(v) for v in D.variables()} == _frozen.TUTTE_D_DEGREES
+        assert len(D.terms) == _frozen.TUTTE_D_SUPPORT
+        assert D.try_divexact(tutte_p1.P.rename_var("f", "g")) is not None
 
-    def test_squarefree_gets_no_content_but_a_monomial(self, squarefree_args):
-        # up step 3: lc_psi(p2) has ten terms, and M0 holds its fourth power
-        eq, p1, p2 = walk_stages({3}, K=32, deg=4)
-        squarefree_args.clear()
-        defect_annihilator(eq, p1, p2)
-        A, = squarefree_args
-        assert len(_coeff_gcd(A.as_univariate("z")).terms) == 1
+    def test_maps_needs_the_squarefree_step(self):
+        # gcd(R1, dR1/dy) = x*(1 + y), so Res_y(R1, dR1/dy) is zero
+        eq, p1, sx = stages(MAPS)
+        Q = eq.Q
+        R1 = resultant(Q, Q.derivative("psi"), "psi")
+        R1 = R1.divexact(y ** R1.valuation("y"))
+        assert resultant(R1, R1.derivative("y"), "y").is_zero
+        assert R1.divexact(squarefree_primitive(R1, "y")) == x * (1 + y)
+        assert certify(eq, p1, sx).is_proven
+
+    def test_zero_kernel_root_claims_nothing(self):
+        # Q_psi = y*(1 - 2*x*psi) vanishes on y = 0, so Y may be zero, and
+        # y^v cannot be divided out of the discriminant
+        eq, p1, sx = stages("y*(psi - 1 - x*psi**2)")
+        with pytest.raises(ZeroAnnihilator, match="kernel root"):
+            certify(eq, p1, sx)
+
+    def test_divided_out_factor_that_may_vanish_claims_nothing(
+            self, monkeypatch, tutte_eq, tutte_p1, tutte_sx):
+        # with nothing kept of the discriminant, what is divided out is all
+        # of it, and its x^0 coefficient is zero at (g0, 0, 0)
+        real = certify_mod.squarefree_primitive
+        monkeypatch.setattr(certify_mod, "squarefree_primitive",
+                            lambda A, v: one if v == "y" else real(A, v))
+        with pytest.raises(ZeroAnnihilator, match="divided out"):
+            certify(tutte_eq, tutte_p1, tutte_sx)
 
     def test_collapse_raises_zero_annihilator(self, monkeypatch):
-        eq, p1, p2 = walk_stages({0, 1})
-        calls = []
-
-        def collapse(A, B, v):
-            calls.append(v)
-            return MPoly.zero()
-
-        monkeypatch.setattr(certify_mod, "resultant", collapse)
+        eq, p1, sx = walk_stages({0, 1})
+        monkeypatch.setattr(certify_mod, "resultant",
+                            lambda A, B, v: MPoly.zero())
         with pytest.raises(ZeroAnnihilator):
-            defect_annihilator(eq, p1, p2)
-        # a zero psi-resultant has no g left to eliminate
-        assert calls == ["psi"]
+            certify(eq, p1, sx)
 
-    def test_flagship_shape_via_certificate(self, tutte_cert):
-        M = tutte_cert.annihilator
-        for v, d in _frozen.TUTTE_M_DEGREES.items():
-            assert M.degree(v) == d
-        assert len(M.terms) == _frozen.TUTTE_M_SUPPORT
-        assert vanishing_bound(M, "z") == _frozen.TUTTE_BOUND
+    def test_resultant_past_the_ceiling_is_not_started(self, monkeypatch):
+        # Res_y(A, B) of walk {-1, 1, 2} may reach degree 4 in x
+        eq, p1, sx = walk_stages({1, 2})
+        monkeypatch.setattr(certify_mod, "MAX_RESULTANT_DEGREE", 3)
+        monkeypatch.setattr(certify_mod, "resultant", None)
+        with pytest.raises(ResourceCeiling, match="degree 4 in x"):
+            certify(eq, p1, sx)
 
 
-PERTURBED = {"catalan": "psi - 1 - x*psi**2",
+PERTURBED = {"catalan": CATALAN,
              "dyck": _oracle.walk_equation((-1, 1)),
              "motzkin": _oracle.walk_equation((-1, 0, 1)),
              "luk2": _oracle.walk_equation((-1, 2)),
-             "maps": "y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)",
+             "maps": MAPS,
              "walk112": _oracle.walk_equation((-1, 1, 2))}
 
 
 class TestCertify:
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 1: when Q is linear in g or free of it, the defect "
-        "step holds for any p1, so a p1 wrong only past the witness order "
-        "is proven"))
     @pytest.mark.parametrize("c, i", [(1, 1), (-3, 2), (1, 0)])
     @pytest.mark.parametrize("name", list(PERTURBED))
     def test_p1_wrong_past_the_witness_is_not_proven(self, name, c, i):
         # p1 + c*x^25*f^i fits all 25 coefficients the guess saw
-        eq = parse_equation(PERTURBED[name])
-        sx = expand_series(eq, 24)
-        p1 = guess_algeq(specialize_y0(sx), 3, 3)
-        bad = AlgEq(p1.P + c * x**25 * MPoly.var("f") ** i, p1.branch)
-        assert not certify(eq, bad, eliminate_g(eq, bad, sx)).is_proven
+        eq, p1, sx = stages(PERTURBED[name])
+        bad = AlgEq(p1.P + c * x**25 * f**i, p1.branch)
+        assert not certify(eq, bad, sx).is_proven
+
+    @given(st.sampled_from(["catalan", "dyck", "motzkin", "luk2", "maps"]),
+           st.integers(-9, 9).filter(bool), st.integers(0, 8),
+           st.integers(25, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbation_past_the_witness_is_never_proven(self, name, c, i, k):
+        eq, p1, sx = stages(PERTURBED[name])
+        bad = AlgEq(p1.P + c * x**k * f**min(i, p1.degF), p1.branch)
+        cert = certify(eq, bad, sx)
+        assert cert.status == "refuted"
+        # it fits the whole witness, so the division refutes it
+        assert cert.checkedOrder == 25 and cert.annihilator is not None
+
+    def test_division_refutes_the_sparse_walk_guess(self):
+        # steps {-1, +4}: a degree-2 p1 fits the 25 guessed coefficients
+        eq, p1, sx = stages(_oracle.walk_equation((-1, 4)), deg=16)
+        cert = certify(eq, p1, sx)
+        assert cert.status == "refuted" and cert.checkedOrder == 25
+        assert cert.annihilator == -g**5 * x**6 + g * x - x
 
     def test_flagship_is_proven(self, tutte_cert):
         assert tutte_cert.status == "proven" and tutte_cert.is_proven
-        assert tutte_cert.bound == _frozen.TUTTE_BOUND
-        assert tutte_cert.checkedOrder == _frozen.TUTTE_CHECKED_ORDER
+        assert tutte_cert.bound == _frozen.TUTTE_D_SLACK
+        assert tutte_cert.checkedOrder == _frozen.TUTTE_D_CHECKED_ORDER
         assert tutte_cert.kernel.mode == _frozen.TUTTE_KERNEL_MODE
         assert tutte_cert.kernel.kernelValuation == _frozen.TUTTE_KERNEL_VALUATION
-        assert tutte_cert.annihilator_support == _frozen.TUTTE_M_SUPPORT
+        assert tutte_cert.annihilator_support == _frozen.TUTTE_D_SUPPORT
 
     def test_perturbed_specialization_is_refuted(self, tutte_eq, tutte_p1,
-                                                 tutte_p2):
+                                                 tutte_sx):
         bad = AlgEq(tutte_p1.P + x, tutte_p1.branch)
-        cert = certify(tutte_eq, bad, tutte_p2)
+        cert = certify(tutte_eq, bad, tutte_sx)
         assert cert.status == "refuted" and not cert.is_proven
         assert cert.annihilator is None
         assert cert.checkedOrder >= 0
 
-    def test_perturbed_bivariate_is_refuted(self, tutte_eq, tutte_p1,
-                                            tutte_p2):
-        bad = BivarAlgEq(tutte_p2.P + x, tutte_p2.branch)
-        cert = certify(tutte_eq, tutte_p1, bad)
-        assert cert.status == "refuted"
-        assert cert.annihilator is None
-
     def test_bivariate_holds_past_checked_order(self, tutte_eq, tutte_p2):
         # independent spot check well beyond the certified order
-        deep = expand_series(tutte_eq, _frozen.TUTTE_CHECKED_ORDER + 8)
+        deep = expand_series(tutte_eq, _frozen.TUTTE_D_CHECKED_ORDER + 8)
         # over the _Loc ring, apart from the certifier's integer zero test
         assert not any(_subs(tutte_p2.P, {"psi": deep.locs}, len(deep.locs),
                              deep.ctx.from_ints))
@@ -258,46 +241,24 @@ class TestCertify:
     @pytest.mark.parametrize("c", [0, 1])
     def test_equation_that_is_not_well_posed_is_not_proven(self, c):
         # psi**2 - psi has the two series solutions 0 and 1; each satisfies
-        # the guessed pair, but no uniqueness step can pick one of them
+        # the guessed equation, but no uniqueness step can pick one of them
         eq = parse_equation("psi**2 - psi")
-        p1 = AlgEq(MPoly.var("f") - c, QSeries([F(c)] + [F(0)] * 7))
-        p2 = BivarAlgEq(psi - c, SeriesX([RatFunc.const(c)]
-                                         + [RatFunc.const(0)] * 7))
+        p1 = AlgEq(f - c, QSeries([F(c)] + [F(0)] * 7))
+        witness = SeriesX([RatFunc.const(c)] + [RatFunc.const(0)] * 7)
         with pytest.raises(AmbiguousBranch):
-            certify(eq, p1, p2)
+            certify(eq, p1, witness)
 
+    def test_witness_of_another_equation_is_not_taken(self):
+        # (1 - y)*psi - 1 - x*psi**2 has the same g as Catalan, but its psi
+        # does not solve Catalan's equation
+        eq, p1, _ = stages(CATALAN)
+        _, _, other = stages("(1 - y)*psi - 1 - x*psi**2")
+        with pytest.raises(SelfCheckFailed):
+            certify(eq, p1, other)
 
-class TestWitnessCheck:
-    """certify skips its first p2 check only for eliminate_g's own output."""
-
-    def test_own_output_is_checked_once(self, count_checks):
-        eq, p1, p2 = walk_stages({1})
-        count_checks.clear()
-        own = certify(eq, p1, p2)
-        own_checks = list(count_checks)
-        count_checks.clear()
-        rebuilt = certify(eq, p1, BivarAlgEq(p2.P, p2.branch))
-        assert own.is_proven
-        assert rebuilt == own
-        assert len(count_checks) == len(own_checks) + 1
-        assert count_checks.count(p2.P) == own_checks.count(p2.P) + 1
-
-    def test_foreign_nonvanishing_p2_is_refuted_at_its_order(self):
-        eq, p1, p2 = walk_stages({1})
-        cert = certify(eq, p1, BivarAlgEq(p2.P + x**3, p2.branch))
-        # the defect at the witness is x**3 itself
-        assert cert.status == "refuted" and cert.annihilator is None
-        assert cert.checkedOrder == 3
-
-    def test_reassigned_P_is_checked_again(self, count_checks):
-        eq, p1, p2 = walk_stages({1})
-        count_checks.clear()
-        certify(eq, p1, p2)
-        n_own = len(count_checks)
-        p2.P = copy.copy(p2.P)
-        count_checks.clear()
-        assert certify(eq, p1, p2).is_proven
-        assert len(count_checks) == n_own + 1
-        p2.P = p2.P + x**3
-        cert = certify(eq, p1, p2)
-        assert cert.status == "refuted" and cert.checkedOrder == 3
+    def test_witness_too_short_for_hensel(self):
+        # K >= 2e + 1 with e = 0 needs K >= 1
+        eq, p1, _ = stages(CATALAN)
+        with pytest.raises(InsufficientData):
+            certify(eq, p1, expand_series(eq, 0))
+        assert certify(eq, p1, expand_series(eq, 1)).is_proven

@@ -1,19 +1,19 @@
-"""Exact multivariate polynomials: arithmetic, elimination, Newton bound."""
+"""Exact multivariate polynomials: arithmetic, elimination, squarefree parts."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import MPoly, resultant, squarefree_primitive, vanishing_bound
+from tuttesolve import MPoly, resultant, squarefree_primitive
 from tuttesolve.errors import InvalidElimination
 from tuttesolve.mpoly import (_MINORS_MAX_DEG, VARS, _p_det, _p_minors,
                               _p_try_divexact, gcd_mpoly)
 
 from . import _oracle
 
-x, y, f, z, psi = (MPoly.var(v) for v in ("x", "y", "f", "z", "psi"))
+x, y, f, psi = (MPoly.var(v) for v in ("x", "y", "f", "psi"))
 FXY = ("f", "x", "y")
 
 
@@ -357,32 +357,3 @@ class TestSquarefreePrimitive:
     def test_squarefree_input_unchanged_up_to_normalization(self):
         p = f ** 2 - x
         assert squarefree_primitive(p, "f").normalized() == p.normalized()
-
-
-class TestVanishingBound:
-    def test_synthetic_examples(self):
-        assert vanishing_bound(z * (z - x ** 3), "z") == 3
-        assert vanishing_bound(z - x ** 5, "z") == 5
-        assert vanishing_bound(z, "z") == 0
-        assert vanishing_bound(z ** 3, "z") == 0
-
-    def test_fractional_slope_floors(self):
-        # root valuation 3/2; the integer bound is 1
-        assert vanishing_bound(z ** 2 - x ** 3, "z") == 1
-
-    def test_y_coefficients_count_by_x_valuation(self):
-        assert vanishing_bound(z - x ** 2 * y, "z") == 2
-
-    @given(st.lists(st.one_of(st.none(), st.integers(0, 9)), min_size=1,
-                    max_size=7).filter(lambda vs: vs != [None] * len(vs)),
-           st.lists(st.integers(-3, 3), min_size=7, max_size=7))
-    @example([5], [0] * 7)                    # one point
-    @example([None, None, 4, 1, 0], [1] * 7)  # divisible by z
-    @settings(max_examples=200, deadline=None)
-    def test_first_edge_is_the_hull_bound(self, vals, units):
-        # the z^i coefficient is x^v_i times 1 + c*x*y, a unit of Z[y][[x]]
-        M = sum((z ** i * x ** v * (1 + c * x * y)
-                 for i, (v, c) in enumerate(zip(vals, units))
-                 if v is not None), MPoly.zero())
-        pts = [(i, v) for i, v in enumerate(vals) if v is not None]
-        assert vanishing_bound(M, "z") == _oracle.lower_hull_bound(pts)

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction as F
 
 import pytest
 
-from tuttesolve import (CoeffTable, PipelineConfig, column_series,
+from tuttesolve import (CoeffTable, PipelineConfig, certify, column_series,
                         parse_equation, run_pipeline, unroll)
-from tuttesolve.errors import (AmbiguousBranch, InvalidBounds, PipelineError,
+from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
+                               InvalidBounds, PipelineError,
                                PoleAtYZero, ResourceCeiling)
 
 from . import _frozen, _oracle
+
+# the package binds these names to functions, not to the modules
+certify_mod = importlib.import_module("tuttesolve.certify")
+pipeline_mod = importlib.import_module("tuttesolve.pipeline")
+
+DYCK = "y*psi - y - x*(y**2)*psi - x*psi + x*g"
 
 
 def strip_timings(doc: dict) -> dict:
@@ -53,16 +61,19 @@ class TestGoldenRuns:
     def test_flagship_summary(self, tutte_report):
         rep = tutte_report
         assert rep.proven
-        assert rep.certificate.bound == _frozen.TUTTE_BOUND
-        assert rep.certificate.checked_order == _frozen.TUTTE_CHECKED_ORDER
+        assert rep.certificate.bound == _frozen.TUTTE_D_SLACK
+        assert rep.certificate.checked_order == _frozen.TUTTE_D_CHECKED_ORDER
+        assert (rep.certificate.annihilator_support
+                == _frozen.TUTTE_D_SUPPORT)
         assert rep.value.value == _oracle.counting_term(1000)
         assert rep.value.digits == 969
 
-    @pytest.mark.parametrize("steps", [(-1, 2, 3), (-1, 1, 2, 3), (-1, 1, 3),
-                                       (-1, 0, 3)], ids=str)
+    @pytest.mark.parametrize("steps", [
+        (-1, 2, 3), (-1, 1, 2, 3), (-1, 1, 3), (-1, 0, 3), (-1, 4),
+        (-1, 0, 4), (-1, 1, 4), (-1, 2, 4), (-1, 3, 4)], ids=str)
     def test_walk_beyond_the_corpus(self, steps):
-        # each p1 has degree 4, so certify's g-resultant expands a 4x4 norm
-        # matrix in minors
+        # p1 has degree 4 or 5; {-1, +4}'s guess at K = 24 fits the prefix
+        # but does not divide D, and the one at K = 48 is proven
         rep = run_pipeline(PipelineConfig(_oracle.walk_equation(steps),
                                           eval_at=60))
         # a guess at K = 96 returns 97 prefix terms, each checked
@@ -72,10 +83,6 @@ class TestGoldenRuns:
         assert list(rep.series_prefix) == want[:len(rep.series_prefix)]
         assert rep.value.value == want[60]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the certificate does not show that the defect's "
-        "psi~ is regular at y = 0, so a p1 that leaves g at order 25 is "
-        "proven"))
     def test_sparse_walk_is_not_proven_wrong(self):
         # steps {-1, +4}: the excursion series is sparse, and a degree-2 p1
         # fits its 25 guessed coefficients but not the 26th
@@ -123,9 +130,52 @@ class TestStageAttribution:
         assert isinstance(e.value.cause, ResourceCeiling)
         assert {"expansion", "guess"} <= set(e.value.timings_ms)
 
+    @pytest.mark.parametrize("prove, stage", [(True, "certify"),
+                                              (False, "eliminate")])
+    def test_resultant_ceiling_names_its_stage(self, monkeypatch, prove,
+                                               stage):
+        # Dyck's Res_y(A, B) may reach degree 3 in x, and Res_g(Q, p1)
+        # degree 4 in y
+        monkeypatch.setattr(certify_mod, "MAX_RESULTANT_DEGREE", 2)
+        with pytest.raises(PipelineError) as e:
+            run_pipeline(PipelineConfig(DYCK, prove=prove, eval_at=0))
+        assert e.value.stage == stage
+        assert isinstance(e.value.cause, ResourceCeiling)
+        assert "past the ceiling 2" in str(e.value.cause)
+
+    def test_wrong_guess_is_refuted_before_elimination(self, monkeypatch):
+        # walk {-1, +4}: the K = 24 guess is refuted by the division, and
+        # only the K = 48 guess, which is proven, is eliminated
+        calls = {"certify": 0, "eliminate_g": 0}
+        for name in calls:
+            real = getattr(pipeline_mod, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(pipeline_mod, name, spy)
+        rep = run_pipeline(PipelineConfig(_oracle.walk_equation((-1, 4)),
+                                          eval_at=0))
+        assert rep.proven
+        assert calls == {"certify": 2, "eliminate_g": 1}
+
+    def test_witness_too_short_for_the_proof_doubles_the_order(
+            self, monkeypatch):
+        orders = []
+
+        def short_first(eq, p1, witness):
+            orders.append(witness.order)
+            if len(orders) == 1:
+                raise InsufficientData("too short")
+            return certify(eq, p1, witness)
+
+        monkeypatch.setattr(pipeline_mod, "certify", short_first)
+        rep = run_pipeline(PipelineConfig(DYCK, eval_at=0))
+        assert rep.proven and orders == [24, 48]
+
     def test_column_guess_timed_apart(self):
-        dyck = "y*psi - y - x*(y**2)*psi - x*psi + x*g"
-        rep = run_pipeline(PipelineConfig(dyck, column=1, eval_at=10))
+        rep = run_pipeline(PipelineConfig(DYCK, column=1, eval_at=10))
         assert {"column", "column-guess"} <= set(rep.timings_ms)
 
 
