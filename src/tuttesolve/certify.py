@@ -4,7 +4,8 @@ From Q alone, psi and y are eliminated to get D(g, x) != 0 with
 D(g(x), x) = 0.  The guess p1 is proven when it divides D exactly and, by
 Hensel's lemma on the series witness, the root of p1 the witness singles
 out is the root g of D.  p2 then holds by construction: `eliminate_g`
-builds it from Q and the proven p1 by a resultant.  Everything is exact.
+builds it from Q and the proven p1 by one resultant, and checks nothing
+on the witness.  Everything is exact.
 
 D follows the mode of `check_well_posed`.  Direct: psi(x, 0) = g, so
 D = Q(g, g, x, 0).  Kernel: Q_psi(psi(x, y), g, x, y) vanishes on a unique
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (InsufficientData, InvalidElimination, NoVanishingFactor,
-                     ResourceCeiling, ResultantVanishes, SelfCheckFailed,
-                     ZeroAnnihilator, ZeroPolynomial)
+from .errors import (InsufficientData, InvalidElimination, ResourceCeiling,
+                     ResultantVanishes, SelfCheckFailed, ZeroAnnihilator)
 from .funceq import (FuncEq, WellPosedness, check_well_posed, expand_series,
                      specialize_y0)
 from .guessing import AlgEq
@@ -39,35 +39,6 @@ defect_annihilator = vanishing_bound = None
 # resultant may predict; past it the resultant is not started.  The bench
 # equations and the walks with steps up to +4 predict at most 25.
 MAX_RESULTANT_DEGREE = 1024
-
-
-class BivarAlgEq:
-    """Polynomial relation in {psi, x, y} with a series witness.
-
-    Shape checks only; `eliminate_g` checks its output on the witness.
-    """
-
-    __slots__ = ("P", "branch")
-
-    def __init__(self, P: MPoly, branch: SeriesX):
-        if P.is_zero:
-            raise ZeroPolynomial("bivariate algebraic equation must be nonzero")
-        extra = set(P.variables()) - {"psi", "x", "y"}
-        if extra:
-            raise ValueError(f"unexpected variables in bivariate equation: {sorted(extra)}")
-        self.P = P
-        self.branch = branch
-
-    def render(self) -> str:
-        return self.P.render()
-
-    def __repr__(self) -> str:
-        return f"BivarAlgEq({self.P.render()})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivarAlgEq):
-            return NotImplemented
-        return self.P == other.P and self.branch == other.branch
 
 
 @dataclass(frozen=True)
@@ -118,13 +89,13 @@ def _resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     return resultant(A, B, v)
 
 
-def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
-    """Eliminate the specialized series between Q and its equation.
+def eliminate_g(eq: FuncEq, p1: AlgEq) -> MPoly:
+    """The equation P2(psi, x, y) = 0 of the full series.
 
-    The result is the squarefree primitive part of the resultant in psi,
-    kept whole: no factor of it is sought.  It annihilates the witness to
-    its full order, or NoVanishingFactor is raised; for a proven p1 it
-    holds exactly.
+    Q(psi, g) = 0 and p1(g) = 0 give Res_g(Q, p1)(psi) = 0, so P2, that
+    resultant's squarefree primitive part, holds exactly once p1 is
+    proven.  Nothing is checked on a series: for an unproven p1, P2 is as
+    conjectural as p1.
     """
     if p1.degF < 1:
         raise InvalidElimination("equation for the specialization must involve f")
@@ -133,11 +104,7 @@ def eliminate_g(eq: FuncEq, p1: AlgEq, witness: SeriesX) -> BivarAlgEq:
         raise ResultantVanishes("elimination of the specialization collapsed to zero")
     if R.degree("psi") < 1:
         raise InvalidElimination("elimination lost the unknown series")
-    P2 = squarefree_primitive(R, "psi")
-    if _vanishing_order(P2, witness, (), len(witness)) is not None:  # g-free
-        raise NoVanishingFactor(
-            "no factor of the eliminated equation annihilates the series witness")
-    return BivarAlgEq(P2.normalized(), witness)
+    return squarefree_primitive(R, "psi")
 
 
 def _at_y0(h: MPoly) -> MPoly:

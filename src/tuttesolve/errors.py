@@ -51,10 +51,6 @@ class ResultantVanishes(TutteSolveError):
     """Elimination produced the zero polynomial (shared content)."""
 
 
-class NoVanishingFactor(TutteSolveError):
-    """No factor of the eliminant annihilates the series witness."""
-
-
 class ZeroAnnihilator(TutteSolveError):
     """The annihilator D(g, x) of the specialization is zero, or a factor
     divided out while building it may vanish at the kernel root; no proof

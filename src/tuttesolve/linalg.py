@@ -1,16 +1,17 @@
 """Exact linear algebra: the guessers' relation search and the ODE kernel.
 
 One fraction-free (Bareiss) elimination, ``_kernel``, serves every ring
-here: ``nullspace`` runs it over Z on rows cleared of denominators and
-scales each vector to 1 at its free column, a kernel over Q;
-``nullspace_field`` runs it on ``MPoly`` entries for the ODE step, a kernel
-over the fraction field of the entries' ring with the basis vectors in the
-ring itself.  ``relations`` is the one search both guessers run: a walk
-over a caller's grid of shapes that turns each shape's kernel into integer
-candidates in one fixed order.  A shape whose matrix has full column rank
-mod the prime ``_P`` has an empty kernel over Q, so it is skipped without
-``nullspace``: a proof, not a heuristic.  Any other shape gets the exact
-kernel.
+here.  ``_int_kernel`` runs it over Z on rows cleared of denominators;
+``nullspace`` scales each of its vectors to 1 at its free column, a kernel
+over Q for the branch search's Pade step; ``nullspace_field`` runs it on
+``MPoly`` entries for the ODE step, a kernel over the fraction field of
+the entries' ring with the basis vectors in the ring itself.
+``relations`` is the one search both guessers run: a walk over a
+caller's grid of shapes that turns each shape's integer kernel into
+primitive candidates in one fixed order.  A shape whose matrix has full
+column rank mod the prime ``_P`` has an empty kernel over Q, so it is
+skipped without the exact kernel: a proof, not a heuristic.  Any other
+shape gets the exact kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import floordiv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .mpoly import MPoly
-from .polyq import clear_denominators, trim
+from .polyq import clear_denominators, ipp, trim
 
 #: A word-size prime.  Rank mod _P is at most rank over Q: a nonzero C x C
 #: minor mod _P is the image of a nonzero minor over Q.
@@ -34,18 +35,23 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     Deterministic: pivots are chosen first-nonzero scanning top down, and
     each basis vector has value 1 at its free column.
     """
+    basis = []
+    for v in _int_kernel(rows):
+        # a Cramer vector's last nonzero entry is its value at its free column
+        d = next(a for a in reversed(v) if a)
+        basis.append([Fraction(a, d) for a in v])
+    return basis
+
+
+def _int_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """`_kernel`'s integer Cramer basis of int or Fraction rows."""
     # a row's sign and scale cannot change the basis, so clear each one to
     # a primitive int row, padded back over the zeros the clearing trimmed
     M = []
     for row in rows:
         ints, _ = clear_denominators(row)
         M.append(ints + [0] * (len(row) - len(ints)))
-    basis = []
-    for v in _kernel(M, 0, 1, floordiv):
-        # a Cramer vector's last nonzero entry is its value at its free column
-        d = next(a for a in reversed(v) if a)
-        basis.append([Fraction(a, d) for a in v])
-    return basis
+    return _kernel(M, 0, 1, floordiv)
 
 
 def _full_column_rank_mod_p(rows: Sequence[Sequence[Fraction]]) -> bool:
@@ -88,7 +94,8 @@ def relations(shapes: Iterable[tuple[int, int]],
 
     For each (A, B) in ``shapes``, in the given order, the kernel of
     ``rows_of(A, B)`` (columns a-major over 0 <= a <= A, 0 <= b <= B) is
-    cleared to primitive integers and yielded as trimmed grids
+    taken as `_kernel`'s integer vectors, each made primitive with its
+    last nonzero entry positive, and yielded as trimmed grids
     ``[[c_a0, ..., c_ab], ...]``: no trailing zero in a row, no trailing
     empty row.  One shape's grids come ordered by (attained A, attained B,
     max |c|, basis position).  Lazy: a shape's matrix is built only once
@@ -100,8 +107,8 @@ def relations(shapes: Iterable[tuple[int, int]],
         if _full_column_rank_mod_p(rows):
             continue
         cands = []
-        for pos, v in enumerate(nullspace(rows)):
-            ints, _ = clear_denominators(v)
+        for pos, v in enumerate(_int_kernel(rows)):
+            ints = ipp(v)
             grid = trim([trim(ints[a * (B + 1):(a + 1) * (B + 1)])
                          for a in range(A + 1)])
             cands.append(((len(grid) - 1, max(len(row) for row in grid) - 1,

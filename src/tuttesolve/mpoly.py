@@ -13,14 +13,12 @@ exponents through ``MPoly.items(names)`` and builds from them through
 Elimination is the performance-critical piece.  ``resultant`` reduces the
 higher-degree argument A by one pseudo-remainder R = ``_p_prem(A, B)`` and
 takes the determinant of the norm matrix of R modulo B, deg B square, on
-the packed terms.  Up to deg B = ``_MINORS_MAX_DEG`` that is an expansion
-in minors (``_p_minors``), which never divides and wins on sparse entries;
-above it the 2**deg B minors cost more than fraction-free elimination
-(``_p_det``), which takes over.  ``gcd_mpoly`` runs a recursive primitive
-remainder sequence through the same pseudo-remainder after one
-specialization test (``_constant_gcd_certified``) that proves most gcds
-constant without it.  ``squarefree_primitive`` is a content gcd and one
-``gcd_mpoly(A, dA/dv)``, so that test is also its squarefree test.
+the packed terms, by fraction-free elimination (``_p_det``).
+``gcd_mpoly`` runs a recursive primitive remainder sequence through the
+same pseudo-remainder after one specialization test
+(``_constant_gcd_certified``) that proves most gcds constant without it.
+``squarefree_primitive`` is a content gcd and one ``gcd_mpoly(A, dA/dv)``,
+so that test is also its squarefree test.
 """
 
 from __future__ import annotations
@@ -515,37 +513,6 @@ def _p_det(M: list[list[dict]]) -> dict:
     return {m: -c for m, c in det.items()} if neg else det
 
 
-def _p_minors(M: list[list[dict]]) -> dict:
-    """Determinant of a square matrix of packed polynomials, by expansion
-    in minors (Gentleman and Johnson, ACM TOMS 2, 1976).
-
-    Row by row, each minor of the rows so far, keyed by the set of columns
-    it uses, is multiplied by one entry of the next row; nothing is
-    divided.  Zero entries and minors are skipped, and the sign of a term
-    is the parity of the used columns to the right of its entry.
-    """
-    minors = {0: {0: 1}}
-    for row in M:
-        # _p_submul subtracts, so an even sign takes the negated entry
-        neg = [{m: -c for m, c in e.items()} for e in row]
-        nxt: dict[int, dict] = {}
-        for used, minor in minors.items():
-            for j, e in enumerate(row):
-                if e and not used >> j & 1:
-                    acc = nxt.setdefault(used | 1 << j, {})
-                    _p_submul(acc, minor, e if (used >> j).bit_count() & 1
-                              else neg[j])
-        minors = {k: m for k, m in nxt.items() if m}
-    return minors.get((1 << len(M)) - 1, {})
-
-
-# the largest divisor degree whose norm matrix is expanded in minors: the
-# expansion keeps up to 2**dB minors, so its cost grows exponentially in dB
-# and Bareiss's only polynomially, but on sparse entries it multiplies by
-# one small entry where Bareiss multiplies and divides large minors
-_MINORS_MAX_DEG = 8
-
-
 def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     """Resultant of A and B with respect to v, exact, with the sign of the
     Sylvester determinant.
@@ -558,9 +525,8 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     once it reaches degree dB.  Its determinant is
     lc(B)^(dR(dR+1)/2) * N(R), where N(R) is the product of R over the
     roots of B, and Res(B, R) = lc(B)^dR * N(R), so one exact division by
-    lc(B)^(dR(dR-1)/2 - e) gives Res(B, A).  The determinant is an
-    expansion in minors (``_p_minors``) up to dB = ``_MINORS_MAX_DEG`` and
-    Bareiss elimination (``_p_det``) above it.
+    lc(B)^(dR(dR-1)/2 - e) gives Res(B, A).  The determinant is Bareiss
+    elimination (``_p_det``).
     """
     dA, dB = A.degree(v), B.degree(v)
     if dA <= 0 or dB <= 0:
@@ -589,12 +555,7 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
             row = [{}] + rows[-1]
             row = _p_prem(row, b) if i >= dB - dR else row[:-1]
             rows.append(row + [{}] * (dB - len(row)))
-        if dB > _MINORS_MAX_DEG:
-            res = _p_det(rows)
-        else:
-            # turned half round, which keeps the determinant: expanding
-            # the reduced rows first was measured faster
-            res = _p_minors([row[::-1] for row in rows[::-1]])
+        res = _p_det(rows)
     if k:
         res = _p_divexact(res, _p_pow(b[-1], k))
     return _new({m: -c for m, c in res.items()} if neg else res)

@@ -6,9 +6,9 @@ before the full series is eliminated, so a wrong guess costs no
 elimination.  These restart the guessing loop with a doubled expansion
 order instead of failing outright: the guesser returning FAIL (not enough
 data for any support), a certificate refutation (the guess fit the prefix
-but not the equation), a witness too short for the proof, and, with
-proving off, a guess that no factor of the eliminated equation fits.  All
-are capped by the configured series ceiling.
+but not the equation), and a witness too short for the proof.  All are
+capped by the configured series ceiling.  With proving off, the first
+guess is eliminated as it is, and everything after it is conjectural.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from fractions import Fraction
 
 from .certify import certify, eliminate_g
 from .eqparse import parse_equation
-from .errors import (InsufficientData, InvalidBounds, NoVanishingFactor,
-                     PipelineError, RefutedGuess, ResourceCeiling,
-                     TutteSolveError)
+from .errors import (InsufficientData, InvalidBounds, PipelineError,
+                     RefutedGuess, ResourceCeiling, TutteSolveError)
 from .evalrec import unroll
 from .funceq import FuncEq, check_well_posed, expand_series, specialize_y0
 from .guessing import FAIL, guess_algeq
@@ -164,19 +163,18 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
         try:
             cert = st.run("certify", certify, eq, p1, sx) if cfg.prove else None
             if cert is None or cert.is_proven:
-                p2 = st.run("eliminate", eliminate_g, eq, p1, sx)
                 break
             err = PipelineError("certify", RefutedGuess(cert.checkedOrder))
         except PipelineError as exc:
-            # a witness too short for the proof's Hensel steps, or, unproven,
-            # a guess that fit g(x) but not the equation
-            if not isinstance(exc.cause, (InsufficientData, NoVanishingFactor)):
+            # a witness too short for the proof's Hensel steps
+            if not isinstance(exc.cause, InsufficientData):
                 raise
             err = exc
         if 2 * K > cfg.max_order:
             raise err
         K *= 2
 
+    p2 = st.run("eliminate", eliminate_g, eq, p1)
     certsum = (CertificateSummary.skipped() if cert is None
                else CertificateSummary.from_certificate(cert))
     ode = st.run("ode", algeq_to_ode, p1)
@@ -193,5 +191,5 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
         column = ColumnReport(cfg.column, col.coeffs,
                               None if colguess is FAIL else colguess.P)
 
-    return Report(eq.render(), p1.P, p2.P, certsum, ode, rec, mini, value,
+    return Report(eq.render(), p1.P, p2, certsum, ode, rec, mini, value,
                   seq.coeffs, column, cfg.max_complexity, st.timings)

@@ -35,8 +35,8 @@ def tutte_p1(tutte_seq):
 
 
 @pytest.fixture(scope="session")
-def tutte_p2(tutte_eq, tutte_p1, tutte_sx):
-    return eliminate_g(tutte_eq, tutte_p1, tutte_sx)
+def tutte_p2(tutte_eq, tutte_p1):
+    return eliminate_g(tutte_eq, tutte_p1)
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import (AlgEq, MPoly, QSeries, SeriesX, certify, eliminate_g,
-                        expand_series, guess_algeq, parse_equation,
-                        specialize_y0)
+from tuttesolve import (AlgEq, MPoly, PipelineConfig, QSeries, SeriesX,
+                        certify, eliminate_g, expand_series, guess_algeq,
+                        parse_equation, run_pipeline, specialize_y0)
 from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
-                               InvalidElimination, NoVanishingFactor,
-                               ResourceCeiling, ResultantVanishes,
-                               SelfCheckFailed, ZeroAnnihilator)
+                               InvalidElimination, ResourceCeiling,
+                               ResultantVanishes, SelfCheckFailed,
+                               ZeroAnnihilator)
 from tuttesolve.mpoly import resultant, squarefree_primitive
 from tuttesolve.polyq import RatFunc
 from tuttesolve.series import _subs, _vanishing_order
@@ -32,16 +32,11 @@ one = MPoly.const(1)
 
 CATALAN = "psi - 1 - x*psi**2"
 MAPS = "y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)"
-
-
-def rf(*cs):
-    return RatFunc([F(c) for c in cs])
-
-
-def toy_witness(order: int) -> SeriesX:
-    # psi = 1/(1-x) + x*y, written out coefficient by coefficient
-    cs = [rf(1), RatFunc([F(1), F(1)])] + [rf(1)] * (order - 1)
-    return SeriesX(cs[: order + 1])
+CORPUS = {"catalan": CATALAN, "maps": MAPS,
+          **{name: _oracle.walk_equation(steps) for name, steps in (
+              ("dyck", (-1, 1)), ("motzkin", (-1, 0, 1)), ("luk2", (-1, 2)),
+              ("luk3", (-1, 3)), ("walk112", (-1, 1, 2)),
+              ("walk102", (-1, 0, 2)))}}
 
 
 TOY_P1 = AlgEq((one - x) * f - one, QSeries([F(1)] * 13))
@@ -64,53 +59,55 @@ def walk_stages(ups, K=24, deg=3):
 class TestEliminateG:
     def test_linear_toy(self):
         eq = parse_equation("psi - g - x*y")
-        p2 = eliminate_g(eq, TOY_P1, toy_witness(12))
         want = ((one - x) * (psi - x * y) - one).normalized()
-        assert p2.P == want
-        assert p2.branch == toy_witness(12)
+        assert eliminate_g(eq, TOY_P1) == want
 
     def test_keeps_only_vanishing_factor(self):
         # after eliminating g the polynomial splits as (psi - x)(psi + 1);
-        # no factor is sought, and the whole product vanishes on the
-        # witness psi = x
+        # no factor is sought, and the whole squarefree product is kept
         eq = parse_equation("g + (psi - x)*(psi + 1)")
         p1 = AlgEq(f, QSeries([F(0)] * 8))
-        witness = SeriesX([RatFunc.const(0), rf(1)] + [RatFunc.const(0)] * 6)
-        p2 = eliminate_g(eq, p1, witness)
-        assert p2.P == ((psi - x) * (psi + one)).normalized()
-
-    def test_no_factor_vanishes(self):
-        eq = parse_equation("g + (psi - x)*(psi + 1)")
-        p1 = AlgEq(f, QSeries([F(0)] * 8))
-        witness = SeriesX([rf(1)] + [RatFunc.const(0)] * 7)
-        with pytest.raises(NoVanishingFactor):
-            eliminate_g(eq, p1, witness)
+        assert eliminate_g(eq, p1) == ((psi - x) * (psi + one)).normalized()
 
     def test_shared_factor_collapses_resultant(self):
         eq = parse_equation("psi*g - psi*x")
         p1 = AlgEq(f - x, QSeries([F(0), F(1)]))
         with pytest.raises(ResultantVanishes):
-            eliminate_g(eq, p1, SeriesX([rf(1)] * 2))
+            eliminate_g(eq, p1)
 
     def test_equation_must_involve_f(self):
         eq = parse_equation("psi - g - x*y")
         bad = AlgEq(x - one, QSeries([F(1)] * 4))
         with pytest.raises(InvalidElimination):
-            eliminate_g(eq, bad, toy_witness(3))
+            eliminate_g(eq, bad)
 
-    def test_flagship_shape(self, tutte_p2, tutte_sx):
+    def test_flagship_shape(self, tutte_p2):
         for v, d in _frozen.TUTTE_P2_DEGREES.items():
-            assert tutte_p2.P.degree(v) == d
-        assert len(tutte_p2.P.terms) == _frozen.TUTTE_P2_SUPPORT
-        assert tutte_p2.branch == tutte_sx
+            assert tutte_p2.degree(v) == d
+        assert len(tutte_p2.terms) == _frozen.TUTTE_P2_SUPPORT
+
+    @pytest.mark.parametrize("name", [*CORPUS, "flagship"])
+    def test_p2_of_the_proven_p1_holds_by_construction(self, name, request):
+        # nothing checks P2 on the witness of order K, so a fresh expansion
+        # of order K + 16 is put into it, over the _Loc ring
+        if name == "flagship":
+            eq = request.getfixturevalue("tutte_eq")
+            rep = request.getfixturevalue("tutte_report")
+        else:
+            eq = parse_equation(CORPUS[name])
+            rep = run_pipeline(PipelineConfig(CORPUS[name], eval_at=0))
+        assert rep.proven
+        deep = expand_series(eq, len(rep.series_prefix) - 1 + 16)
+        assert not any(_subs(rep.p2, {"psi": deep.locs}, len(deep.locs),
+                             deep.ctx.from_ints))
 
     def test_resultant_past_the_ceiling_is_not_started(self):
         # Res_g(Q, g - x^N) has degree up to N + 1 in x on a walk
-        eq, _, sx = walk_stages({1})
+        eq, _, _ = walk_stages({1})
         N = certify_mod.MAX_RESULTANT_DEGREE
         p1 = AlgEq(f - x**N, QSeries([F(1)]))
         with pytest.raises(ResourceCeiling, match=f"degree {N + 1} in x"):
-            eliminate_g(eq, p1, sx)
+            eliminate_g(eq, p1)
 
 
 class TestAnnihilator:
@@ -179,12 +176,8 @@ class TestAnnihilator:
             certify(eq, p1, sx)
 
 
-PERTURBED = {"catalan": CATALAN,
-             "dyck": _oracle.walk_equation((-1, 1)),
-             "motzkin": _oracle.walk_equation((-1, 0, 1)),
-             "luk2": _oracle.walk_equation((-1, 2)),
-             "maps": MAPS,
-             "walk112": _oracle.walk_equation((-1, 1, 2))}
+PERTURBED = {name: CORPUS[name] for name in
+             ("catalan", "dyck", "motzkin", "luk2", "maps", "walk112")}
 
 
 class TestCertify:
@@ -235,7 +228,7 @@ class TestCertify:
         # independent spot check well beyond the certified order
         deep = expand_series(tutte_eq, _frozen.TUTTE_D_CHECKED_ORDER + 8)
         # over the _Loc ring, apart from the certifier's integer zero test
-        assert not any(_subs(tutte_p2.P, {"psi": deep.locs}, len(deep.locs),
+        assert not any(_subs(tutte_p2, {"psi": deep.locs}, len(deep.locs),
                              deep.ctx.from_ints))
 
     @pytest.mark.parametrize("c", [0, 1])

@@ -144,7 +144,7 @@ class TestRelations:
 
 
 def exact_relations(shapes, rows_of):
-    """The reference: relations with the exact nullspace on every shape."""
+    """The reference: relations with the exact kernel on every shape."""
     with mock.patch.object(linalg, "_full_column_rank_mod_p",
                            lambda rows: False):
         return list(relations(shapes, rows_of))
@@ -196,33 +196,33 @@ def test_mod_p_skip_leaves_the_candidates_unchanged(mats):
 
 
 @pytest.fixture
-def nullspace_calls(monkeypatch):
-    """The matrices relations hands to the exact nullspace."""
+def kernel_calls(monkeypatch):
+    """The matrices relations hands to the exact kernel."""
     calls = []
-    real = linalg.nullspace
+    real = linalg._int_kernel
 
     def spy(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(linalg, "nullspace", spy)
+    monkeypatch.setattr(linalg, "_int_kernel", spy)
     return calls
 
 
 class TestModPSkip:
-    def test_full_rank_shape_gets_no_exact_kernel(self, nullspace_calls):
+    def test_full_rank_shape_gets_no_exact_kernel(self, kernel_calls):
         mats = {(0, 1): [[1, 2], [F(1, 3), 4], [5, 7]],   # full rank
                 (0, 2): [[1, 1, 0], [0, 0, 1]]}            # a kernel
         grids = list(relations(mats, lambda A, B: mats[A, B]))
         assert grids == [[[-1, 1]]]
-        assert nullspace_calls == [mats[0, 2]]
+        assert kernel_calls == [mats[0, 2]]
 
-    def test_rank_lost_only_mod_p_falls_through(self, nullspace_calls):
+    def test_rank_lost_only_mod_p_falls_through(self, kernel_calls):
         for rows in ([[1, 0], [0, _P]],            # rank 2 over Q, 1 mod _P
                      [[F(1, _P), 0], [0, 1]]):     # no image mod _P
             assert not linalg._full_column_rank_mod_p(rows)
             assert list(relations([(0, 1)], lambda A, B: rows)) == []
-        assert len(nullspace_calls) == 2
+        assert len(kernel_calls) == 2
 
 
 def test_field_nullspace_matches_fraction_version():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import (_MINORS_MAX_DEG, VARS, _p_det, _p_minors,
-                              _p_try_divexact, gcd_mpoly)
+from tuttesolve.mpoly import VARS, _p_det, _p_try_divexact, gcd_mpoly
 
 from . import _oracle
 
@@ -257,11 +256,10 @@ class TestResultant:
         assert _p_det(M) == x.terms
         assert resultant(f ** 2 + x, f, "f") == x
 
-    def test_divisor_degree_above_the_minors_cutoff(self):
-        # the divisor has degree _MINORS_MAX_DEG + 1, so its norm matrix
-        # goes to Bareiss; sparse and non-monic, at equal degrees (either
-        # order, odd degrees so the sign flips) and at a degree apart
-        d = _MINORS_MAX_DEG + 1
+    def test_divisor_of_degree_nine(self):
+        # a 9 x 9 norm matrix; sparse and non-monic, at equal degrees
+        # (either order, odd degrees so the sign flips) and a degree apart
+        d = 9
         same = f ** d + x * f ** 3 - y, (x + 2) * f ** d + y * f ** (d - 2) + 1
         apart = f ** (d + 1) + x * f - y, (x + 2) * f ** d + y * f ** (d - 1) + 1
         for a, b in (same, same[::-1], apart):
@@ -313,9 +311,10 @@ def packed_matrices(draw):
 class TestDeterminant:
     @given(packed_matrices())
     @settings(max_examples=120, deadline=None)
-    def test_minors_agree_with_bareiss(self, M):
-        want = _p_det([row[:] for row in M])
-        assert _p_minors(M) == want
+    def test_bareiss_agrees_with_the_permutation_expansion(self, M):
+        want = _oracle.sparse_det([[dict(MPoly(e).items(("x", "y")))
+                                    for e in row] for row in M], 2)
+        assert dict(MPoly(_p_det(M)).items(("x", "y"))) == want
 
 
 class TestGcd:

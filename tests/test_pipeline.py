@@ -70,13 +70,15 @@ class TestGoldenRuns:
 
     @pytest.mark.parametrize("steps", [
         (-1, 2, 3), (-1, 1, 2, 3), (-1, 1, 3), (-1, 0, 3), (-1, 4),
-        (-1, 0, 4), (-1, 1, 4), (-1, 2, 4), (-1, 3, 4)], ids=str)
+        (-1, 0, 4), (-1, 1, 4), (-1, 2, 4), (-1, 3, 4), (-1, 5),
+        (-1, 1, 5)], ids=str)
     def test_walk_beyond_the_corpus(self, steps):
-        # p1 has degree 4 or 5; {-1, +4}'s guess at K = 24 fits the prefix
-        # but does not divide D, and the one at K = 48 is proven
+        # p1 has degree 4 to 6; {-1, +4}'s guess at K = 24 fits the prefix
+        # but does not divide D, and the one at K = 48 is proven; {-1, +5}
+        # is proven at K = 192 and {-1, +1, +5} at K = 96
         rep = run_pipeline(PipelineConfig(_oracle.walk_equation(steps),
                                           eval_at=60))
-        # a guess at K = 96 returns 97 prefix terms, each checked
+        # a guess at K = 192 returns 193 prefix terms, each checked
         top = max(60, len(rep.series_prefix) - 1)
         want = [row[0] for row in _oracle.walk_counts(steps, top, 0)]
         assert rep.proven
