@@ -3,10 +3,30 @@
 All failures that a caller can act on are distinct exception classes with a
 common base, so library users can catch ``TutteSolveError`` and the CLI can
 map each class to a message.  FAIL and ABSENT results of the guessing and
-minimization searches are return values, not exceptions.
+minimization searches are return values, not exceptions: the members of
+``Sentinel``.
 """
 
 from __future__ import annotations
+
+from enum import Enum
+
+
+class Sentinel(Enum):
+    """Falsy results: ``FAIL`` of the guessing search, ``ABSENT`` of
+    recurrence minimization.  A member keeps its identity under ``copy``
+    and ``pickle``."""
+
+    FAIL = "FAIL"
+    ABSENT = "ABSENT"
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return self.name
+
+    __str__ = __repr__
 
 
 class TutteSolveError(Exception):

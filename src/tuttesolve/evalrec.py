@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import floordiv, mul
 
 from . import polyq
-from .errors import InvalidIndex, MissingInitials
+from .errors import InvalidIndex
 
 #: Leaves folded at once into one stack node; it bounds the peak memory.
 _BLOCK = 512
@@ -46,34 +46,6 @@ class SequenceValue:
 
     def __str__(self) -> str:
         return self.decimal
-
-
-def _iterate(rec, count: int) -> list[Fraction]:
-    """First `count` terms; singular indices come from the initials."""
-    s = rec.order
-    coeffs = [(t, q) for t, q in enumerate(rec.coeffs[:-1]) if q]
-    lead = rec.coeffs[-1]
-    out: list[Fraction] = []
-    for n in range(count):
-        if n < s:
-            if n >= len(rec.initials):
-                raise MissingInitials(f"no initial value for index {n}")
-            out.append(rec.initials[n])
-            continue
-        k = n - s  # recurrence row producing a_(k+s)
-        lv = polyq.peval(lead, k)
-        if lv == 0:
-            if n >= len(rec.initials):
-                raise MissingInitials(
-                    f"leading coefficient vanishes at index {n} and no "
-                    f"initial value covers it")
-            out.append(rec.initials[n])
-            continue
-        acc = Fraction(0)
-        for t, q in coeffs:
-            acc += polyq.peval(q, k) * out[k + t]
-        out.append(-acc / lv)
-    return out
 
 
 def _horner(q, ks) -> list[int]:
@@ -112,7 +84,7 @@ def unroll(rec, G: int) -> SequenceValue:
     """Value of the sequence at index G, without the terms before it.
 
     With s = rec.order and head = s + (last nonnegative integer root of
-    q_s) + 1, the values below head come from `_iterate`.  Past head the
+    q_s) + 1, the values below head come from `PRec.terms`.  Past head the
     recurrence steps by its period: with T = {t : q_t != 0}, t0 = min T and
     d = gcd(s - t : t in T) (1 if T = {s}), row n links only indices
     n + t0 + d*u, so b_j = a(i0 + d*j), with i0 = G (mod d) in [t0, t0+d),
@@ -134,7 +106,7 @@ def unroll(rec, G: int) -> SequenceValue:
     s = rec.order
     head = s + rec._last_singular() + 1
     if G < head:
-        return SequenceValue(G, _iterate(rec, G + 1)[G])
+        return SequenceValue(G, rec.terms(G + 1)[G])
     T = [t for t, q in enumerate(rec.coeffs) if q]
     t0, d = T[0], gcd(*(s - t for t in T)) or 1
     S = (s - t0) // d
@@ -142,7 +114,7 @@ def unroll(rec, G: int) -> SequenceValue:
         # q_s(G - s) a(G) = 0 with q_s(G - s) != 0
         return SequenceValue(G, Fraction(0))
     i0 = t0 + (G - t0) % d
-    v = _iterate(rec, head)[i0::d]
+    v = rec.terms(head)[i0::d]
     lo = len(v) - S
     v = v[lo:]
     scale = lcm(*(x.denominator for x in v))

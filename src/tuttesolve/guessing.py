@@ -11,28 +11,13 @@ from __future__ import annotations
 import math
 
 from . import linalg
-from .errors import InvalidBounds, ZeroPolynomial
+from .errors import InvalidBounds, Sentinel, ZeroPolynomial
 from .mpoly import MPoly, squarefree_primitive
 from .series import QSeries, _mul_trunc
 
 
-class _Fail:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "FAIL"
-
-
 #: Falsy sentinel: no support within the degree bounds fits the series.
-FAIL = _Fail()
+FAIL = Sentinel.FAIL
 
 
 def _fix_sign(P: MPoly) -> MPoly:

@@ -18,29 +18,15 @@ from functools import reduce
 from typing import Sequence
 
 from . import linalg, polyq
-from .errors import InsufficientData, NonSquarefree, SelfCheckFailed
+from .errors import (InsufficientData, MissingInitials, NonSquarefree,
+                     SelfCheckFailed, Sentinel)
 from .guessing import AlgEq
 from .mpoly import MPoly, prem, resultant
 from .series import QSeries, _mul_trunc
 
 
-class _Absent:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "ABSENT"
-
-
 #: Falsy sentinel: no recurrence within the complexity cap.
-ABSENT = _Absent()
+ABSENT = Sentinel.ABSENT
 
 
 def _poly_str_x(p: Sequence[int]) -> str:
@@ -135,8 +121,30 @@ class PRec:
 
     def terms(self, count: int) -> list[Fraction]:
         """First `count` terms, pulling singular indices from the initials."""
-        from .evalrec import _iterate
-        return _iterate(self, count)
+        s = self.order
+        coeffs = [(t, q) for t, q in enumerate(self.coeffs[:-1]) if q]
+        lead = self.coeffs[-1]
+        out: list[Fraction] = []
+        for n in range(count):
+            if n < s:
+                if n >= len(self.initials):
+                    raise MissingInitials(f"no initial value for index {n}")
+                out.append(self.initials[n])
+                continue
+            k = n - s  # recurrence row producing a_(k+s)
+            lv = polyq.peval(lead, k)
+            if lv == 0:
+                if n >= len(self.initials):
+                    raise MissingInitials(
+                        f"leading coefficient vanishes at index {n} and no "
+                        f"initial value covers it")
+                out.append(self.initials[n])
+                continue
+            acc = Fraction(0)
+            for t, q in coeffs:
+                acc += polyq.peval(q, k) * out[k + t]
+            out.append(-acc / lv)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +240,9 @@ def ode_to_rec(L: LinODE) -> PRec:
     (n+i-j)...(n-j+1).  The shape is shift-normalized to reference a_n,
     and its common factor in Z[n], content included, is divided out
     exactly, signed so that the last coefficient is positive.  Small
-    indices where the polynomial relation fails (checked against the
-    witness) are repaired by an (n - index) factor.
+    indices where the divided relation fails (checked against the
+    witness: below the shape's validity or at a root of the common
+    factor) are repaired by an (n - index) factor.
     """
     s = L.branch
     shifts: dict[int, list[int]] = {}
@@ -266,8 +275,10 @@ def ode_to_rec(L: LinODE) -> PRec:
         com = [-c for c in com]
     qi = [polyq.idivexact(q, com) if q else [] for q in qs]
 
-    # validity repair below valid_from, certified against the witness
-    for nu in range(valid_from - 1, -1, -1):
+    # validity repair below valid_from and at the roots of com, where the
+    # divided relation may fail too, certified against the witness
+    roots = [r for r in polyq.integer_roots(com) if r >= 0]
+    for nu in range(max([valid_from - 1, *roots]), -1, -1):
         if nu + order >= len(s):
             raise InsufficientData("witness too short to check small indices")
         val = sum(polyq.peval(q, nu) * s[nu + t] for t, q in enumerate(qi))

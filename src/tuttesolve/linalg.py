@@ -1,7 +1,9 @@
 """Exact linear algebra: the guessers' relation search and the ODE kernel.
 
-One fraction-free (Bareiss) elimination, ``_kernel``, serves every ring
-here.  ``_int_kernel`` runs it over Z on rows cleared of denominators;
+One fraction-free (Bareiss) forward elimination, ``_eliminate``, serves
+every ring here and ``mpoly.resultant``'s determinant too.  ``_kernel``
+back-substitutes from it to a Cramer basis of the kernel.
+``_int_kernel`` runs that over Z on rows cleared of denominators;
 ``nullspace`` scales each of its vectors to 1 at its free column, a kernel
 over Q for the branch search's Pade step; ``nullspace_field`` runs it on
 ``MPoly`` entries for the ODE step, a kernel over the fraction field of
@@ -129,35 +131,16 @@ def _kernel(rows: Sequence[Sequence], zero, one, div) -> list[list]:
     """Cramer basis of the right nullspace of rows over an integral domain
     whose exact division is ``div``, one vector per free column.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968), pivots chosen
-    first-nonzero scanning top down: every entry left below a pivot is a
-    minor of the matrix, so each division is exact.  The vector of a free
-    column is there the last pivot to its left (``one`` if none) and zero
-    at every other free column, which makes it the Cramer solution, with
-    entries in the ring.
+    The echelon form is `_eliminate`'s.  The vector of a free column is
+    there the last pivot to its left (``one`` if none) and zero at every
+    other free column, which makes it the Cramer solution, with entries in
+    the ring.
     """
-    R = len(rows)
-    if R == 0:
+    if not rows:
         raise ValueError("nullspace of an empty matrix is ambiguous")
     C = len(rows[0])
     M = [list(r) for r in rows]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(C):
-        pr = next((i for i in range(r, R) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        p, top = M[r][c], M[r][c + 1:]
-        prev = M[r - 1][piv_cols[-1]] if r else None
-        for row in M[r + 1:]:
-            lead = row[c]
-            new = [a * p - lead * b for a, b in zip(row[c + 1:], top)]
-            row[c + 1:] = new if prev is None else [div(a, prev) for a in new]
-        piv_cols.append(c)
-        r += 1
-        if r == R:
-            break
+    piv_cols, _ = _eliminate(M, div)
     basis = []
     for fc in sorted(set(range(C)).difference(piv_cols)):
         m = sum(1 for pc in piv_cols if pc < fc)
@@ -173,3 +156,39 @@ def _kernel(rows: Sequence[Sequence], zero, one, div) -> list[list]:
             v[pc] = div(-acc, M[k][pc])
         basis.append(v)
     return basis
+
+
+def _eliminate(M: list[list], div) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of M in place, over an integral
+    domain whose exact division is ``div``; the pivot columns and the sign
+    (+1 or -1) of the row swaps made.
+
+    Bareiss (Math. Comp. 22, 1968), pivots chosen first-nonzero scanning
+    top down: every entry left below a pivot is a minor of the matrix, so
+    each division by the previous pivot is exact.  Row k of the result is
+    the k-th pivot row, right of its pivot; entries left of a row's pivot
+    are stale.  On a square matrix of full rank, sign times the last pivot
+    is the determinant.
+    """
+    R, C = len(M), len(M[0])
+    piv_cols: list[int] = []
+    sign = 1
+    r = 0
+    for c in range(C):
+        if r == R:
+            break
+        pr = next((i for i in range(r, R) if M[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            M[r], M[pr] = M[pr], M[r]
+            sign = -sign
+        p, top = M[r][c], M[r][c + 1:]
+        prev = M[r - 1][piv_cols[-1]] if r else None
+        for row in M[r + 1:]:
+            lead = row[c]
+            new = [a * p - lead * b for a, b in zip(row[c + 1:], top)]
+            row[c + 1:] = new if prev is None else [div(a, prev) for a in new]
+        piv_cols.append(c)
+        r += 1
+    return piv_cols, sign

@@ -12,8 +12,8 @@ exponents through ``MPoly.items(names)`` and builds from them through
 
 Elimination is the performance-critical piece.  ``resultant`` reduces the
 higher-degree argument A by one pseudo-remainder R = ``_p_prem(A, B)`` and
-takes the determinant of the norm matrix of R modulo B, deg B square, on
-the packed terms, by fraction-free elimination (``_p_det``).
+takes the determinant of the norm matrix of R modulo B, deg B square, by
+the fraction-free elimination that also serves the kernels of ``linalg``.
 ``gcd_mpoly`` runs a recursive primitive remainder sequence through the
 same pseudo-remainder after one specialization test
 (``_constant_gcd_certified``) that proves most gcds constant without it.
@@ -483,36 +483,6 @@ def prem(A: MPoly, B: MPoly, v: str) -> MPoly:
     return MPoly.from_univariate(list(map(_new, r)), v)
 
 
-def _p_det(M: list[list[dict]]) -> dict:
-    """Determinant of a square matrix of packed polynomials, in place.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each entry
-    stays a minor of the matrix, so every division by the previous pivot is
-    exact.  A zero pivot swaps in a lower row.
-    """
-    n = len(M)
-    neg = False
-    prev = {0: 1}
-    for k in range(n - 1):
-        if not M[k][k]:
-            r = next((r for r in range(k + 1, n) if M[r][k]), None)
-            if r is None:
-                return {}
-            M[k], M[r] = M[r], M[k]
-            neg = not neg
-        piv, top = M[k][k], M[k]
-        for row in M[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                num = _p_mul(row[j], piv)
-                if lead and top[j]:
-                    _p_submul(num, lead, top[j])
-                row[j] = _p_divexact(num, prev) if k else num
-        prev = piv
-    det = M[-1][-1]
-    return {m: -c for m, c in det.items()} if neg else det
-
-
 def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     """Resultant of A and B with respect to v, exact, with the sign of the
     Sylvester determinant.
@@ -525,8 +495,9 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
     once it reaches degree dB.  Its determinant is
     lc(B)^(dR(dR+1)/2) * N(R), where N(R) is the product of R over the
     roots of B, and Res(B, R) = lc(B)^dR * N(R), so one exact division by
-    lc(B)^(dR(dR-1)/2 - e) gives Res(B, A).  The determinant is Bareiss
-    elimination (``_p_det``).
+    lc(B)^(dR(dR-1)/2 - e) gives Res(B, A).  The determinant is sign
+    times the last pivot of `linalg._eliminate`, the Bareiss elimination
+    that the kernels run, and zero with fewer than dB pivots.
     """
     dA, dB = A.degree(v), B.degree(v)
     if dA <= 0 or dB <= 0:
@@ -555,7 +526,12 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
             row = [{}] + rows[-1]
             row = _p_prem(row, b) if i >= dB - dR else row[:-1]
             rows.append(row + [{}] * (dB - len(row)))
-        res = _p_det(rows)
+        from .linalg import _eliminate  # here: linalg imports this module
+        M = [list(map(_new, row)) for row in rows]
+        piv, sign = _eliminate(M, MPoly.divexact)
+        if len(piv) < dB:
+            return MPoly.zero()
+        res, neg = M[-1][-1].terms, neg ^ (sign < 0)
     if k:
         res = _p_divexact(res, _p_pow(b[-1], k))
     return _new({m: -c for m, c in res.items()} if neg else res)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import FAIL, MPoly, QSeries, guess_algeq, linalg
+from tuttesolve import ABSENT, FAIL, MPoly, QSeries, guess_algeq, linalg
 from tuttesolve.errors import InvalidBounds
 from tuttesolve.guessing import _fix_sign
 from tuttesolve.mpoly import squarefree_primitive
@@ -62,6 +64,12 @@ class TestFailure:
             fac *= n + 1
             terms.append(acc)
         assert guess_algeq(QSeries(terms), 3, 3) is FAIL
+
+    @pytest.mark.parametrize("sentinel", [FAIL, ABSENT], ids=repr)
+    def test_sentinel_is_a_falsy_singleton(self, sentinel):
+        assert not sentinel and repr(sentinel) == str(sentinel)
+        assert copy.deepcopy(sentinel) is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
     def test_fail_is_monotone_in_bounds(self):
         s = QSeries([_oracle.counting_term(n) for n in range(12)])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, resultant, squarefree_primitive
 from tuttesolve.errors import InvalidElimination
-from tuttesolve.mpoly import VARS, _p_det, _p_try_divexact, gcd_mpoly
+from tuttesolve.linalg import _eliminate
+from tuttesolve.mpoly import VARS, _p_try_divexact, gcd_mpoly
 
 from . import _oracle
 
@@ -251,10 +252,26 @@ class TestResultant:
     def test_zero_pivot_swaps_a_row(self):
         # Bareiss on the Sylvester matrix of (f^2 + x, f) meets a zero
         # pivot in its second column; the determinant is Res = x
-        one = MPoly.const(1).terms
-        M = [[one, {}, x.terms], [one, {}, {}], [{}, one, {}]]
-        assert _p_det(M) == x.terms
+        one, zero = MPoly.const(1), MPoly.zero()
+        M = [[one, zero, x], [one, zero, zero], [zero, one, zero]]
+        piv, sign = _eliminate(M, MPoly.divexact)
+        assert piv == [0, 1, 2] and sign * M[-1][-1] == x
         assert resultant(f ** 2 + x, f, "f") == x
+
+    def test_zero_first_pivot_of_the_norm_matrix(self):
+        # R = (x^2 - y)*f has no constant term, so the norm matrix's first
+        # column is zero in row 0 and the elimination swaps rows
+        a, b = f ** 3 - x * y, f ** 2 + x * f + y
+        want = _oracle.sylvester_resultant(dict(a.items(FXY)),
+                                           dict(b.items(FXY)), 0)
+        assert want and dict(resultant(a, b, "f").items(FXY)) == want
+
+    def test_singular_norm_matrix_with_a_nonzero_corner(self):
+        # the shared factor f leaves the norm matrix singular, with a
+        # nonzero entry in its last place after the elimination
+        a = f * ((y + 1) * f ** 2 + f + x)
+        b = f * (f ** 2 + 2 * f + 2)
+        assert resultant(a, b, "f").is_zero
 
     def test_divisor_of_degree_nine(self):
         # a 9 x 9 norm matrix; sparse and non-monic, at equal degrees
@@ -312,9 +329,15 @@ class TestDeterminant:
     @given(packed_matrices())
     @settings(max_examples=120, deadline=None)
     def test_bareiss_agrees_with_the_permutation_expansion(self, M):
+        # sign times the last pivot of the elimination, as resultant reads it
         want = _oracle.sparse_det([[dict(MPoly(e).items(("x", "y")))
                                     for e in row] for row in M], 2)
-        assert dict(MPoly(_p_det(M)).items(("x", "y"))) == want
+        n = len(M)
+        M = [[MPoly(e) for e in row] for row in M]
+        piv, sign = _eliminate(M, MPoly.divexact)
+        assert (len(piv) < n) == (not want)
+        if len(piv) == n:
+            assert dict((sign * M[-1][-1]).items(("x", "y"))) == want
 
 
 class TestGcd:

@@ -85,6 +85,20 @@ class TestGoldenRuns:
         assert list(rep.series_prefix) == want[:len(rep.series_prefix)]
         assert rep.value.value == want[60]
 
+    @pytest.mark.parametrize("equation, k, c", [
+        ("psi - x", 1, 1), ("psi - 2*x", 1, 2), ("psi - x**2", 2, 1),
+        ("psi - x**5", 5, 1), ("psi - x - x*y", 1, 1)], ids=str)
+    def test_monomial_series(self, equation, k, c):
+        # the recurrence (n - k)*a(n) = 0 is all common factor; divided out,
+        # a(n) = 0 fails at n = k, a root of that factor
+        rep = run_pipeline(PipelineConfig(equation, eval_at=50))
+        want = [F(c if n == k else 0) for n in range(len(rep.series_prefix))]
+        assert rep.proven
+        assert list(rep.series_prefix) == want
+        assert rep.recurrence.terms(len(want)) == want
+        assert unroll(rep.recurrence, k).value == c
+        assert rep.value.value == 0
+
     def test_sparse_walk_is_not_proven_wrong(self):
         # steps {-1, +4}: the excursion series is sparse, and a degree-2 p1
         # fits its 25 guessed coefficients but not the 26th
