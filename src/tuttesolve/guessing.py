@@ -83,20 +83,18 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
     shapes = ((dF, dX) for dF in range(1, maxDegF + 1)
               for dX in range(maxDegX + 1) if (dF + 1) * (dX + 1) + margin <= L)
 
-    def rows_of(dF: int, dX: int) -> list[list[int]]:
-        # d^dF times the matrix of s^i x^j: the same kernel, over Z
+    def column(dF: int, i: int, j: int) -> list[int]:
+        # d^dF times the column of s^i x^j: the same kernel, over Z
         while len(pows) <= dF:
             pows.append(_mul_trunc(pows[-1], base, L, 0))
-        scaled = [[c * d ** (dF - i) for c in pows[i]] for i in range(dF + 1)]
-        return [[scaled[i][m - j] if m >= j else 0
-                 for i in range(dF + 1) for j in range(dX + 1)]
-                for m in range(L)]
+        scale = d ** (dF - i)
+        return [0] * j + [c * scale for c in pows[i][:L - j]]
 
     # the verdict on a raw candidate rests on it and on pows alone, so a
     # candidate that comes again from a later shape is rejected again
     rejected: set[MPoly] = set()
     # f^0 columns are unit vectors, so every candidate involves f
-    for grid in linalg.relations(shapes, rows_of):
+    for grid in linalg.relations(shapes, column):
         raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
                                             for j, c in enumerate(row)))
         if raw in rejected:

@@ -120,31 +120,38 @@ class PRec:
         return self.coeffs == other.coeffs and self.initials == other.initials
 
     def terms(self, count: int) -> list[Fraction]:
-        """First `count` terms, pulling singular indices from the initials."""
+        """First `count` terms, pulling singular indices from the initials.
+
+        Steps in ints while every term so far is one, and in Fractions
+        from the first term that is not."""
         s = self.order
         coeffs = [(t, q) for t, q in enumerate(self.coeffs[:-1]) if q]
         lead = self.coeffs[-1]
-        out: list[Fraction] = []
+        out: list = []
+        exact = True      # every term in out is an int
         for n in range(count):
-            if n < s:
-                if n >= len(self.initials):
-                    raise MissingInitials(f"no initial value for index {n}")
-                out.append(self.initials[n])
-                continue
             k = n - s  # recurrence row producing a_(k+s)
-            lv = polyq.peval(lead, k)
+            lv = polyq.peval(lead, k) if k >= 0 else 0
             if lv == 0:
                 if n >= len(self.initials):
                     raise MissingInitials(
+                        f"no initial value for index {n}" if k < 0 else
                         f"leading coefficient vanishes at index {n} and no "
                         f"initial value covers it")
-                out.append(self.initials[n])
-                continue
-            acc = Fraction(0)
-            for t, q in coeffs:
-                acc += polyq.peval(q, k) * out[k + t]
-            out.append(-acc / lv)
-        return out
+                v = self.initials[n]
+            else:
+                acc = -sum(polyq.peval(q, k) * out[k + t] for t, q in coeffs)
+                v, rem = divmod(acc, lv) if exact else (acc / lv, 0)
+                if rem:
+                    v = Fraction(acc, lv)
+            if exact:
+                if v.denominator == 1:
+                    v = int(v)
+                else:
+                    exact = False
+                    out = [Fraction(u) for u in out]
+            out.append(v)
+        return [Fraction(u) for u in out] if exact else out
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +307,32 @@ def ode_to_rec(L: LinODE) -> PRec:
 def minimize_rec(r: PRec, data: QSeries, maxC: int):
     """Smallest certified recurrence with order+degree <= maxC, or ABSENT.
 
-    Shapes are tried by order+degree, then by order; within a shape,
-    `linalg.relations` orders the candidates.  The rows are integer: the
-    data are put over one common denominator, which scales each row and
-    leaves the kernel as it is.  Certification is exact agreement with
-    the proven recurrence r on a window long enough to pass every
-    singular index of both.
+    Shapes are tried by order+degree, then by order, order 0 included;
+    within a shape, `linalg.relations` orders the candidates.  The shapes
+    of one order are a family: the same rows n, one column n^e * a(n+t)
+    per (t, e).  The columns are integer: the data are put over one common
+    denominator, which scales each row and leaves the kernel as it is.
+    Certification is exact agreement with the proven recurrence r on a
+    window long enough to pass every singular index of both.
     """
-    shapes = ((sp, c - sp) for c in range(1, maxC + 1) for sp in range(1, c + 1))
     den = math.lcm(*(c.denominator for c in data.coeffs))
     data_vals = [c.numerator * (den // c.denominator) for c in data.coeffs]
 
-    def rows_of(sp: int, dp: int) -> list[list[int]]:
-        rows_avail = len(data_vals) - sp
-        if rows_avail < (sp + 1) * (dp + 1) + 2:
-            raise InsufficientData("data too short to fit the complexity grid")
-        return [[n ** e * data_vals[n + t]
-                 for t in range(sp + 1) for e in range(dp + 1)]
-                for n in range(rows_avail)]
+    def shapes():
+        for c in range(maxC + 1):
+            for sp in range(c + 1):
+                if len(data_vals) - sp < (sp + 1) * (c - sp + 1) + 2:
+                    raise InsufficientData(
+                        "data too short to fit the complexity grid")
+                yield sp, c - sp
+
+    def column(sp: int, t: int, e: int) -> list[int]:
+        return [n ** e * data_vals[n + t] for n in range(len(data_vals) - sp)]
 
     roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
     # relations leaves qs[-1][-1] positive: the leading polynomial needs
     # no sign fix
-    for qs in linalg.relations(shapes, rows_of):
-        if len(qs) < 2:
-            continue
+    for qs in linalg.relations(shapes(), column):
         roots_c = [u for u in polyq.integer_roots(qs[-1]) if u >= 0]
         big = max(roots_c + roots_r + [-1])
         Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8

@@ -71,6 +71,21 @@ def peval(a: Sequence, x, zero=0):
     return out
 
 
+def peval_pow2(a: Sequence[int], B: int) -> int:
+    """a(2^B) for an int polynomial, by halves: a = lo + t^h * hi gives
+    lo(2^B) + (hi(2^B) << B*h).  Each level of halving adds ints of about
+    the value's bit size once, where Horner's shift-and-add does so at
+    every coefficient.  With entries in [0, 2^B) it packs them into one
+    int, entry i in bits [B*i, B*(i+1))."""
+    if len(a) <= 16:
+        v = 0
+        for c in reversed(a):
+            v = (v << B) + c
+        return v
+    h = len(a) // 2
+    return peval_pow2(a[:h], B) + (peval_pow2(a[h:], B) << (B * h))
+
+
 def pshift(a: Sequence, s) -> list:
     """Coefficients of a(t + s) via repeated synthetic division by (t - s)."""
     out = []

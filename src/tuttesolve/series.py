@@ -424,11 +424,5 @@ def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
 
     H = max(image(lambda p: sum(map(abs, p))), default=0)
     B = H.bit_length()
-
-    def at_t(p: Sequence[int]) -> int:
-        v = 0
-        for c in reversed(p):
-            v = (v << B) + c
-        return v
-
-    return next((m for m, v in enumerate(image(at_t)) if v), None)
+    return next((m for m, v in enumerate(image(
+        lambda p: polyq.peval_pow2(p, B))) if v), None)

@@ -8,7 +8,7 @@ genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 
 # --- truncated series arithmetic on Fraction lists -------------------------
@@ -273,6 +273,68 @@ def poly_gcd_q(a, b):
     while b:
         a, b = b, poly_divmod_q(a, b)[1]
     return [c / a[-1] for c in a]
+
+
+# --- the relation search, exactly -------------------------------------------
+
+def kernel_rref(rows, C):
+    """Kernel basis of rows (C wide) over Q from the reduced row echelon
+    form: one vector per free column, 1 there and 0 at the other free
+    columns."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    piv = []
+    for c in range(C):
+        r = next((i for i in range(len(piv), len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        k = len(piv)
+        m[k], m[r] = m[r], m[k]
+        m[k] = [a / m[k][c] for a in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        piv.append(c)
+    basis = []
+    for fc in (c for c in range(C) if c not in piv):
+        v = [Fraction(0)] * C
+        v[fc] = Fraction(1)
+        for k, pc in enumerate(piv):
+            v[pc] = -m[k][fc]
+        basis.append(v)
+    return basis
+
+
+def exact_relations(shapes, column):
+    """What linalg.relations yields, from the kernel of all rows of every
+    shape: each basis vector scaled to a primitive integer vector with its
+    last nonzero entry positive, cut into the trimmed grid of its a-rows,
+    and one shape's grids sorted by (attained A, attained B, max |c|,
+    basis position)."""
+    out = []
+    for A, B in shapes:
+        C = (A + 1) * (B + 1)
+        cols = [column(A, a, b) for a in range(A + 1) for b in range(B + 1)]
+        cands = []
+        for pos, v in enumerate(kernel_rref(list(zip(*cols)), C)):
+            den = 1
+            for a in v:
+                den = den * a.denominator // gcd(den, a.denominator)
+            ints = [int(a * den) for a in v]
+            g = gcd(*ints)
+            if next(a for a in reversed(ints) if a) < 0:
+                g = -g
+            ints = [a // g for a in ints]
+            grid = [ints[a * (B + 1):(a + 1) * (B + 1)] for a in range(A + 1)]
+            for row in grid:
+                while row and not row[-1]:
+                    row.pop()
+            while not grid[-1]:
+                grid.pop()
+            cands.append(((len(grid) - 1, max(map(len, grid)) - 1,
+                           max(map(abs, ints)), pos), grid))
+        out.extend(grid for _, grid in sorted(cands, key=lambda t: t[0]))
+    return out
 
 
 # --- reference sequences ----------------------------------------------------

@@ -139,12 +139,10 @@ def fraction_table_guess(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6
     shapes = ((dF, dX) for dF in range(1, maxDegF + 1)
               for dX in range(maxDegX + 1) if (dF + 1) * (dX + 1) + margin <= L)
 
-    def rows_of(dF, dX):
-        return [[pows[i][m - j] if m >= j else F(0)
-                 for i in range(dF + 1) for j in range(dX + 1)]
-                for m in range(L)]
+    def column(dF, i, j):
+        return [F(0)] * j + pows[i][:L - j]
 
-    for grid in linalg.relations(shapes, rows_of):
+    for grid in linalg.relations(shapes, column):
         raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
                                             for j, c in enumerate(row)))
         P = _fix_sign(squarefree_primitive(raw, "f"))
@@ -199,20 +197,23 @@ class TestIntegerTable:
             assert got.P == want
 
     def test_denominator_divisible_by_the_rank_prime(self, monkeypatch):
-        # over one common denominator divisible by _P every matrix is zero
-        # mod _P, so no shape is proven kernel-free and each one takes the
-        # exact kernel
-        proven = []
-        real = linalg._full_column_rank_mod_p
+        # over one common denominator divisible by _P every column but the
+        # top power's is zero mod _P, so no shape is proven kernel-free;
+        # each one's kernel on its pivot rows mod _P fails the exact check,
+        # and it takes the kernel of all 14 rows
+        sizes = []
+        real = linalg._int_kernel
 
         def spy(rows):
-            proven.append(real(rows))
-            return proven[-1]
+            sizes.append((len(rows), len(rows[0])))
+            return real(rows)
 
-        monkeypatch.setattr(linalg, "_full_column_rank_mod_p", spy)
+        monkeypatch.setattr(linalg, "_int_kernel", spy)
         s = QSeries([F(_oracle.catalan(n), linalg._P) for n in range(14)])
         got = guess_algeq(s, 2, 1)
-        assert proven and not any(proven)
+        # shapes (1, 0), (1, 1), (2, 0), (2, 1)
+        assert sizes == [(1, 2), (14, 2), (2, 4), (14, 4),
+                         (1, 3), (14, 3), (2, 6), (14, 6)]
         want = fraction_table_guess(s, 2, 1)
         assert want is not FAIL and got.P == want
         # C = _P f satisfies x C^2 - C + 1 = 0

@@ -173,6 +173,16 @@ class TestPRec:
         rec = PRec(((-1,), (-1, 1)), (F(2), F(-2), F(7)))
         assert rec.terms(5) == [F(2), F(-2), F(7), F(7), F(7, 2)]
 
+    @pytest.mark.parametrize("initials", [(6,), (F(1, 2),), (F(5, 1),)])
+    def test_terms_are_fractions_before_and_after_an_inexact_step(self, initials):
+        # (n + 1) a(n+1) = 3 a(n): a(n) = a(0) 3^n / n!, integral for
+        # a(0) = 6 up to n = 3 only
+        rec = PRec(((-3,), (1, 1)), initials)
+        a0 = F(initials[0])
+        got = rec.terms(8)
+        assert got == [a0 * 3**n / _oracle.factorial(n) for n in range(8)]
+        assert all(type(t) is F for t in got)
+
 
 class TestMinimize:
     def test_already_minimal_is_identity(self):
@@ -224,17 +234,14 @@ class TestMinimize:
 def fraction_rows_minimize(r: PRec, data: QSeries, maxC: int):
     """The reference minimizer: the same search on rows of the Fraction
     data themselves."""
-    shapes = ((sp, c - sp) for c in range(1, maxC + 1) for sp in range(1, c + 1))
+    shapes = ((sp, c - sp) for c in range(maxC + 1) for sp in range(c + 1))
     vals = list(data.coeffs)
 
-    def rows_of(sp, dp):
-        return [[n ** e * vals[n + t] for t in range(sp + 1) for e in range(dp + 1)]
-                for n in range(len(vals) - sp)]
+    def column(sp, t, e):
+        return [n ** e * vals[n + t] for n in range(len(vals) - sp)]
 
     roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
-    for qs in linalg.relations(shapes, rows_of):
-        if len(qs) < 2:
-            continue
+    for qs in linalg.relations(shapes, column):
         roots_c = [u for u in polyq.integer_roots(qs[-1]) if u >= 0]
         Lstar = len(r.initials) + max(roots_c + roots_r + [-1]) + r.order + len(qs) + 7
         ref = r.terms(Lstar)

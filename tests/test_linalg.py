@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +12,8 @@ from hypothesis import strategies as st
 
 from tuttesolve import MPoly, linalg
 from tuttesolve.linalg import _P, nullspace, nullspace_field, relations
+
+from . import _oracle
 
 
 def rank_of(rows):
@@ -93,6 +94,12 @@ def test_int_rows_give_the_fraction_basis():
     assert nullspace(rows) == nullspace([[F(c) for c in r] for r in rows])
 
 
+def by_rows(rows, B):
+    """The column callback of one shape's rows, columns a-major over
+    0 <= b <= B."""
+    return lambda A, a, b: [row[a * (B + 1) + b] for row in rows]
+
+
 class TestRelations:
     # columns a-major over 0 <= a <= 1, 0 <= b <= 2; column 3 = (1, 0)
     # depends on columns 0 and 2, column 4 = (1, 1) on column 0 alone
@@ -105,22 +112,22 @@ class TestRelations:
         basis = nullspace(self.ROWS)
         assert basis[0] == [-1, 0, -1, 1, 0, 0]   # attains (1, 2)
         assert basis[1] == [-2, 0, 0, 0, 1, 0]    # attains (1, 1)
-        grids = list(relations([(1, 2)], lambda A, B: self.ROWS))
+        grids = list(relations([(1, 2)], by_rows(self.ROWS, 2)))
         assert grids == [[[-2], [0, 1]], [[-1, 0, -1], [1]]]
 
     def test_ties_go_by_height_then_position(self):
         # both kernel vectors attain (1, 1); the later one is lower
         rows = [[1, 0, 7, 0], [0, 1, 5, 1]]
-        grids = list(relations([(1, 1)], lambda A, B: rows))
+        grids = list(relations([(1, 1)], by_rows(rows, 1)))
         assert grids == [[[0, -1], [0, 1]], [[-7, -5], [1]]]
         # same attained shape and height: basis position decides
         rows = [[1, 0, 1, 1], [0, 1, 1, 0]]
-        grids = list(relations([(1, 1)], lambda A, B: rows))
+        grids = list(relations([(1, 1)], by_rows(rows, 1)))
         assert grids == [[[-1, -1], [1]], [[-1], [0, 1]]]
 
     def test_candidates_are_primitive_integer_kernel_vectors(self):
         rows = [[F(1, 2), F(1, 3), F(-1, 6), F(0)]]
-        for grid in relations([(1, 1)], lambda A, B: rows):
+        for grid in relations([(1, 1)], by_rows(rows, 1)):
             flat = [c for row in grid for c in row]
             assert all(isinstance(c, int) for c in flat)
             assert math.gcd(*flat) == 1 and grid[-1][-1] > 0
@@ -129,25 +136,24 @@ class TestRelations:
             assert sum(a * b for a, b in zip(rows[0], v)) == 0
 
     def test_later_shapes_are_not_built_once_the_consumer_stops(self):
-        built = []
+        asked = []
 
-        def rows_of(A, B):
-            built.append((A, B))
-            if (A, B) == (0, 3):
+        def column(A, a, b):
+            asked.append((A, a, b))
+            if b == 3:
                 raise AssertionError("built a shape after the consumer stopped")
             # full rank at (0, 1), a kernel at (0, 2)
-            return [[1, 0, 0][:B + 1], [0, 1, 0][:B + 1]]
+            return [[1, 0], [0, 1], [0, 0]][b]
 
-        gen = relations([(0, 1), (0, 2), (0, 3)], rows_of)
+        gen = relations([(0, 1), (0, 2), (0, 3)], column)
         assert next(gen) == [[0, 0, 1]]
-        assert built == [(0, 1), (0, 2)]
+        # each column once, and only the ones the shapes so far add
+        assert asked == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
 
-
-def exact_relations(shapes, rows_of):
-    """The reference: relations with the exact kernel on every shape."""
-    with mock.patch.object(linalg, "_full_column_rank_mod_p",
-                           lambda rows: False):
-        return list(relations(shapes, rows_of))
+    def test_a_shape_must_grow_its_family(self):
+        with pytest.raises(ValueError):
+            list(relations([(0, 1), (1, 0), (0, 1)],
+                           lambda A, a, b: [1, b, b * b]))
 
 
 ENTRIES = st.one_of(st.integers(-4, 4),
@@ -155,24 +161,28 @@ ENTRIES = st.one_of(st.integers(-4, 4),
 
 
 @st.composite
-def shape_matrices(draw):
-    """{(A, B): rows} over distinct shapes, each matrix (A+1)(B+1) wide and
-    twisted one of four ways: untouched, a planted kernel vector, a column
-    scaled by _P (its rank drops only mod _P), or an entry whose
-    denominator _P divides."""
-    shapes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                           min_size=1, max_size=3, unique=True))
-    mats = {}
-    for A, B in shapes:
-        C = (A + 1) * (B + 1)
+def family_tables(draw):
+    """(shapes, {(A, a, b): column}): up to three families A with rows R
+    and largest B, their shapes interleaved, each family's B growing.
+    Each family is twisted one of five ways: untouched, a planted kernel
+    vector, a column scaled by _P (its rank drops only mod _P), an entry
+    whose denominator _P divides, or a row scaled by _P (zero mod _P but
+    not over Q, so a kernel on the pivot rows mod _P can be too large)."""
+    fams = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    shapes, table = [], {}
+    for A in fams:
+        Bs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3,
+                           unique=True))
+        keys = [(a, b) for a in range(A + 1) for b in range(max(Bs) + 1)]
+        C = len(keys)
         R = draw(st.integers(1, C + 3))
         rows = draw(st.lists(st.lists(ENTRIES, min_size=C, max_size=C),
                              min_size=R, max_size=R))
-        twist = draw(st.sampled_from(["none", "kernel", "scale", "denominator"]))
+        twist = draw(st.sampled_from(["none", "kernel", "scale",
+                                      "denominator", "row"]))
         k = draw(st.integers(0, C - 1))
         if twist == "kernel":
             v = draw(st.lists(st.integers(-3, 3), min_size=C, max_size=C))
-            v[k] = 1
             for row in rows:
                 row[k] = -sum(row[j] * v[j] for j in range(C) if j != k)
         elif twist == "scale":
@@ -182,17 +192,31 @@ def shape_matrices(draw):
             num = draw(st.integers(1, 4))
             den = draw(st.sampled_from([_P, 2 * _P]))
             rows[draw(st.integers(0, R - 1))][k] = F(num, den)
-        mats[A, B] = rows
-    return mats
+        elif twist == "row":
+            i = draw(st.integers(0, R - 1))
+            rows[i] = [c * _P for c in rows[i]]
+        for j, (a, b) in enumerate(keys):
+            table[A, a, b] = [row[j] for row in rows]
+        shapes.append([(A, B) for B in sorted(Bs)])
+    # interleave the families, keeping each one's order
+    order = []
+    while any(shapes):
+        fam = draw(st.sampled_from([s for s in shapes if s]))
+        order.append(fam.pop(0))
+    return order, table
 
 
-@given(shape_matrices())
+@given(family_tables())
 @settings(max_examples=200, deadline=None)
-def test_mod_p_skip_leaves_the_candidates_unchanged(mats):
-    def rows_of(A, B):
-        return mats[A, B]
+def test_mod_p_skip_leaves_the_candidates_unchanged(args):
+    # neither the skip nor the kernel on the pivot rows mod _P changes
+    # what the exact kernel of all rows of every shape gives
+    shapes, table = args
 
-    assert list(relations(mats, rows_of)) == exact_relations(mats, rows_of)
+    def column(A, a, b):
+        return table[A, a, b]
+
+    assert list(relations(shapes, column)) == _oracle.exact_relations(shapes, column)
 
 
 @pytest.fixture
@@ -211,18 +235,36 @@ def kernel_calls(monkeypatch):
 
 class TestModPSkip:
     def test_full_rank_shape_gets_no_exact_kernel(self, kernel_calls):
-        mats = {(0, 1): [[1, 2], [F(1, 3), 4], [5, 7]],   # full rank
-                (0, 2): [[1, 1, 0], [0, 0, 1]]}            # a kernel
-        grids = list(relations(mats, lambda A, B: mats[A, B]))
-        assert grids == [[[-1, 1]]]
-        assert kernel_calls == [mats[0, 2]]
+        # family 0 over three rows: columns b = 0, 1 are independent,
+        # b = 2 is their sum
+        cols = [[1, F(1, 3), 5], [2, 4, 7], [3, F(13, 3), 12]]
+        asked = []
+
+        def column(A, a, b):
+            asked.append(b)
+            return cols[b]
+
+        grids = list(relations([(0, 1), (0, 2)], column))
+        assert grids == [[[-1, -1, 1]]]
+        assert asked == [0, 1, 2]
+        # (0, 1) got no kernel; (0, 2) got the two pivot rows mod _P
+        assert kernel_calls == [[[1, 2, 3], [F(1, 3), 4, F(13, 3)]]]
+
+    def test_kernel_on_the_pivot_rows_when_the_ranks_agree(self, kernel_calls):
+        # rank 2 over Q and mod _P, five rows: the kernel needs two of them
+        rows = [[1, 0, 1], [0, 1, 1], [2, 3, 5], [1, 1, 2], [4, 0, 4]]
+        grids = list(relations([(0, 2)], by_rows(rows, 2)))
+        assert grids == _oracle.exact_relations([(0, 2)], by_rows(rows, 2))
+        assert kernel_calls == [rows[:2]]
 
     def test_rank_lost_only_mod_p_falls_through(self, kernel_calls):
         for rows in ([[1, 0], [0, _P]],            # rank 2 over Q, 1 mod _P
                      [[F(1, _P), 0], [0, 1]]):     # no image mod _P
-            assert not linalg._full_column_rank_mod_p(rows)
-            assert list(relations([(0, 1)], lambda A, B: rows)) == []
-        assert len(kernel_calls) == 2
+            assert list(relations([(0, 1)], by_rows(rows, 1))) == []
+        # the first is tried on its one pivot row, whose kernel fails the
+        # exact check, then on all rows; the second on all rows at once
+        assert kernel_calls == [[[1, 0]], [[1, 0], [0, _P]],
+                                [[F(1, _P), 0], [0, 1]]]
 
 
 def test_field_nullspace_matches_fraction_version():

@@ -96,6 +96,9 @@ class TestGoldenRuns:
         assert rep.proven
         assert list(rep.series_prefix) == want
         assert rep.recurrence.terms(len(want)) == want
+        # minimizing keeps the order-0 recurrence (n - k)*a(n) = 0
+        assert rep.minimized.coeffs == ((-k, 1),)
+        assert rep.minimized.initials[k] == c
         assert unroll(rep.recurrence, k).value == c
         assert rep.value.value == 0
 

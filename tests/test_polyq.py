@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from tuttesolve.polyq import (RATFUNC_ONE, RATFUNC_ZERO, RatFunc,
                               clear_denominators, deg, idivexact, igcd_poly,
                               int_parse, integer_roots, num_str, padd, peval,
-                              pmul, pshift, rational_roots, series_div, trim)
+                              peval_pow2, pmul, pshift, rational_roots,
+                              series_div, trim)
 
 from . import _oracle
 
@@ -216,6 +217,14 @@ def test_idivexact_inverts_pmul(a, b):
     if a and deg(b) >= 1:
         with pytest.raises(ArithmeticError):
             idivexact(padd(pmul(a, b), [1]), b)
+
+
+@given(st.lists(st.integers(-2**70, 2**70), max_size=40), st.integers(1, 80))
+@settings(max_examples=200, deadline=None)
+def test_evaluation_by_halves_is_horner(a, B):
+    # signed coefficients wider than 2^B: the halves must carry and borrow
+    # across their seam exactly as Horner does
+    assert peval_pow2(a, B) == peval(a, 2**B)
 
 
 # --- decimal text of any length ---
