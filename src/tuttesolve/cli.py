@@ -27,7 +27,7 @@ def main():
 @click.option("--equation", required=True,
               help="equation text, e.g. 'psi - 1 - x*(y*psi + g)'")
 @click.option("--guess-order", default=24, show_default=True, type=int,
-              help="initial series expansion order K")
+              help="initial order K of the prefix of g the guess is fitted to")
 @click.option("--max-complexity", default=8, show_default=True, type=int,
               help="cap on recurrence order + degree for minimization")
 @click.option("--eval-at", default=1000, show_default=True, type=int,

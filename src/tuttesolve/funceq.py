@@ -4,6 +4,8 @@
 kernel data; ``expand_series`` solves order by order for the coefficients
 c_k(y); ``specialize_y0`` reads off the diagonal sequence c_k(0).  Both
 evaluate polynomials on the branch through ``series._subs`` alone.
+``solvable_at_every_order`` tells, from the kernel data alone, when every
+order is known to solve, so that the series exists unexpanded.
 
 Per-order structure: writing the partial sum psi_<k = sum c_i x^i and the
 x^k coefficient of Q(psi_<k + c_k x^k, ...) as A(y) c_k(y) + B(y) c_k(0) +
@@ -350,11 +352,16 @@ class _Expander:
             raise SelfCheckFailed(f"order-{k} defect does not vanish")
 
 
-def expand_series(eq: FuncEq, K: int) -> SeriesX:
-    """Solve for c_0(y), ..., c_K(y) with Q annihilated to order K."""
+def expand_series(eq: FuncEq, K: int,
+                  wp: WellPosedness | None = None) -> SeriesX:
+    """Solve for c_0(y), ..., c_K(y) with Q annihilated to order K.
+
+    ``wp`` is ``check_well_posed(eq)``, computed here when not given.
+    """
     if K < 0:
         raise ValueError("negative expansion order")
-    wp = check_well_posed(eq)
+    if wp is None:
+        wp = check_well_posed(eq)
     eng = _Expander(eq, wp, K)
     coeffs = [eng.c0]
     for k in range(1, K + 1):
@@ -370,3 +377,35 @@ def specialize_y0(s: SeriesX) -> QSeries:
     Every coefficient of a ``SeriesX`` is regular at y = 0.
     """
     return QSeries([c.eval0() for c in s.locs])
+
+
+def _at_y0(h: MPoly) -> MPoly:
+    """h(g, g, x, 0): at y = 0, psi is g."""
+    return MPoly.from_items(("g", "x"), (
+        ((i + j, m), c)
+        for (i, j, m, l), c in h.items(("psi", "g", "x", "y")) if not l))
+
+
+def solvable_at_every_order(eq: FuncEq, wp: WellPosedness) -> bool:
+    """True when every order of `expand_series` is known to solve, so the
+    series solution exists, and is unique, without being expanded.
+
+    Two cases, by the algebra of ``_Expander.solve_order``, where A, B
+    are the kernel data and N_k the order-k defect:
+
+    * direct mode with A(0) != 0: A has no zero at y = 0, so the division
+      by A meets no pole, and gamma = -N_k(0)/(A(0) + B(0)) gives
+      c_k(0) = -(B(0)*gamma + N_k(0))/A(0) = gamma;
+    * kernel mode with Q(g, g, x, 0) = 0 identically: if c_i(0) = gamma_i
+      for i < k, the partial sum of psi is that of g at y = 0, so N_k(0) =
+      [x^k] Q(g_<k, g_<k, x, 0) = 0.  The numerator -(B*gamma + N_k) then
+      vanishes at y = 0, where A has a simple zero, so c_k is regular
+      there, and gamma = -N_k'(0)/(A'(0) + B'(0)) gives c_k(0) =
+      -(B'(0)*gamma + N_k'(0))/A'(0) = gamma: the induction goes on.
+
+    Anywhere else an order may fail (``PoleAtYZero``, ``DegenerateKernel``),
+    and only expanding tells.
+    """
+    if wp.mode == "direct":
+        return wp.kernelA.eval0() != 0
+    return _at_y0(eq.Q).is_zero

@@ -17,8 +17,8 @@ the fraction-free elimination that also serves the kernels of ``linalg``.
 ``gcd_mpoly`` runs a recursive primitive remainder sequence through the
 same pseudo-remainder after one specialization test
 (``_constant_gcd_certified``) that proves most gcds constant without it.
-``squarefree_primitive`` is a content gcd and one ``gcd_mpoly(A, dA/dv)``,
-so that test is also its squarefree test.
+``squarefree_primitive`` is a content gcd, then the same test in v alone
+on (A, dA/dv), and ``gcd_mpoly(A, dA/dv)`` only when that is inconclusive.
 """
 
 from __future__ import annotations
@@ -560,29 +560,31 @@ def _specializations(others: Sequence[str]) -> Iterator[dict[str, int]]:
                for j, w in enumerate(others)}
 
 
-def _constant_gcd_certified(A: MPoly, B: MPoly) -> bool:
-    """True only when the gcd is proven to be an integer.
+def _coprime_in(A: MPoly, B: MPoly, v: str, others: Sequence[str]) -> bool:
+    """True only when deg_v gcd(A, B) = 0 is proven.
 
-    For each shared variable v, a specialization of the other variables that
-    keeps both leading v-coefficients nonzero bounds deg_v(gcd) from above by
-    the specialized univariate gcd degree.  All bounds zero means the gcd is
-    a constant.  Returns False when inconclusive.
+    A specialization of ``others``, every variable but v, that keeps both
+    leading v-coefficients nonzero bounds deg_v(gcd) from above by the
+    specialized univariate gcd degree.  False when inconclusive.
     """
+    la = A.as_univariate(v)[-1]
+    lb = B.as_univariate(v)[-1]
+    assign = next((a for a in _specializations(others)
+                   if la.subs_int(a) and lb.subs_int(a)), None)
+    if assign is None:
+        return False
+    ua = [c.constant_value() for c in A.subs_int(assign).as_univariate(v)]
+    ub = [c.constant_value() for c in B.subs_int(assign).as_univariate(v)]
+    return len(polyq.igcd_poly(ua, ub)) == 1
+
+
+def _constant_gcd_certified(A: MPoly, B: MPoly) -> bool:
+    """True only when the gcd is proven to be an integer: its degree in
+    every shared variable is proven 0.  False when inconclusive."""
     va = _names_in(_support(A) | _support(B))
-    for v in va:
-        if A.degree(v) <= 0 or B.degree(v) <= 0:
-            continue  # gcd has degree 0 in v already
-        la = A.as_univariate(v)[-1]
-        lb = B.as_univariate(v)[-1]
-        assign = next((a for a in _specializations([w for w in va if w != v])
-                       if la.subs_int(a) and lb.subs_int(a)), None)
-        if assign is None:
-            return False
-        ua = [c.constant_value() for c in A.subs_int(assign).as_univariate(v)]
-        ub = [c.constant_value() for c in B.subs_int(assign).as_univariate(v)]
-        if len(polyq.igcd_poly(ua, ub)) > 1:
-            return False
-    return True
+    return all(A.degree(v) <= 0 or B.degree(v) <= 0
+               or _coprime_in(A, B, v, [w for w in va if w != v])
+               for v in va)
 
 
 def gcd_mpoly(A: MPoly, B: MPoly) -> MPoly:
@@ -653,11 +655,16 @@ def squarefree_primitive(A: MPoly, v: str) -> MPoly:
     if cont != 1:
         A = MPoly.from_univariate([c.divexact(cont) for c in coeffs], v)
     if d > 1:
-        # A is v-primitive now: gcd_mpoly's constant-gcd test is the
-        # squarefree test, and a nonconstant gcd is the repeated part
-        g = gcd_mpoly(A, A.derivative(v))
-        if g.total_degree() > 0:
-            A = A.divexact(g)
+        # A is v-primitive now, so a gcd with dA/dv of degree 0 in v is an
+        # integer: a v-free common factor would divide the v-content, 1.
+        # One specialization in v is the squarefree test, and gcd_mpoly
+        # runs only when it is inconclusive; a nonconstant gcd is the
+        # repeated part
+        dA = A.derivative(v)
+        if not _coprime_in(A, dA, v, [w for w in A.variables() if w != v]):
+            g = gcd_mpoly(A, dA)
+            if g.total_degree() > 0:
+                A = A.divexact(g)
     if vval:
         A = A * MPoly.var(v)
     return A.normalized()

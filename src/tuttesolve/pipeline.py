@@ -3,12 +3,20 @@
 The run is a fixed sequence of stages; any library error is re-raised as
 ``PipelineError`` carrying the stage name.  The guess is certified
 before the full series is eliminated, so a wrong guess costs no
-elimination.  These restart the guessing loop with a doubled expansion
+elimination.  These restart the guessing loop with a doubled series
 order instead of failing outright: the guesser returning FAIL (not enough
 data for any support), a certificate refutation (the guess fit the prefix
 but not the equation), and a witness too short for the proof.  All are
 capped by the configured series ceiling.  With proving off, the first
 guess is eliminated as it is, and everything after it is conjectural.
+
+A proven run takes one of two routes to g's prefix.  Where the series
+solution is known to exist at every order and g0 is a simple root of
+D0(g, 0), the "annihilator" stage builds D once and the "lift" stage
+extends g's prefix from D0 on each doubling; the guess is capped to D0's
+degree box, which holds every provable p1.  Everywhere else, and with
+proving off or a column asked for, the "expansion" and "specialize"
+stages expand psi to the order from scratch, as `certify` then needs.
 """
 
 from __future__ import annotations
@@ -17,12 +25,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import certify, eliminate_g
+from .certify import certify, eliminate_g, lift_g
 from .eqparse import parse_equation
 from .errors import (InsufficientData, InvalidBounds, PipelineError,
                      RefutedGuess, ResourceCeiling, TutteSolveError)
 from .evalrec import unroll
-from .funceq import FuncEq, check_well_posed, expand_series, specialize_y0
+from .funceq import (FuncEq, check_well_posed, expand_series,
+                     solvable_at_every_order, specialize_y0)
 from .guessing import FAIL, guess_algeq
 from .holonomic import ABSENT, algeq_to_ode, minimize_rec, ode_to_rec
 from .report import CertificateSummary, ColumnReport, Report
@@ -33,13 +42,13 @@ class PipelineConfig:
     """One pipeline invocation; no global state anywhere."""
 
     equation: str
-    guess_order: int = 24        # K: initial expansion order
+    guess_order: int = 24        # K: initial order of g's prefix
     max_complexity: int = 8      # MaxC: recurrence order + degree cap
     eval_at: int = 1000          # G: sequence index to evaluate
     column: int = 0              # m: y-power to extract (0 = just psi(x,0))
     prove: bool = True
     max_degree: int = 16         # ceiling on guessed degrees in f and x
-    max_order: int = 512         # ceiling on the doubled expansion order
+    max_order: int = 512         # ceiling on the doubled series order
 
     def __post_init__(self):
         if self.guess_order < 8:
@@ -146,22 +155,36 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
 
 def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
     eq = st.run("parse", parse_equation, cfg.equation)
-    st.run("well-posedness", check_well_posed, eq)
+    wp = st.run("well-posedness", check_well_posed, eq)
+
+    lift = None
+    if cfg.prove and cfg.column == 0 and solvable_at_every_order(eq, wp):
+        lift = st.run("annihilator", lift_g, eq, wp)
+    degF = degX = cfg.max_degree
+    if lift is not None:
+        # a provable p1 divides D0
+        degF = min(degF, lift.D0.degree("g"))
+        degX = min(degX, lift.D0.degree("x"))
 
     K = cfg.guess_order
     while True:
-        sx = st.run("expansion", expand_series, eq, K)
-        seq = st.run("specialize", specialize_y0, sx)
-        p1 = st.run("guess", guess_algeq, seq, cfg.max_degree, cfg.max_degree)
+        if lift is None:
+            sx = witness = st.run("expansion", expand_series, eq, K, wp)
+            seq = st.run("specialize", specialize_y0, sx)
+        else:
+            witness = lift
+            seq = st.run("lift", lift.series, K)
+        p1 = st.run("guess", guess_algeq, seq, degF, degX)
         if p1 is FAIL:
             if 2 * K > cfg.max_order:
                 raise PipelineError("guess", ResourceCeiling(
-                    f"no algebraic equation found within degree "
-                    f"{cfg.max_degree} at series order {K}"))
+                    f"no algebraic equation found within degree {degF} in "
+                    f"f and {degX} in x at series order {K}"))
             K *= 2
             continue
         try:
-            cert = st.run("certify", certify, eq, p1, sx) if cfg.prove else None
+            cert = (st.run("certify", certify, eq, p1, witness, wp)
+                    if cfg.prove else None)
             if cert is None or cert.is_proven:
                 break
             err = PipelineError("certify", RefutedGuess(cert.checkedOrder))

@@ -373,7 +373,7 @@ def _int_lift(coeffs: list[int]) -> int:
     return coeffs[0] if coeffs else 0
 
 
-def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
+def _vanishing_order(P: MPoly, psi: SeriesX | None, g: Sequence[Fraction],
                      L: int) -> int | None:
     """Lowest x-order below L at which P(psi, g, x, y) is nonzero, exactly.
 
@@ -390,8 +390,9 @@ def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
     H >= |Z_m|_1 for every m < L.  Then to its value at t = 2^B > H: a
     nonzero integer polynomial whose coefficients are all below t in size
     does not vanish at t, so Z_m(t) = 0 exactly when Z_m = 0.  g may be
-    empty, standing for g = 0.  A P free of psi ignores the witness: with
-    no locs, r = a = 0 and S = 1, so the test runs on g alone.
+    empty, standing for g = 0.  A P free of psi ignores the witness, which
+    may be None: with no locs, r = a = 0 and S = 1, so the test runs on g
+    alone.
     """
     locs = psi.locs[:L] if P.degree("psi") else ()
     g = g[:L]
@@ -409,7 +410,7 @@ def _vanishing_order(P: MPoly, psi: SeriesX, g: Sequence[Fraction],
 
     def image(ev) -> list[int]:
         # the x-coefficients of Z with each y-polynomial mapped by ev
-        Dv, sg = ev(psi.ctx.D), ev([Sg])
+        Dv, sg = ev(psi.ctx.D) if locs else 1, ev([Sg])
         lead = ev([S]) * Dv ** a
         Psi = [ev([S // c.scale.denominator * c.scale.numerator])
                * ev(c.num) * Dv ** (a + r * k - c.e)

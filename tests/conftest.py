@@ -3,6 +3,8 @@ computed once per session and reused by the module tests."""
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from tuttesolve import (PipelineConfig, certify, eliminate_g, expand_series,
@@ -49,3 +51,19 @@ def tutte_report():
     cfg = PipelineConfig(TUTTE_EQ, guess_order=30, max_complexity=5,
                          eval_at=1000)
     return run_pipeline(cfg)
+
+
+@pytest.fixture
+def deadline():
+    """arm(seconds): past that many seconds the test fails with
+    TimeoutError instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its deadline")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        yield signal.alarm
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

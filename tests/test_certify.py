@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttesolve import (AlgEq, MPoly, PipelineConfig, QSeries, SeriesX,
-                        certify, eliminate_g, expand_series, guess_algeq,
-                        parse_equation, run_pipeline, specialize_y0)
+                        certify, check_well_posed, eliminate_g, expand_series,
+                        guess_algeq, parse_equation, run_pipeline,
+                        specialize_y0)
 from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
                                InvalidElimination, ResourceCeiling,
                                ResultantVanishes, SelfCheckFailed,
                                ZeroAnnihilator)
+from tuttesolve.certify import GLift, lift_g
+from tuttesolve.funceq import solvable_at_every_order
 from tuttesolve.mpoly import resultant, squarefree_primitive
 from tuttesolve.polyq import RatFunc
 from tuttesolve.series import _subs, _vanishing_order
@@ -255,3 +258,98 @@ class TestCertify:
         with pytest.raises(InsufficientData):
             certify(eq, p1, expand_series(eq, 0))
         assert certify(eq, p1, expand_series(eq, 1)).is_proven
+
+
+LIFTED = {**CORPUS, "flagship": _frozen.TUTTE_EQ,
+          "walk-15": _oracle.walk_equation((-1, 5)),
+          "walk-145": _oracle.walk_equation((-1, 4, 5))}
+
+
+@lru_cache(maxsize=None)
+def _posed(equation):
+    eq = parse_equation(equation)
+    wp = check_well_posed(eq)
+    assert solvable_at_every_order(eq, wp)
+    return eq, wp
+
+
+def lifted(equation, K=-1):
+    """(eq, wp, lift) of an equation, with g lifted through x^K."""
+    eq, wp = _posed(equation)
+    lift = lift_g(eq, wp)
+    lift.series(K)
+    return eq, wp, lift
+
+
+class TestLift:
+    @pytest.mark.parametrize("name", list(LIFTED))
+    def test_lift_is_the_expansion_prefix(self, name):
+        eq, wp, lift = lifted(LIFTED[name])
+        want = specialize_y0(expand_series(eq, 96)).coeffs
+        # each call extends the lift where the last one stopped
+        for K in (24, 48, 96):
+            assert lift.series(K).coeffs == want[:K + 1]
+            assert lift.order == K
+        assert lift_g(eq, wp).series(96).coeffs == want
+
+    @given(st.dictionaries(st.integers(0, 4), st.integers(1, 3),
+                           min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_lift_counts_weighted_walks(self, weights):
+        # an up step of weight w is w steps of that size
+        steps = (-1, *(s for s, w in sorted(weights.items())
+                       for _ in range(w)))
+        _, _, lift = lifted(_oracle.walk_equation(steps))
+        want = tuple(F(row[0]) for row in _oracle.walk_counts(steps, 40, 0))
+        assert lift.series(40).coeffs == want
+
+    def test_double_root_is_not_lifted(self):
+        # Dyck's g0 = 1 is a simple root of D0(g, 0); times (g - 1) it is a
+        # double one, and the lift does not apply
+        eq, wp, lift = lifted(CORPUS["dyck"])
+        assert lift.simple and wp.gamma0 == 1
+        assert not GLift(lift.D * (g - 1), wp.gamma0).simple
+
+    def test_annihilator_that_misses_g0_is_a_self_check_failure(self):
+        eq, wp, lift = lifted(CORPUS["dyck"])
+        with pytest.raises(SelfCheckFailed):
+            GLift(lift.D + 1, wp.gamma0)
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_proven_on_the_lift_as_on_the_expansion(self, name):
+        # luk3's first fit is at K = 48, in degree 4
+        K = 48 if name == "luk3" else 24
+        eq, p1, sx = stages(CORPUS[name], K, 4)
+        _, wp, lift = lifted(CORPUS[name], K)
+        want = certify(eq, p1, sx)
+        got = certify(eq, p1, lift, wp)
+        assert got.is_proven and want.is_proven
+        assert got.annihilator == want.annihilator
+        assert (got.bound, got.checkedOrder, got.kernel) == (
+            0, want.checkedOrder, want.kernel)
+
+    def test_flagship_on_the_lift(self, tutte_eq, tutte_p1, tutte_cert):
+        _, wp, lift = lifted(_frozen.TUTTE_EQ, 30)
+        cert = certify(tutte_eq, tutte_p1, lift, wp)
+        assert cert.is_proven and cert.bound == _frozen.TUTTE_D_SLACK
+        assert cert.checkedOrder == _frozen.TUTTE_D_CHECKED_ORDER
+        assert cert.annihilator == tutte_cert.annihilator
+        assert cert.annihilator_support == _frozen.TUTTE_D_SUPPORT
+
+    @given(st.sampled_from(["catalan", "dyck", "motzkin", "luk2", "maps"]),
+           st.integers(-9, 9).filter(bool), st.integers(0, 8),
+           st.integers(25, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbation_past_the_lift_is_never_proven(self, name, c, i, k):
+        eq, p1, _ = stages(PERTURBED[name])
+        _, wp, lift = lifted(PERTURBED[name], 24)
+        bad = AlgEq(p1.P + c * x**k * f**min(i, p1.degF), p1.branch)
+        cert = certify(eq, bad, lift, wp)
+        assert cert.status == "refuted" and cert.checkedOrder == 25
+
+    @pytest.mark.parametrize("name", list(PERTURBED))
+    def test_p1_wrong_at_g0_is_refuted_at_order_zero(self, name):
+        eq, p1, _ = stages(PERTURBED[name])
+        _, wp, lift = lifted(PERTURBED[name], 24)
+        cert = certify(eq, AlgEq(p1.P + 1, p1.branch), lift, wp)
+        assert cert.status == "refuted" and cert.checkedOrder == 0

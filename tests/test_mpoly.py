@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import MPoly, resultant, squarefree_primitive
+from tuttesolve import (MPoly, expand_series, guess_algeq, parse_equation,
+                        resultant, specialize_y0, squarefree_primitive)
 from tuttesolve.errors import InvalidElimination
 from tuttesolve.linalg import _eliminate
 from tuttesolve.mpoly import VARS, _p_try_divexact, gcd_mpoly
 
 from . import _oracle
+
+mpoly_mod = importlib.import_module("tuttesolve.mpoly")
 
 x, y, f, psi = (MPoly.var(v) for v in ("x", "y", "f", "psi"))
 FXY = ("f", "x", "y")
@@ -379,3 +384,25 @@ class TestSquarefreePrimitive:
     def test_squarefree_input_unchanged_up_to_normalization(self):
         p = f ** 2 - x
         assert squarefree_primitive(p, "f").normalized() == p.normalized()
+
+    def test_primitive_resultant_is_proven_squarefree_without_a_gcd(
+            self, monkeypatch, deadline):
+        # Res_g(Q, p1) of this equation is psi-primitive and squarefree:
+        # one specialization in psi proves it, where the gcd's test in y is
+        # inconclusive and its remainder sequence runs for minutes
+        eq = parse_equation("y*psi - y - x*y*(3 + y)*psi**2 + x*(psi - g)")
+        deadline(60)
+        p1 = guess_algeq(specialize_y0(expand_series(eq, 48)), 16, 16)
+        R = resultant(eq.Q, p1.P.rename_var("f", "g"), "g")
+        real = mpoly_mod.gcd_mpoly
+
+        def psi_free_only(A, B):
+            # the content gcds are psi-free; no gcd in psi may start
+            if A.degree("psi") > 0 or B.degree("psi") > 0:
+                raise AssertionError("gcd_mpoly called on a polynomial in psi")
+            return real(A, B)
+
+        monkeypatch.setattr(mpoly_mod, "gcd_mpoly", psi_free_only)
+        S = squarefree_primitive(R, "psi")
+        assert S.degree("psi") == R.degree("psi") == 8
+        assert R.try_divexact(S) is not None

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tuttesolve import (CoeffTable, PipelineConfig, certify, column_series,
-                        parse_equation, run_pipeline, unroll)
+from tuttesolve import (CoeffTable, MPoly, PipelineConfig, certify,
+                        column_series, expand_series, parse_equation,
+                        run_pipeline, specialize_y0, unroll)
 from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
                                InvalidBounds, PipelineError,
                                PoleAtYZero, ResourceCeiling)
@@ -113,6 +114,88 @@ class TestGoldenRuns:
         assert not rep.proven or rep.value.value == want
 
 
+    def test_quadratic_variant_whose_elimination_hung(self, deadline):
+        # Res_g(Q, p1) is psi-primitive, and its squarefree test once ran a
+        # gcd remainder sequence for minutes
+        equation = "y*psi - y - x*y*(3 + y)*psi**2 + x*(psi - g)"
+        deadline(60)
+        rep = run_pipeline(PipelineConfig(equation, eval_at=80))
+        want = list(specialize_y0(
+            expand_series(parse_equation(equation), 100)))
+        assert rep.proven
+        assert list(rep.series_prefix) == want[:len(rep.series_prefix)]
+        assert rep.recurrence.terms(101) == want
+        assert rep.value.value == want[80]
+
+
+WALKS = {"dyck": (-1, 1), "motzkin": (-1, 0, 1), "luk2": (-1, 2),
+         "luk3": (-1, 3), "walk112": (-1, 1, 2), "walk102": (-1, 0, 2),
+         "walk-15": (-1, 5), "walk-145": (-1, 4, 5)}
+ROUTED = {"catalan": "psi - 1 - x*psi**2",
+          "maps": "y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)",
+          "flagship": _frozen.TUTTE_EQ,
+          **{name: _oracle.walk_equation(s) for name, s in WALKS.items()}}
+
+
+class TestRoutes:
+    """The proven path lifts g from D where the series solution is known to
+    exist and g0 is a simple root of D0(g, 0), and expands psi elsewhere."""
+
+    @pytest.mark.parametrize("name", list(ROUTED))
+    def test_the_lift_reports_what_the_expansion_does(self, name,
+                                                      monkeypatch):
+        cfg = PipelineConfig(ROUTED[name], eval_at=0)
+        lifted = run_pipeline(cfg)
+        assert "lift" in lifted.timings_ms
+        assert "expansion" not in lifted.timings_ms
+        monkeypatch.setattr(pipeline_mod, "solvable_at_every_order",
+                            lambda eq, wp: False)
+        expanded = run_pipeline(cfg)
+        assert "expansion" in expanded.timings_ms
+        assert lifted.proven and expanded.proven
+        # the guess is capped to D0's degree box, where every provable p1
+        # lies; it never drops the p1 the uncapped guess proves
+        assert lifted.p1 == expanded.p1
+        a, b = strip_timings(lifted.to_dict()), strip_timings(expanded.to_dict())
+        if name == "walk-15":
+            # uncapped, the fit at K = 96 has degree 12 in x, past the box,
+            # and is refuted; the proof comes at K = 192
+            assert len(a.pop("series_prefix")) == 97
+            assert len(b.pop("series_prefix")) == 193
+            assert a.pop("certificate")["checked_order"] == 96
+            assert b.pop("certificate")["checked_order"] == 192
+        assert a == b
+
+    def test_existence_not_known_expands(self):
+        # direct mode with A = y, zero at y = 0: only expanding tells that
+        # every order solves; g is the Catalan series
+        rep = run_pipeline(PipelineConfig(
+            "y*psi - y*g + g - 1 - x*psi**2", eval_at=30))
+        assert rep.proven
+        assert {"expansion", "specialize"} <= set(rep.timings_ms)
+        assert "annihilator" not in rep.timings_ms
+        assert rep.value.value == _oracle.catalan(30)
+
+    def test_double_root_of_d0_expands(self, monkeypatch):
+        # D times (g - 1) still annihilates Dyck's g, but g0 = 1 is then a
+        # double root of D0(g, 0), so g is not lifted
+        real = certify_mod._annihilator
+        monkeypatch.setattr(certify_mod, "_annihilator",
+                            lambda *args: real(*args) * (MPoly.var("g") - 1))
+        rep = run_pipeline(PipelineConfig(DYCK, eval_at=20))
+        assert rep.proven
+        assert {"annihilator", "expansion"} <= set(rep.timings_ms)
+        assert "lift" not in rep.timings_ms
+        assert rep.value.value == _oracle.catalan(10)
+
+    @pytest.mark.parametrize("cfg", [dict(prove=False), dict(column=1)],
+                             ids=["no-prove", "column"])
+    def test_no_proof_or_a_column_expands(self, cfg):
+        rep = run_pipeline(PipelineConfig(DYCK, eval_at=10, **cfg))
+        assert "expansion" in rep.timings_ms
+        assert "annihilator" not in rep.timings_ms
+
+
 class TestStageAttribution:
     def test_ambiguous_branch_stops_well_posedness(self):
         cfg = PipelineConfig("psi**2 - psi", guess_order=8, max_complexity=2,
@@ -139,7 +222,8 @@ class TestStageAttribution:
             "parse", "well-posedness", *{"expansion", e.value.stage}}
 
     def test_guess_ceiling_keeps_stage_timings(self):
-        # Catalan's series is not rational, so degree 1 never fits
+        # Catalan's series is not rational, so degree 1 never fits; the
+        # proven path lifts g from D and expands nothing
         cfg = PipelineConfig("psi - 1 - x*psi**2", guess_order=8,
                              max_complexity=2, eval_at=0, max_degree=1,
                              max_order=8)
@@ -147,7 +231,18 @@ class TestStageAttribution:
             run_pipeline(cfg)
         assert e.value.stage == "guess"
         assert isinstance(e.value.cause, ResourceCeiling)
-        assert {"expansion", "guess"} <= set(e.value.timings_ms)
+        assert set(e.value.timings_ms) == {
+            "parse", "well-posedness", "annihilator", "lift", "guess"}
+
+    def test_guess_ceiling_keeps_stage_timings_without_proving(self):
+        cfg = PipelineConfig("psi - 1 - x*psi**2", guess_order=8,
+                             max_complexity=2, eval_at=0, max_degree=1,
+                             max_order=8, prove=False)
+        with pytest.raises(PipelineError) as e:
+            run_pipeline(cfg)
+        assert e.value.stage == "guess"
+        assert set(e.value.timings_ms) == {
+            "parse", "well-posedness", "expansion", "specialize", "guess"}
 
     @pytest.mark.parametrize("prove, stage", [(True, "certify"),
                                               (False, "eliminate")])
@@ -183,11 +278,11 @@ class TestStageAttribution:
             self, monkeypatch):
         orders = []
 
-        def short_first(eq, p1, witness):
+        def short_first(eq, p1, witness, wp):
             orders.append(witness.order)
             if len(orders) == 1:
                 raise InsufficientData("too short")
-            return certify(eq, p1, witness)
+            return certify(eq, p1, witness, wp)
 
         monkeypatch.setattr(pipeline_mod, "certify", short_first)
         rep = run_pipeline(PipelineConfig(DYCK, eval_at=0))
