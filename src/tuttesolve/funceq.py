@@ -39,7 +39,7 @@ from .errors import (
 )
 from .mpoly import MPoly
 from .polyq import RatFunc
-from .series import QSeries, SeriesX, _int_lift, _Loc, _LocCtx, _subs
+from .series import GLift, QSeries, SeriesX, _Loc, _LocCtx, _subs
 
 _ALLOWED = {"psi", "g", "x", "y"}
 
@@ -96,7 +96,7 @@ class WellPosedness:
 # rational function c(y) with gamma = c(0).  Roots are found without a
 # factorization engine: specialize y at a sample point keeping the
 # polynomial squarefree of full degree, take the rational roots there,
-# Newton-lift each to a power series s, read a rational function p/q back
+# lift each to a power series s, read a rational function p/q back
 # from it, and verify the candidate exactly.  Completeness: a
 # rational-function root is regular at the sample point (its denominator
 # divides the leading coefficient, nonzero there) and distinct roots take
@@ -109,26 +109,10 @@ class WellPosedness:
 # coefficient), and q*n - p*d has degree <= 2dY and vanishes to that order,
 # so p/q = n/d.  Any other candidate fails the exact check.
 #
-# Every evaluation goes through `series._subs`: at the branch over
-# RatFunc, where L = 1 keeps only the x^0 terms, and in the Newton lift
-# over Fraction, with the shifted variable t = y - a written as x.  The
-# lift's coefficients there are ints, which Fraction arithmetic takes in.
-
-def _newton_lift(St: MPoly, r0: Fraction, order: int) -> list[Fraction]:
-    """Series root c(t) of St(c, t), an MPoly in (psi, x) with t written
-    as x, with c(0) = r0 a simple root."""
-    dSt = St.derivative("psi")
-    c = [r0]
-    prec = 1
-    while prec < order + 1:
-        prec = min(2 * prec, order + 1)
-        cpad = c + [Fraction(0)] * (prec - len(c))
-        val = _subs(St, {"psi": cpad}, prec, _int_lift)
-        der = _subs(dSt, {"psi": cpad}, prec, _int_lift)
-        step = polyq.series_div(val, der, prec)
-        c = [cv - sv for cv, sv in zip(cpad, step)]
-    return c
-
+# The series s comes from `series.GLift`, the package's one series-root
+# lifter, with the shifted variable t = y - a written as x.  Every
+# evaluation goes through `series._subs`, over RatFunc at the branch,
+# where L = 1 keeps only the x^0 terms.
 
 def _ratfunc_roots(A: MPoly) -> list[RatFunc]:
     """All rational-function roots c(y) of an integer A(psi, y) = 0."""
@@ -154,7 +138,7 @@ def _ratfunc_roots(A: MPoly) -> list[RatFunc]:
         St = St * ta + c
     out: list[RatFunc] = []
     for r0 in polyq.rational_roots(spec):
-        series = _newton_lift(St, r0, 2 * dY)
+        series = GLift(St.rename_var("psi", "g"), r0).series(2 * dY)
         # columns p_0..p_dY, q_0..q_dY; row k is the t^k coefficient of q*s - p
         vec = linalg.nullspace(
             [[-1 if j == k else 0 for j in range(dY + 1)]

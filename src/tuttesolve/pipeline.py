@@ -6,7 +6,8 @@ before the full series is eliminated, so a wrong guess costs no
 elimination.  These restart the guessing loop with a doubled series
 order instead of failing outright: the guesser returning FAIL (not enough
 data for any support), a certificate refutation (the guess fit the prefix
-but not the equation), and a witness too short for the proof.  All are
+but not the equation), and a witness too short for the proof, on which
+the cofactor of p1 in D0 vanishes throughout.  All are
 capped by the configured series ceiling.  With proving off, the first
 guess is eliminated as it is, and everything after it is conjectural.
 
@@ -16,7 +17,8 @@ D0(g, 0), the "annihilator" stage builds D once and the "lift" stage
 extends g's prefix from D0 on each doubling; the guess is capped to D0's
 degree box, which holds every provable p1.  Everywhere else, and with
 proving off or a column asked for, the "expansion" and "specialize"
-stages expand psi to the order from scratch, as `certify` then needs.
+stages expand psi to the order from scratch.  `certify` proves p1 the
+same way on both; only where D and g's prefix come from differs.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
                 break
             err = PipelineError("certify", RefutedGuess(cert.checkedOrder))
         except PipelineError as exc:
-            # a witness too short for the proof's Hensel steps
+            # a prefix too short to show the cofactor of p1 in D0 nonzero
             if not isinstance(exc.cause, InsufficientData):
                 raise
             err = exc

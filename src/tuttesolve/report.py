@@ -277,14 +277,14 @@ def _cert_argument(r: Report) -> list[str]:
     else:
         text = (
             "The functional equation alone gives D(g, x) != 0 of monomial "
-            f"support {c.annihilator_support} with D(g(x), x) = 0.  The "
-            "guessed equation for g divides D and holds on the series "
-            f"through order N = {c.checked_order}.  The squarefree part of "
-            f"D has a g-derivative of x-valuation e = {c.bound} there, and "
-            "N is at least 2e + 1, so by Hensel's lemma g is the one root "
-            "of D that agrees with the series past order e, and it is a "
-            "root of the guess.  The equation for the full series follows "
-            "from the proven one by a resultant.")
+            f"support {c.annihilator_support} with D(g(x), x) = 0.  With "
+            "its power of x divided out, D0 = p1^k * C, where p1 is the "
+            "guessed equation for g and k >= 1.  p1 holds on the series "
+            f"through order N = {c.checked_order}, and C(g) is nonzero at "
+            f"order m = {c.bound}, which that prefix shows.  So p1(g)^k * "
+            "C(g) = D0(g) = 0 in the integral domain Q[[x]] gives "
+            "p1(g) = 0.  The equation for the full series follows from "
+            "the proven one by a resultant.")
     return textwrap.wrap(text, 66)
 
 
@@ -295,7 +295,7 @@ _TEXT = {
             "Functional equation (Q = 0 with psi = psi(x, y), g = psi(x, 0)):\n"
             "    {equation}\n",
     "proven": "Status: proven (checked order {c.checked_order}, "
-              "Hensel slack {c.bound})\n",
+              "cofactor order {c.bound})\n",
     "conjectural": "Status: conjectural (certification {c.status})\n",
     "p1": "1. {tag}Algebraic equation for g(x) = psi(x, 0), written in "
           "f = g(x):\n       {eq}\n",
@@ -315,7 +315,7 @@ _TEXT = {
     "column_eq": "    guessed equation: {eq}",
     "column_none": "    no algebraic equation found within the bounds",
     "appendix_a": "\nAppendix A. Certificate\n    status: {c.status}",
-    "numbers": "    Hensel slack e: {c.bound}\n"
+    "numbers": "    cofactor order m: {c.bound}\n"
                "    checked order N: {c.checked_order}\n"
                "    annihilator D support: {c.annihilator_support}",
     "indent": "    ",
@@ -328,7 +328,7 @@ _MARKDOWN = {
             "Functional equation (`Q = 0` with `psi = psi(x, y)`, "
             "`g = psi(x, 0)`):\n\n    {equation}\n",
     "proven": "**Status: proven** (checked order {c.checked_order}, "
-              "Hensel slack {c.bound})\n",
+              "cofactor order {c.bound})\n",
     "conjectural": "**Status: conjectural** (certification {c.status})\n",
     "p1": "1. {tag}Algebraic equation for `g(x) = psi(x, 0)`, written in "
           "`f = g(x)`:\n   `{eq}`",
@@ -347,7 +347,7 @@ _MARKDOWN = {
     "column_eq": "Guessed equation: `{eq}`",
     "column_none": "No algebraic equation found within the bounds.",
     "appendix_a": "\n## Appendix A. Certificate\n\n- status: {c.status}",
-    "numbers": "- Hensel slack e: {c.bound}\n"
+    "numbers": "- cofactor order m: {c.bound}\n"
                "- checked order N: {c.checked_order}\n"
                "- annihilator D support: {c.annihilator_support}",
     "indent": "",

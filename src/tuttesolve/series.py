@@ -15,12 +15,16 @@ caller outside the package asks for them, through indexing, iteration or
 All truncated-series arithmetic goes through one kernel that works over
 any exact coefficient ring: ``_mul_trunc`` is the truncated product, over
 ``int`` for the guesser's power table and over ``Fraction`` for the ODE
-check and the Newton lift of the well-posedness branch search.
-``_powers`` is the table of powers built on it that ``_subs`` reads.
-``_subs`` substitutes series into a polynomial, over ``_Loc`` for the
-expander's rows, over ``int`` for the zero test, and in the branch search
-of ``funceq`` over ``Fraction`` for the Newton lift and over ``RatFunc``
-for the exact check and the kernel data on the branch.
+check.  ``_powers`` is the table of powers built on it that ``_subs``
+reads.  ``_subs`` substitutes series into a polynomial, over ``_Loc`` for
+the expander's rows, over ``int`` for the zero test, and in the branch
+search of ``funceq`` over ``RatFunc`` for the exact check and the kernel
+data on the branch.
+
+:class:`GLift` is the one series-root lifter: the root g(x) of an integer
+D(g, x) through a simple rational root g0 of D0(g, 0), term by term in
+integers.  It lifts g = psi(x, 0) from the annihilator for ``certify`` and
+the roots of the order-0 equation for ``funceq``'s branch search.
 
 Every certification check that a polynomial vanishes on a series goes
 through ``_vanishing_order``.  It clears the witness's denominators into integer
@@ -36,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import polyq
-from .errors import PoleAtYZero
+from .errors import PoleAtYZero, SelfCheckFailed
 from .mpoly import MPoly
 from .polyq import RatFunc
 
@@ -308,8 +312,7 @@ class _Loc:
 # Coefficients come from any exact ring whose zero is falsy.  ``_subs``
 # names its ring by a ``lift``, which maps the integer coefficients of a
 # y-polynomial (constant first) into it: ``ctx.from_ints`` for _Loc,
-# ``_int_lift`` for int and for Fraction, whose arithmetic takes ints in,
-# and ``RatFunc`` itself for RatFunc.
+# ``_int_lift`` for int, and ``RatFunc`` itself for RatFunc.
 
 def _mul_trunc(a: Sequence, b: Sequence, L: int, zero) -> list:
     """The first L coefficients of the product of two series."""
@@ -427,3 +430,79 @@ def _vanishing_order(P: MPoly, psi: SeriesX | None, g: Sequence[Fraction],
     B = H.bit_length()
     return next((m for m, v in enumerate(image(
         lambda p: polyq.peval_pow2(p, B))) if v), None)
+
+
+# --- the series-root lifter ---
+
+class GLift:
+    """The series root g(x) of an integer polynomial D(g, x), term by term.
+
+    The package's one series-root lifter: `certify` lifts g = psi(x, 0)
+    from its annihilator, and `funceq`'s branch search a root of the
+    order-0 equation at a sample point.  D0 = D / x^val_x(D) has the
+    roots of D.  When g0 is a simple root of D0(g, 0), g is the one
+    series root of D0 with g(0) = g0, and its coefficients follow from D0
+    by an integer lift.  With g0 = a/b, n = deg_g D0 and F(u, x) = b^n *
+    D0(u/b, x), e = F_u(a, 0) is a nonzero integer, and
+    G(v, z) = F(a + e*v, e^2*z) / e^2 is an integer polynomial v + R(v, z)
+    with R free of the monomials 1 and v: every other term keeps a factor
+    e^2.  Its root v(z) with v(0) = 0 has integer coefficients
+    v_k = -[z^k] R(v, z), and [z^k] v^m for m >= 2 reads only v_1, ...,
+    v_(k-1).  Then b*g(x) = a + e*v(x/e^2), so g_k = v_k / (b*e^(2k-1)).
+    Each step is O(n*k) integer products, and a longer prefix extends the
+    lift where it stopped.
+    """
+
+    __slots__ = ("D", "D0", "g0", "_e", "_R", "_pows")
+
+    def __init__(self, D: MPoly, g0: Fraction):
+        self.D = D
+        self.D0 = D0 = D.divexact(MPoly.var("x") ** D.valuation("x"))
+        self.g0 = g0
+        a, b = g0.numerator, g0.denominator
+        n = D0.degree("g")
+        F = {}   # F[j][i] = b^(n-i) * [g^i x^j] D0
+        for (i, j), c in D0.items(("g", "x")):
+            F.setdefault(j, [0] * (n + 1))[i] = c * b ** (n - i)
+        low = F.get(0, [0] * (n + 1))
+        if sum(c * a ** i for i, c in enumerate(low)):
+            raise SelfCheckFailed("D0 does not vanish at (g0, 0)")
+        self._e = e = sum(i * c * a ** (i - 1) for i, c in enumerate(low) if i)
+        # R[(m, j)] = [v^m z^j] G, each e^(m+2j-2) * sum_i F_ij C(i, m) a^(i-m)
+        self._R = {}
+        if e:
+            for j, row in F.items():
+                for m in range(n + 1):
+                    if j or m > 1:
+                        c = sum(row[i] * math.comb(i, m) * a ** (i - m)
+                                for i in range(m, n + 1))
+                        if c:
+                            self._R[(m, j)] = c * e ** (m + 2 * j - 2)
+        # _pows[m] = [z^0..z^k] v^m for m = 0..n; _pows[1] is v itself
+        self._pows = [[1]] + [[0] for _ in range(n)]
+
+    @property
+    def simple(self) -> bool:
+        """D0_g(g0, 0) != 0: the lift applies."""
+        return self._e != 0
+
+    @property
+    def order(self) -> int:
+        """The order through which g is lifted so far."""
+        return len(self._pows[1]) - 1
+
+    def series(self, K: int) -> QSeries:
+        """g through x^K, the lift extended as far as needed."""
+        pows, R = self._pows, self._R
+        v = pows[1]
+        for k in range(len(v), K + 1):
+            pows[0].append(0)
+            for m in range(2, len(pows)):
+                prev = pows[m - 1]
+                pows[m].append(sum(v[t] * prev[k - t] for t in range(1, k)))
+            # R has no v^1 z^0 term, so v_k is not read here
+            v.append(-sum(c * pows[m][k - j]
+                          for (m, j), c in R.items() if j <= k))
+        b, e = self.g0.denominator, self._e
+        return QSeries([self.g0] + [Fraction(v[k], b * e ** (2 * k - 1))
+                                    for k in range(1, K + 1)])

@@ -27,7 +27,8 @@ TUTTE_P2_SUPPORT = 81
 TUTTE_D_DEGREES = {"g": 4, "x": 7}
 TUTTE_D_SUPPORT = 8
 
-# the Hensel slack e of D at the witness, and the witness order
+# the certificate's bound: the order m at which the cofactor C of P1 in
+# D0 = P1^k * C is first nonzero at g; and the witness order
 TUTTE_D_SLACK = 0
 TUTTE_D_CHECKED_ORDER = 30
 

@@ -18,11 +18,11 @@ from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
                                InvalidElimination, ResourceCeiling,
                                ResultantVanishes, SelfCheckFailed,
                                ZeroAnnihilator)
-from tuttesolve.certify import GLift, lift_g
+from tuttesolve.certify import lift_g
 from tuttesolve.funceq import solvable_at_every_order
 from tuttesolve.mpoly import resultant, squarefree_primitive
 from tuttesolve.polyq import RatFunc
-from tuttesolve.series import _subs, _vanishing_order
+from tuttesolve.series import GLift, _subs, _vanishing_order
 
 from . import _frozen, _oracle
 
@@ -118,7 +118,7 @@ class TestAnnihilator:
     def test_direct_mode_puts_psi_to_g_and_y_to_zero(self, equation):
         eq, p1, sx = stages(equation)
         cert = certify(eq, p1, sx)
-        assert cert.kernel.mode == "direct" and cert.is_proven
+        assert check_well_posed(eq).mode == "direct" and cert.is_proven
         assert cert.annihilator == g - 1 - x * g**2
 
     @given(st.sets(st.integers(0, 3), min_size=1, max_size=2))
@@ -211,12 +211,13 @@ class TestCertify:
         assert cert.status == "refuted" and cert.checkedOrder == 25
         assert cert.annihilator == -g**5 * x**6 + g * x - x
 
-    def test_flagship_is_proven(self, tutte_cert):
+    def test_flagship_is_proven(self, tutte_eq, tutte_cert):
         assert tutte_cert.status == "proven" and tutte_cert.is_proven
         assert tutte_cert.bound == _frozen.TUTTE_D_SLACK
         assert tutte_cert.checkedOrder == _frozen.TUTTE_D_CHECKED_ORDER
-        assert tutte_cert.kernel.mode == _frozen.TUTTE_KERNEL_MODE
-        assert tutte_cert.kernel.kernelValuation == _frozen.TUTTE_KERNEL_VALUATION
+        wp = check_well_posed(tutte_eq)
+        assert wp.mode == _frozen.TUTTE_KERNEL_MODE
+        assert wp.kernelValuation == _frozen.TUTTE_KERNEL_VALUATION
         assert tutte_cert.annihilator_support == _frozen.TUTTE_D_SUPPORT
 
     def test_perturbed_specialization_is_refuted(self, tutte_eq, tutte_p1,
@@ -252,12 +253,36 @@ class TestCertify:
         with pytest.raises(SelfCheckFailed):
             certify(eq, p1, other)
 
-    def test_witness_too_short_for_hensel(self):
-        # K >= 2e + 1 with e = 0 needs K >= 1
-        eq, p1, _ = stages(CATALAN)
+    def test_cofactor_that_vanishes_on_the_prefix_needs_more_data(
+            self, monkeypatch):
+        # D*(g - 1) still annihilates Dyck's g = 1 + x^2 + 2x^4 + ..., and
+        # its cofactor of p1 in D0 vanishes at g through order 1
+        eq, p1, _ = stages(CORPUS["dyck"])
+        real = certify_mod._annihilator
+        monkeypatch.setattr(certify_mod, "_annihilator",
+                            lambda *args: real(*args) * (g - 1))
         with pytest.raises(InsufficientData):
-            certify(eq, p1, expand_series(eq, 0))
-        assert certify(eq, p1, expand_series(eq, 1)).is_proven
+            certify(eq, p1, expand_series(eq, 1))
+        cert = certify(eq, p1, expand_series(eq, 2))
+        assert cert.is_proven and cert.bound == 2 and cert.checkedOrder == 2
+
+    @pytest.mark.parametrize("K", [0, 1, 24])
+    def test_square_of_d_is_proven_by_repeated_division(self, monkeypatch, K):
+        # D^2 = p1^2 * C^2: one division alone leaves a cofactor p1 * C^2
+        # that vanishes at g to every order
+        eq, p1, _ = stages(CORPUS["dyck"])
+        real = certify_mod._annihilator
+        monkeypatch.setattr(certify_mod, "_annihilator",
+                            lambda *args: real(*args) ** 2)
+        cert = certify(eq, p1, expand_series(eq, K))
+        assert cert.is_proven and cert.bound == 0
+
+    def test_catalan_is_proven_on_its_constant_term(self):
+        # D = -p1, so the cofactor is -1
+        eq, p1, _ = stages(CATALAN)
+        cert = certify(eq, p1, expand_series(eq, 0))
+        assert cert.is_proven and cert.bound == 0
+        assert cert.annihilator == -p1.P.rename_var("f", "g")
 
 
 LIFTED = {**CORPUS, "flagship": _frozen.TUTTE_EQ,
@@ -325,8 +350,9 @@ class TestLift:
         got = certify(eq, p1, lift, wp)
         assert got.is_proven and want.is_proven
         assert got.annihilator == want.annihilator
-        assert (got.bound, got.checkedOrder, got.kernel) == (
-            0, want.checkedOrder, want.kernel)
+        assert (got.bound, got.checkedOrder) == (
+            want.bound, want.checkedOrder)
+        assert got.bound == 0
 
     def test_flagship_on_the_lift(self, tutte_eq, tutte_p1, tutte_cert):
         _, wp, lift = lifted(_frozen.TUTTE_EQ, 30)

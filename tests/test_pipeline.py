@@ -176,6 +176,18 @@ class TestRoutes:
         assert "annihilator" not in rep.timings_ms
         assert rep.value.value == _oracle.catalan(30)
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_existence_unknown_variants_are_proven(self, a, b):
+        # direct mode with A(0) = 0, so the expansion route proves p1 by
+        # its cofactor in D0 on the expanded prefix
+        equation = f"y*psi - y*g + g - {a} - {b}*x*psi**2"
+        rep = run_pipeline(PipelineConfig(equation, eval_at=40))
+        assert rep.proven and "expansion" in rep.timings_ms
+        assert rep.certificate.bound == 0
+        deep = specialize_y0(expand_series(parse_equation(equation), 60))
+        assert rep.value.value == deep[40]
+
     def test_double_root_of_d0_expands(self, monkeypatch):
         # D times (g - 1) still annihilates Dyck's g, but g0 = 1 is then a
         # double root of D0(g, 0), so g is not lifted
@@ -184,6 +196,8 @@ class TestRoutes:
                             lambda *args: real(*args) * (MPoly.var("g") - 1))
         rep = run_pipeline(PipelineConfig(DYCK, eval_at=20))
         assert rep.proven
+        # the cofactor of p1 in D0 holds the factor g - 1 = x^2 + ...
+        assert rep.certificate.bound == 2
         assert {"annihilator", "expansion"} <= set(rep.timings_ms)
         assert "lift" not in rep.timings_ms
         assert rep.value.value == _oracle.catalan(10)

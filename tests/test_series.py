@@ -7,14 +7,14 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tuttesolve import (MPoly, QSeries, SeriesX, expand_series, parse_equation,
                         specialize_y0)
 from tuttesolve.errors import PoleAtYZero
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
-from tuttesolve.series import _subs, _vanishing_order
+from tuttesolve.series import GLift, _subs, _vanishing_order
 
 from . import _oracle
 
@@ -277,3 +277,44 @@ def test_planted_defect_on_an_expanded_witness_is_found():
     for m in range(13):
         P = eq.Q + x**m * (y**2 - 4 * y)
         assert _vanishing_order(P, sx, g, 13) == m
+
+
+@st.composite
+def simple_roots(draw):
+    """(P, u0): P(g, x) = s*((b*g - a)*M(g) + x*N(g, x)) over the integers,
+    with u0 = a/b, b > 1, a simple root of P(g, 0), and s the sign that
+    P_g(u0, 0) = s*b*|M(u0)| is drawn to take."""
+    b = draw(st.integers(2, 6))
+    a = draw(st.integers(-9, 9).filter(lambda a: math.gcd(a, b) == 1))
+    M = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    Mu0 = sum(c * F(a, b) ** i for i, c in enumerate(M))
+    assume(Mu0)
+    N = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                             st.integers(-5, 5).filter(bool), min_size=1,
+                             max_size=5))
+    sign = draw(st.sampled_from((1, -1))) * (1 if Mu0 > 0 else -1)
+    P = (b * g - a) * sum((c * g**i for i, c in enumerate(M)), MPoly.zero())
+    P = P + x * sum((c * g**i * x**j for (i, j), c in N.items()),
+                    MPoly.zero())
+    return sign * P, F(a, b)
+
+
+@given(simple_roots(), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_lift_is_a_series_root(case, L):
+    P, u0 = case
+    lift = GLift(P, u0)
+    assert lift.simple
+    gs = lift.series(L).coeffs
+    assert len(gs) == L + 1 and gs[0] == u0
+    # P(g(x), x) through x^L over Fraction, from truncated powers of g
+    pows = [[F(1)] + [F(0)] * L]
+    for _ in range(P.degree("g")):
+        prev = pows[-1]
+        pows.append([sum(gs[t] * prev[k - t] for t in range(k + 1))
+                     for k in range(L + 1)])
+    val = [F(0)] * (L + 1)
+    for (i, j), c in P.items(("g", "x")):
+        for k in range(j, L + 1):
+            val[k] += c * pows[i][k - j]
+    assert not any(val)
