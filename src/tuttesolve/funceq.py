@@ -1,9 +1,10 @@
 """Functional equations Q(psi(x,y), psi(x,0), x, y) = 0.
 
 ``check_well_posed`` finds the unique admissible order-0 branch and the
-kernel data; ``expand_series`` solves order by order for the coefficients
-c_k(y); ``specialize_y0`` reads off the diagonal sequence c_k(0).  Both
-evaluate polynomials on the branch through ``series._subs`` alone.
+kernel data, evaluating on the branch through ``series._subs``;
+``expand_series`` solves order by order for the coefficients c_k(y), on
+tables of the powers of psi and g that a longer expansion extends where
+they stopped; ``specialize_y0`` reads off the diagonal sequence c_k(0).
 ``solvable_at_every_order`` tells, from the kernel data alone, when every
 order is known to solve, so that the series exists unexpanded.
 
@@ -25,7 +26,6 @@ scope; both are rejected as DegenerateKernel up front.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,50 +225,72 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
 # --- series expansion ------------------------------------------------------
 
 class _Expander:
-    """Taylor-jet engine: carries the x-coefficients of every normalized
-    mixed partial of Q at the current partial sums, over localized
-    coefficients with the fixed denominator D = den(c0) * num(A) / y^v,
-    where v is the order of A's zero at y = 0.  Both factors are nonzero
-    at y = 0, and the division by A shifts out the v low coefficients of
-    each numerator, which vanish exactly when c_k is regular there."""
+    """Online expansion: each coefficient is read from the ones before it.
 
-    def __init__(self, eq: FuncEq, wp: WellPosedness, K: int):
-        self.K = K
-        self.wp = wp
-        Q = eq.Q
-        self.dpsi = Q.degree("psi")
-        self.dg = max(0, Q.degree("g"))
+    Tables T[i, j][n] = [x^n] psi^i g^j hold every monomial of Q and the
+    chain that builds it: psi^i g^j = psi^(i-1) g^j * psi, or g^(j-1) * g
+    when i = 0.  At order k the tables read with c_k = gamma_k = 0 give
+    N_k = [x^k] Q(psi_<k, g_<k, x, y); (c_k, gamma_k) follow from N_k and
+    the kernel data, and each table gains its part linear in them,
+    a_ij c_k + b_ij gamma_k, with a_ij = i c0^(i-1) gamma0^j and b_ij =
+    j c0^i gamma0^(j-1).  ``series`` extends the tables where they stopped.
+
+    Values are localized at D = den(c0) * num(A) / y^v, where v is the
+    order of A's zero at y = 0.  Both factors are nonzero at y = 0, and the
+    division by A shifts out the v low coefficients of each numerator,
+    which vanish exactly when c_k is regular there.
+    """
+
+    def __init__(self, eq: FuncEq, wp: WellPosedness):
         q_int, _ = polyq.clear_denominators(wp.c0.den)
         an_int, an_scale = polyq.clear_denominators(wp.kernelA.num)
         ad_int, ad_scale = polyq.clear_denominators(wp.kernelA.den)
-        self._val_a = v = next(i for i, c in enumerate(an_int) if c)
-        self.ctx = _LocCtx(polyq.pmul(q_int, an_int[v:]))
-        self.c0 = self.ctx.localize(wp.c0)
+        self._val_a = next(i for i, c in enumerate(an_int) if c)
+        self.ctx = ctx = _LocCtx(polyq.pmul(q_int, an_int[self._val_a:]))
         self._div_num = polyq.pmul(ad_int, q_int)
         self._div_scale = ad_scale / an_scale
-        # normalized partials T[i][j] = d^i_psi d^j_g Q / (i! j!)
-        T: list[list[MPoly]] = [[Q]]
-        for i in range(1, self.dpsi + 1):
-            T.append([T[i - 1][0].derivative("psi").divexact(MPoly.const(i))])
-        for i in range(self.dpsi + 1):
-            for j in range(1, self.dg + 1):
-                T[i].append(T[i][j - 1].derivative("g").divexact(MPoly.const(j)))
-        # each x-coefficient evaluated at psi = c0, g = gamma0 in the _Loc ring
-        branch = {"psi": [self.c0], "g": [self.ctx.from_fraction(wp.gamma0)]}
-        self.J: dict[tuple[int, int], list[_Loc]] = {}
-        for i in range(self.dpsi + 1):
-            for j in range(self.dg + 1):
-                xs = T[i][j].as_univariate("x")
-                row = [self.ctx.zero()] * (K + 1)
-                for m, cm in enumerate(xs[: K + 1]):
-                    row[m] = _subs(cm, branch, 1, self.ctx.from_ints)[0]
-                self.J[(i, j)] = row
-        self.order_ij = sorted(self.J, key=lambda ij: (ij[0] + ij[1], ij))
-        self.a_val0 = wp.kernelA.eval0()
-        self.b_val0 = wp.kernelB.eval0()
-        self.s_val = self.a_val0 + self.b_val0
-        if wp.mode == "kernel":
-            self.t_val = wp.kernelA.series(1)[1] + wp.kernelB.series(1)[1]
+        # Q's x^m coefficient at each monomial psi^i g^j, a y-polynomial
+        ys: dict[tuple[int, int], dict[int, list[int]]] = {}
+        for (i, j, m, l), c in eq.Q.items(("psi", "g", "x", "y")):
+            cs = ys.setdefault((i, j), {}).setdefault(m, [])
+            cs.extend([0] * (l + 1 - len(cs)))
+            cs[l] = c
+        self._q = {ij: [(m, ctx.from_ints(cs)) for m, cs in xs.items()]
+                   for ij, xs in ys.items()}
+        zero, one = ctx.zero(), ctx.from_ints([1])
+        T = self._T = {(0, 0): [one], (1, 0): [ctx.localize(wp.c0)]}
+        lin = self._lin = {(0, 0): (zero, zero), (1, 0): (one, zero)}
+        if eq.Q.degree("g") > 0:
+            T[(0, 1)] = [ctx.from_fraction(wp.gamma0)]
+            lin[(0, 1)] = (zero, one)
+        # (key, factor, base): T[key] = T[factor] * T[base]
+        keys = {(a, j) for i, j in ys for a in range(1, i + 1)}
+        keys |= {(0, b) for i, j in ys for b in range(1, j + 1)}
+        self._chain = [((i, j), (i - 1, j) if i else (0, j - 1),
+                        (1, 0) if i else (0, 1))
+                       for i, j in sorted(keys - set(T), key=sum)]
+        for key, u, v in self._chain:
+            (u0,), (v0,) = T[u], T[v]
+            T[key] = [u0 * v0]
+            lin[key] = tuple(du * v0 + u0 * dv
+                             for du, dv in zip(lin[u], lin[v]))
+        # the linear parts of [x^0] Q are the kernel data A and B
+        A, self._B = (self._sum(q * lin[key][n] for key, xs in self._q.items()
+                                for m, q in xs if not m) for n in (0, 1))
+        if (A.to_ratfunc(), self._B.to_ratfunc()) != (wp.kernelA, wp.kernelB):
+            raise SelfCheckFailed(
+                "the linear part of the tables' [x^0] Q is not the kernel "
+                "data A, B")
+        # c_k(0) is read from the y^kv coefficient: kv = 0 direct, 1 kernel
+        self._kv = kv = wp.kernelValuation
+        self._s = (wp.kernelA + wp.kernelB).series(kv)[kv]
+
+    def series(self, K: int) -> SeriesX:
+        """psi through x^K, the tables extended as far as needed."""
+        psi = self._T[(1, 0)]
+        for k in range(len(psi), K + 1):
+            self._order(k)
+        return SeriesX._from_locs(self.ctx, psi[:K + 1])
 
     def _div_by_a(self, v: _Loc, k: int) -> _Loc:
         if v.is_zero:
@@ -280,60 +302,39 @@ class _Expander:
         return _Loc(self.ctx, polyq.pmul(v.num[self._val_a:], self._div_num),
                     v.scale * self._div_scale, v.e + 1)
 
-    def solve_order(self, k: int) -> tuple[_Loc, Fraction]:
-        N = self.J[(0, 0)][k]
-        B = self.J[(0, 1)][0] if self.dg else self.ctx.zero()
-        if self.wp.mode == "direct":
-            gam = -N.eval0() / self.s_val
-        else:
-            if N.eval0() != 0:
-                raise DegenerateKernel(
-                    f"order {k}: constant term N_k(0) = {N.eval0()} != 0 "
-                    "in the kernel mode; no solution")
-            gam = -N.y_coeff(1) / self.t_val
-        numer = (B.scaled(gam) + N) if self.dg else N
-        ck = self._div_by_a(numer.scaled(Fraction(-1)), k)
+    def _sum(self, terms) -> _Loc:
+        """The sum in ascending e: each alignment then multiplies the
+        smaller partial sum by a low power of D."""
+        return sum(sorted(terms, key=lambda t: t.e), self.ctx.zero())
+
+    def _order(self, k: int) -> None:
+        T, zero = self._T, self.ctx.zero()
+        # [x^k] of each table with c_k = gamma_k = 0
+        part = dict.fromkeys(self._lin, zero)
+        for key, u, v in self._chain:
+            U, V = T[u], T[v]
+            if u == v:
+                # a square: each product U_t U_(k-t) once, doubled
+                s = self._sum(U[t] * U[k - t]
+                              for t in range(1, (k + 1) // 2)).scaled(2)
+                part[key] = s + U[k // 2] * U[k // 2] if k % 2 == 0 else s
+            else:
+                part[key] = self._sum([part[u] * V[0]] + [
+                    U[t] * V[k - t] for t in range(1, k) if U[t]])
+        N = self._sum(q * (T[key][k - m] if m else part[key])
+                      for key, xs in self._q.items() for m, q in xs if m <= k)
+        if self._kv and N.eval0() != 0:
+            raise DegenerateKernel(
+                f"order {k}: constant term N_k(0) = {N.eval0()} != 0 "
+                "in the kernel mode; no solution")
+        gam = -N.y_coeff(self._kv) / self._s
+        ck = self._div_by_a((self._B.scaled(gam) + N).scaled(Fraction(-1)), k)
         if ck.eval0() != gam:
             raise DegenerateKernel(
                 f"order {k}: computed c_k(0) = {ck.eval0()} conflicts with "
                 f"the solved value {gam}")
-        return ck, gam
-
-    def apply_order(self, k: int, ck: _Loc, gam: Fraction) -> None:
-        K = self.K
-        cpow = [None, ck]
-        for a in range(2, self.dpsi + 1):
-            cpow.append(cpow[-1] * ck)
-        gpow = [Fraction(1)]
-        for b in range(self.dg):
-            gpow.append(gpow[-1] * gam)
-        for (i, j) in self.order_ij:
-            row = self.J[(i, j)]
-            for a in range(self.dpsi - i + 1):
-                for b in range(self.dg - j + 1):
-                    if a == 0 and b == 0:
-                        continue
-                    step = k * (a + b)
-                    if step > K:
-                        continue
-                    src = self.J[(i + a, j + b)]
-                    coef = (math.comb(i + a, a)
-                            * math.comb(j + b, b)) * gpow[b]
-                    if coef == 0:
-                        continue
-                    if a == 0:
-                        for m in range(step, K + 1):
-                            v = src[m - step]
-                            if not v.is_zero:
-                                row[m] = row[m] + v.scaled(coef)
-                    else:
-                        mult = cpow[a].scaled(coef)
-                        for m in range(step, K + 1):
-                            v = src[m - step]
-                            if not v.is_zero:
-                                row[m] = row[m] + v * mult
-        if self.J[(0, 0)][k]:
-            raise SelfCheckFailed(f"order-{k} defect does not vanish")
+        for key, (a, b) in self._lin.items():
+            T[key].append(part[key] + a * ck + b.scaled(gam))
 
 
 def expand_series(eq: FuncEq, K: int,
@@ -346,13 +347,7 @@ def expand_series(eq: FuncEq, K: int,
         raise ValueError("negative expansion order")
     if wp is None:
         wp = check_well_posed(eq)
-    eng = _Expander(eq, wp, K)
-    coeffs = [eng.c0]
-    for k in range(1, K + 1):
-        ck, gam = eng.solve_order(k)
-        eng.apply_order(k, ck, gam)
-        coeffs.append(ck)
-    return SeriesX._from_locs(eng.ctx, coeffs)
+    return _Expander(eq, wp).series(K)
 
 
 def specialize_y0(s: SeriesX) -> QSeries:
@@ -374,8 +369,8 @@ def solvable_at_every_order(eq: FuncEq, wp: WellPosedness) -> bool:
     """True when every order of `expand_series` is known to solve, so the
     series solution exists, and is unique, without being expanded.
 
-    Two cases, by the algebra of ``_Expander.solve_order``, where A, B
-    are the kernel data and N_k the order-k defect:
+    Two cases, by the per-order structure above, where A, B are the kernel
+    data and N_k the order-k defect:
 
     * direct mode with A(0) != 0: A has no zero at y = 0, so the division
       by A meets no pole, and gamma = -N_k(0)/(A(0) + B(0)) gives

@@ -16,9 +16,10 @@ solution is known to exist at every order and g0 is a simple root of
 D0(g, 0), the "annihilator" stage builds D once and the "lift" stage
 extends g's prefix from D0 on each doubling; the guess is capped to D0's
 degree box, which holds every provable p1.  Everywhere else, and with
-proving off or a column asked for, the "expansion" and "specialize"
-stages expand psi to the order from scratch.  `certify` proves p1 the
-same way on both; only where D and g's prefix come from differs.
+proving off or a column asked for, the "expansion" stage builds one
+expander of psi and extends it to the order on each doubling, and the
+"specialize" stage reads g off it.  `certify` proves p1 the same way on
+both; only where D and g's prefix come from differs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .eqparse import parse_equation
 from .errors import (InsufficientData, InvalidBounds, PipelineError,
                      RefutedGuess, ResourceCeiling, TutteSolveError)
 from .evalrec import unroll
-from .funceq import (FuncEq, check_well_posed, expand_series,
+from .funceq import (FuncEq, _Expander, check_well_posed, expand_series,
                      solvable_at_every_order, specialize_y0)
 from .guessing import FAIL, guess_algeq
 from .holonomic import ABSENT, algeq_to_ode, minimize_rec, ode_to_rec
@@ -83,6 +84,8 @@ def column_series(eq: FuncEq, m: int, K: int) -> QSeries:
     """
     if m < 0:
         raise InvalidBounds("column index must be nonnegative")
+    if K < 0:
+        raise InvalidBounds("series order must be nonnegative")
     return _column_from_expansion(expand_series(eq, K), m)
 
 
@@ -97,6 +100,8 @@ class CoeffTable:
 
     @classmethod
     def build(cls, eq: FuncEq, N: int, M: int) -> "CoeffTable":
+        if N < 0 or M < 0:
+            raise InvalidBounds("table bounds must be nonnegative")
         s = expand_series(eq, N)
         return cls([c.y_prefix(M) for c in s.locs])
 
@@ -167,11 +172,13 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
         # a provable p1 divides D0
         degF = min(degF, lift.D0.degree("g"))
         degX = min(degX, lift.D0.degree("x"))
+    else:
+        expander = st.run("expansion", _Expander, eq, wp)
 
     K = cfg.guess_order
     while True:
         if lift is None:
-            sx = witness = st.run("expansion", expand_series, eq, K, wp)
+            sx = witness = st.run("expansion", expander.series, K)
             seq = st.run("specialize", specialize_y0, sx)
         else:
             witness = lift

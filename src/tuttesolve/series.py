@@ -7,19 +7,18 @@ y, each regular at y = 0).
 A ``SeriesX`` stores its coefficients localized: the private
 ``_LocCtx``/``_Loc`` pair writes each one as scale * n(y) / D(y)^e against
 one fixed denominator polynomial D, so the expansion and the table and
-column reads run on integer convolutions and never reduce fractions.  The expander hands its own D and coefficients over as
-they are.  Canonical :class:`RatFunc` coefficients are built only when a
-caller outside the package asks for them, through indexing, iteration or
-``coeffs``.
+column reads run on integer convolutions and never reduce fractions.  The
+expander hands its own D and coefficients over as they are.  Canonical
+:class:`RatFunc` coefficients are built only when a caller outside the
+package asks for them, through indexing, iteration or ``coeffs``.
 
 All truncated-series arithmetic goes through one kernel that works over
 any exact coefficient ring: ``_mul_trunc`` is the truncated product, over
 ``int`` for the guesser's power table and over ``Fraction`` for the ODE
 check.  ``_powers`` is the table of powers built on it that ``_subs``
-reads.  ``_subs`` substitutes series into a polynomial, over ``_Loc`` for
-the expander's rows, over ``int`` for the zero test, and in the branch
-search of ``funceq`` over ``RatFunc`` for the exact check and the kernel
-data on the branch.
+reads.  ``_subs`` substitutes series into a polynomial, over ``int`` for
+the zero test, and in the branch search of ``funceq`` over ``RatFunc``
+for the exact check and the kernel data on the branch.
 
 :class:`GLift` is the one series-root lifter: the root g(x) of an integer
 D(g, x) through a simple rational root g0 of D0(g, 0), term by term in
@@ -263,12 +262,6 @@ class _Loc:
         if not out:
             return self.ctx.zero()
         return _Loc(self.ctx, out, s, e)
-
-    def __neg__(self) -> "_Loc":
-        return _Loc(self.ctx, self.num, -self.scale, self.e)
-
-    def __sub__(self, other: "_Loc") -> "_Loc":
-        return self + (-other)
 
     def __mul__(self, other: "_Loc") -> "_Loc":
         if self.is_zero or other.is_zero:

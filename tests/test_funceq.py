@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from tuttesolve import (FuncEq, MPoly, check_well_posed, expand_series,
                         parse_equation, specialize_y0)
 from tuttesolve.errors import (AmbiguousBranch, DegenerateKernel,
-                               NoSeriesBranch, PoleAtYZero)
+                               NoSeriesBranch, PoleAtYZero, SelfCheckFailed)
 from tuttesolve.polyq import RatFunc
 
 from . import _frozen, _oracle
@@ -130,6 +131,16 @@ class TestExpansion:
     def test_negative_order_rejected(self, tutte_eq):
         with pytest.raises(ValueError):
             expand_series(tutte_eq, -1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kernelA", RatFunc([F(2)])), ("kernelB", RatFunc([F(1)]))])
+    def test_kernel_data_that_the_tables_contradict(self, field, value):
+        # Catalan's A = 1 and B = 0 are the linear part of [x^0] Q; any
+        # other kernel data fails the check before the first order
+        eq = parse_equation("psi - 1 - x*psi**2")
+        wp = dataclasses.replace(check_well_posed(eq), **{field: value})
+        with pytest.raises(SelfCheckFailed, match="kernel data"):
+            expand_series(eq, 0, wp)
 
     def test_specialize_is_y0_column(self, tutte_sx, tutte_seq):
         assert list(tutte_seq) == [c.eval0() for c in tutte_sx]

@@ -18,6 +18,7 @@ from . import _frozen, _oracle
 
 # the package binds these names to functions, not to the modules
 certify_mod = importlib.import_module("tuttesolve.certify")
+funceq_mod = importlib.import_module("tuttesolve.funceq")
 pipeline_mod = importlib.import_module("tuttesolve.pipeline")
 
 DYCK = "y*psi - y - x*(y**2)*psi - x*psi + x*g"
@@ -165,6 +166,29 @@ class TestRoutes:
             assert a.pop("certificate")["checked_order"] == 96
             assert b.pop("certificate")["checked_order"] == 192
         assert a == b
+
+    def test_expansion_route_solves_each_order_once(self, monkeypatch):
+        # walk-15 on the expansion route doubles K from 24 to 192; one
+        # expander is extended, and each order is divided by A once
+        monkeypatch.setattr(pipeline_mod, "solvable_at_every_order",
+                            lambda eq, wp: False)
+        calls = {"expanders": 0, "orders": 0}
+        init, div = (funceq_mod._Expander.__init__,
+                     funceq_mod._Expander._div_by_a)
+
+        def spy_init(self, *args):
+            calls["expanders"] += 1
+            init(self, *args)
+
+        def spy_div(self, *args):
+            calls["orders"] += 1
+            return div(self, *args)
+
+        monkeypatch.setattr(funceq_mod._Expander, "__init__", spy_init)
+        monkeypatch.setattr(funceq_mod._Expander, "_div_by_a", spy_div)
+        rep = run_pipeline(PipelineConfig(ROUTED["walk-15"], eval_at=0))
+        assert rep.proven and len(rep.series_prefix) == 193
+        assert calls == {"expanders": 1, "orders": 192}
 
     def test_existence_not_known_expands(self):
         # direct mode with A = y, zero at y = 0: only expanding tells that
@@ -338,6 +362,15 @@ class TestColumns:
     def test_flagship_first_column(self, tutte_eq):
         got = column_series(tutte_eq, 1, 4)
         assert list(got) == [F(0), F(1), F(6), F(36), F(228)]
+
+    @pytest.mark.parametrize("N, M", [(3, -1), (-1, 3)])
+    def test_negative_table_bounds(self, tutte_eq, N, M):
+        with pytest.raises(InvalidBounds):
+            CoeffTable.build(tutte_eq, N, M)
+
+    def test_negative_column_order(self, tutte_eq):
+        with pytest.raises(InvalidBounds):
+            column_series(tutte_eq, 1, -1)
 
     def test_y_free_equation_has_zero_columns(self):
         eq = parse_equation("psi - 1 - 2*x*psi")

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttesolve import (MPoly, QSeries, SeriesX, expand_series, parse_equation,
-                        specialize_y0)
+from tuttesolve import (MPoly, QSeries, SeriesX, check_well_posed,
+                        expand_series, parse_equation, specialize_y0)
 from tuttesolve.errors import PoleAtYZero
+from tuttesolve.funceq import _Expander
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
 from tuttesolve.series import GLift, _subs, _vanishing_order
 
@@ -174,6 +175,36 @@ def _loc_order(P, s, g, L):
 G_FREE = ("psi - 1 - x*psi**2", "psi - 1 - x*y*psi**3 - x*psi",
           "(1 - y)*psi - 1 - x*psi**2",
           "(2 - 3*y)*psi - 1 - x*(1 + y)*psi**2")
+
+
+# kernel-mode equations like maps (the first two are maps and the
+# flagship, the next two have g^2 and psi^2*g), and psi^3, g^2 and
+# psi^2*g in direct mode
+POWERS = ("y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)",
+          "y**2*psi**2 + (x + x*g*y - y - y**2)*psi + y - x*g",
+          "y*psi - y - x*y*psi**2*g - x*(psi - g)",
+          "y*psi - y - x*y*g**2 - x*(psi - g)",
+          "psi - 1 - x*psi**3", "psi - 1 - x*g**2 - x*y*psi",
+          "psi - 1 - x*(1 + y)*psi**2*g")
+
+
+@given(st.sets(st.integers(0, 3), min_size=1).map(
+           lambda ups: _oracle.walk_equation((-1, *sorted(ups))))
+       | st.sampled_from(G_FREE + POWERS),
+       st.integers(0, 12), st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_extended_expansion_is_a_fresh_one(text, K1, K2):
+    # the expander extends its tables where they stopped
+    K1, K2 = sorted((K1, K2))
+    eq = parse_equation(text)
+    ex = _Expander(eq, check_well_posed(eq))
+    assert ex.series(K1).order == K1
+    got, fresh = ex.series(K2), expand_series(eq, K2)
+    assert got.ctx.D == fresh.ctx.D
+    assert ([(c.e, c.num, c.scale) for c in got.locs]
+            == [(c.e, c.num, c.scale) for c in fresh.locs])
+    assert not any(loc_subs(eq.Q, got, specialize_y0(got), K2 + 1))
+    assert ex.series(K1).locs == got.locs[:K1 + 1]
 
 
 @st.composite
