@@ -111,10 +111,10 @@ def eliminate_g(eq: FuncEq, p1: AlgEq) -> MPoly:
     return squarefree_primitive(R, "psi")
 
 
-def _annihilator(Q: MPoly, mode: str, witness: SeriesX, g) -> MPoly:
+def _annihilator(Q: MPoly, mode: str, g) -> MPoly:
     """D(g, x) != 0 with D(g(x), x) = 0, built from Q alone.
 
-    The witness only shows factors that were divided out nonzero.
+    g's prefix only shows factors that were divided out nonzero.
     """
     if mode == "direct":
         D = _at_y0(Q)
@@ -127,7 +127,7 @@ def _annihilator(Q: MPoly, mode: str, witness: SeriesX, g) -> MPoly:
             raise ZeroAnnihilator("Q and Q_psi share a factor")
         v = R1.valuation("y")
         # y^v is nonzero at Y unless Y = 0, and then Q_psi(g, g, x, 0) = 0
-        if v and _vanishing_order(_at_y0(dQ), witness, g, len(witness)) is None:
+        if v and _vanishing_order(_at_y0(dQ), None, g, len(g)) is None:
             raise ZeroAnnihilator("the kernel root may be zero")
         R1 = R1.divexact(MPoly.var("y") ** v)
         Delta = squarefree_primitive(R1, "y")
@@ -135,7 +135,7 @@ def _annihilator(Q: MPoly, mode: str, witness: SeriesX, g) -> MPoly:
         # nonzero at (g0, 0, 0), since Y(0) = 0
         rest = R1.divexact(Delta)
         low = rest.coeff_of("x", rest.valuation("x"))
-        if _vanishing_order(_at_y0(low), witness, g, 1) is None:
+        if _vanishing_order(_at_y0(low), None, g, 1) is None:
             raise ZeroAnnihilator(
                 "a factor divided out of the discriminant may vanish at the "
                 "kernel root")
@@ -153,13 +153,12 @@ def lift_g(eq: FuncEq, wp: WellPosedness) -> GLift | None:
     expansion route raises the same error at the stage it always has, or
     when g0 is not a simple root of D0(g, 0).
     """
-    witness = g = None
+    g = None
     if wp.mode == "kernel" and eq.Q.degree("psi") > 1:
         # the quadratic method's nonvanishing checks read g through x^1
-        witness = expand_series(eq, 1, wp)
-        g = specialize_y0(witness).coeffs
+        g = specialize_y0(expand_series(eq, 1, wp)).coeffs
     try:
-        D = _annihilator(eq.Q, wp.mode, witness, g)
+        D = _annihilator(eq.Q, wp.mode, g)
     except (ResourceCeiling, ZeroAnnihilator):
         return None
     lift = GLift(D, wp.gamma0)
@@ -201,7 +200,7 @@ def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
     if D is None:
         if _vanishing_order(eq.Q, witness, g, K + 1) is not None:
             raise SelfCheckFailed("series witness fails its own equation")
-        D = _annihilator(eq.Q, wp.mode, witness, g)
+        D = _annihilator(eq.Q, wp.mode, g)
 
     C, k = D.divexact(MPoly.var("x") ** D.valuation("x")), 0
     while (q := C.try_divexact(p1g)) is not None:

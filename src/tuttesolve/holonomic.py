@@ -3,11 +3,11 @@
 The ODE step works over Z[x] with ``MPoly``: each derivative of the branch
 is an integer polynomial in f and x over a power of dP/df, reduced mod P by
 a pseudo-remainder, and the lowest-order linear dependence among 1, f, f',
-..., homogeneous preferred, comes from a fraction-free kernel
-(``linalg.nullspace_field``).  The recurrence step is the classical
-coefficient extraction x^j f^(i) |-> falling-factorial shift, with an
-explicit validity repair at small indices checked against the witness
-series.
+... (f, f', ... when P is linear in f), unique up to a Q(x) scalar, comes
+from one fraction-free kernel (``linalg.nullspace_field``) per order.
+The recurrence step is the classical coefficient extraction x^j f^(i)
+|-> falling-factorial shift, with an explicit validity repair at small
+indices checked against the witness series.
 """
 
 from __future__ import annotations
@@ -167,10 +167,13 @@ def algeq_to_ode(p: AlgEq) -> LinODE:
     multiplied by P_f^(2r) and reduced mod P by one pseudo-remainder in f,
     all to one power of lc_f(P).  P is squarefree (its discriminant in f is
     nonzero), so P_f is a unit of Q(x)[f]/(P): every column is scaled by the
-    same unit, and the kernel over Q(x) is that of the derivatives.  The
-    first dependence that involves the newest derivative, homogeneous
-    preferred, is unique up to a Q(x) scalar; its primitive form over Z[x]
-    is the ODE.  Order never exceeds the f-degree of P.
+    same unit, and the kernel over Q(x) is that of the derivatives.  For
+    d = deg_f P >= 2, 1 and f are independent and every lower order found
+    no dependence, so the first dependence among 1, ..., f^(r) is unique up
+    to a Q(x) scalar: two would combine into one without f^(r).  For
+    d = 1, Q(x)[f]/(P) is one-dimensional and the kernel is taken on f,
+    ..., f^(r) alone, so the ODE is homogeneous.  The dependence's
+    primitive form over Z[x] is the ODE.  Order never exceeds d.
     """
     P = p.P
     d = P.degree("f")
@@ -188,33 +191,29 @@ def algeq_to_ode(p: AlgEq) -> LinODE:
     V = [MPoly.var("f")]     # f^(k) = V[k] / P_f^(2k)
     for r in range(1, d + 1):
         V.append(delta(V[-1]) * Pf - 2 * (r - 1) * V[-1] * dPf)
-        # 1, f, ..., f^(r), each times P_f^(2r)
-        scaled = [Pf2 ** r] + [Vk * Pf2 ** (r - k) for k, Vk in enumerate(V)]
+        # 1, f, ..., f^(r), each times P_f^(2r); 1 only when d > 1
+        scaled = [Pf2 ** r] * (d > 1) + [Vk * Pf2 ** (r - k)
+                                         for k, Vk in enumerate(V)]
         # prem scales by lc^max(0, deg - d + 1); bring all to one power
         exps = [max(0, A.degree("f") - d + 1) for A in scaled]
         cols = [(prem(A, P, "f") * lc ** (max(exps) - e)).as_univariate("f")
                 for A, e in zip(scaled, exps)]
-        full = [[c[j] if j < len(c) else MPoly.zero() for c in cols]
+        rows = [[c[j] if j < len(c) else MPoly.zero() for c in cols]
                 for j in range(d)]
-        for use_one in (False, True):
-            rows = full if use_one else [row[1:] for row in full]
-            rel = next((v for v in linalg.nullspace_field(rows) if v[-1]),
-                       None)
-            if rel is None:
-                continue
-            if not use_one:
-                rel = [MPoly.zero()] + rel
-            rel = [[a.constant_value() for a in c.as_univariate("x")]
-                   for c in rel]
-            g = reduce(polyq.igcd_poly, [c for c in rel if c])
-            rel = [polyq.idivexact(c, g) if c else [] for c in rel]
-            inhom, coeffs = rel[0], rel[1:]
-            if next(c for c in coeffs[-1] if c) < 0:
-                coeffs = [[-v for v in q] for q in coeffs]
-                inhom = [-v for v in inhom]
-            ode = LinODE(coeffs, inhom, p.branch)
-            _check_ode(ode, p.branch)
-            return ode
+        rel = next((v for v in linalg.nullspace_field(rows) if v[-1]), None)
+        if rel is None:
+            continue
+        rel = [[]] * (d == 1) + [
+            [a.constant_value() for a in c.as_univariate("x")] for c in rel]
+        g = reduce(polyq.igcd_poly, [c for c in rel if c])
+        rel = [polyq.idivexact(c, g) if c else [] for c in rel]
+        inhom, coeffs = rel[0], rel[1:]
+        if next(c for c in coeffs[-1] if c) < 0:
+            coeffs = [[-v for v in q] for q in coeffs]
+            inhom = [-v for v in inhom]
+        ode = LinODE(coeffs, inhom, p.branch)
+        _check_ode(ode, p.branch)
+        return ode
     raise NonSquarefree("no linear dependence found; equation is degenerate")
 
 

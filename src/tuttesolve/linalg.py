@@ -9,10 +9,11 @@ over Q for the branch search's Pade step; ``nullspace_field`` runs it on
 ``MPoly`` entries for the ODE step, a kernel over the fraction field of
 the entries' ring with the basis vectors in the ring itself.
 ``relations`` is the one search both guessers run: a walk over a
-caller's grid of shapes that turns each shape's integer kernel into
-primitive candidates in one fixed order.  The shapes of one family share
-their rows and grow by columns, so one elimination mod the prime ``_P``
-per family serves them all, each shape reducing only the columns it adds.
+caller's grid of shapes, each given by exact integer columns, that turns
+each shape's integer kernel into primitive candidates in one fixed order.
+The shapes of one family share their rows and grow by columns, so one
+elimination mod the prime ``_P`` per family serves them all, each shape
+reducing only the columns it adds.
 A shape whose columns are independent mod _P has an empty kernel over Q,
 so it is skipped before any exact row is built: a proof, not a
 heuristic.  Any other shape takes the exact kernel on the family's pivot
@@ -65,10 +66,10 @@ def relations(shapes: Iterable[tuple[int, int]],
     """Integer kernel vectors of each shape's matrix, best first.
 
     Shape (A, B) has the columns (a, b), a-major over 0 <= a <= A,
-    0 <= b <= B, and ``column(A, a, b)`` is column (a, b) of family A, an
-    exact int or Fraction column.  A family's shapes share their rows, and
-    each one's B exceeds the B of the family's shape before it, so its
-    columns contain theirs; each column is asked for once.  For each shape,
+    0 <= b <= B, and ``column(A, a, b)`` is column (a, b) of family A, a
+    column of exact ints.  A family's shapes share their rows, and each
+    one's B exceeds the B of the family's shape before it, so its columns
+    contain theirs; each column is asked for once.  For each shape,
     in the given order, the kernel is taken as `_kernel`'s integer vectors,
     each made primitive with its last nonzero entry positive, and yielded
     as trimmed grids ``[[c_a0, ..., c_ab], ...]``: no trailing zero in a
@@ -91,7 +92,7 @@ def relations(shapes: Iterable[tuple[int, int]],
                 fam.add((a, b), column(A, a, b))
         fam.B = B
         C = (A + 1) * (B + 1)
-        if fam.basis is not None and len(fam.basis) == C:
+        if len(fam.basis) == C:
             continue
         cols = [fam.cols[a, b] for a in range(A + 1) for b in range(B + 1)]
         cands = []
@@ -106,8 +107,8 @@ def relations(shapes: Iterable[tuple[int, int]],
 
 
 class _Family:
-    """The exact columns of one shape family, and a column-echelon basis
-    of their images mod _P.
+    """The exact integer columns of one shape family, and a column-echelon
+    basis of their images mod _P.
 
     Each column goes into the basis reduced by the basis columns before
     it, so the shapes of a family share one elimination.  A shape's C
@@ -125,26 +126,14 @@ class _Family:
         # (pivot row r, the inverse of the column's entry there, and _P
         # minus the column at the rows from r on, 0 at the rows before r):
         # a basis column is 0 at the rows before its pivot row and at the
-        # pivot rows placed before its own.  None once a column with a
-        # denominator divisible by _P leaves the family unproven.
-        self.basis: list[tuple[int, int, int]] | None = []
+        # pivot rows placed before its own.
+        self.basis: list[tuple[int, int, int]] = []
         self.W = 0
         self.ones = 0       # 1 in every slot
 
-    def add(self, key: tuple[int, int], col: Sequence) -> None:
+    def add(self, key: tuple[int, int], col: Sequence[int]) -> None:
         self.cols[key] = col
-        if self.basis is None:
-            return
-        if {*map(type, col)} == {int}:
-            v = [a % _P for a in col]
-        else:
-            v = []
-            for a in col:
-                d = a.denominator % _P
-                if not d:
-                    self.basis = None
-                    return
-                v.append(a.numerator * pow(d, -1, _P) % _P)
+        v = [a % _P for a in col]
         if not self.W:
             self.W = 64 + len(col).bit_length()
             self.ones = peval_pow2([1] * len(col), self.W)

@@ -185,23 +185,21 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
             seq = st.run("lift", lift.series, K)
         p1 = st.run("guess", guess_algeq, seq, degF, degX)
         if p1 is FAIL:
-            if 2 * K > cfg.max_order:
-                raise PipelineError("guess", ResourceCeiling(
-                    f"no algebraic equation found within degree {degF} in "
-                    f"f and {degX} in x at series order {K}"))
-            K *= 2
-            continue
-        try:
-            cert = (st.run("certify", certify, eq, p1, witness, wp)
-                    if cfg.prove else None)
-            if cert is None or cert.is_proven:
-                break
-            err = PipelineError("certify", RefutedGuess(cert.checkedOrder))
-        except PipelineError as exc:
-            # a prefix too short to show the cofactor of p1 in D0 nonzero
-            if not isinstance(exc.cause, InsufficientData):
-                raise
-            err = exc
+            err = PipelineError("guess", ResourceCeiling(
+                f"no algebraic equation found within degree {degF} in "
+                f"f and {degX} in x at series order {K}"))
+        else:
+            try:
+                cert = (st.run("certify", certify, eq, p1, witness, wp)
+                        if cfg.prove else None)
+                if cert is None or cert.is_proven:
+                    break
+                err = PipelineError("certify", RefutedGuess(cert.checkedOrder))
+            except PipelineError as exc:
+                # a prefix too short to show the cofactor of p1 in D0 nonzero
+                if not isinstance(exc.cause, InsufficientData):
+                    raise
+                err = exc
         if 2 * K > cfg.max_order:
             raise err
         K *= 2

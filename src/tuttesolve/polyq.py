@@ -3,9 +3,7 @@
 A polynomial is a plain list of coefficients, constant term first, with no
 trailing zeros; the zero polynomial is the empty list.  The routines need
 only ``+ - *`` and a falsy zero, so one copy serves int, Fraction and
-``MPoly`` coefficients alike.  ``peval`` also serves :class:`RatFunc`: it
-takes the ring's ``zero`` last, as ``series._mul_trunc`` does, with a
-default that suits int and Fraction.  No polynomial is divided over Q: the
+``MPoly`` coefficients alike.  No polynomial is divided over Q: the
 content, primitive-part, gcd and exact-quotient helpers (``icontent``,
 ``ipp``, ``igcd_poly``, ``idivexact``) need integer division and take int
 lists only.
@@ -63,9 +61,9 @@ def pmul(a: Sequence, b: Sequence) -> list:
     return trim(out)
 
 
-def peval(a: Sequence, x, zero=0):
+def peval(a: Sequence, x):
     """a(x) by Horner's rule."""
-    out = zero
+    out = 0
     for c in reversed(a):
         out = out * x + c
     return out

@@ -188,10 +188,18 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        if d.get("format") != FORMAT_MARKER:
+        """Inverse of ``to_dict``; a malformed document is a ValueError."""
+        if not isinstance(d, dict) or d.get("format") != FORMAT_MARKER:
             raise ValueError("not a tuttesolve report document")
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported report version {d.get('version')!r}")
+        try:
+            return cls._from_fields(d)
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed report document: {exc!r}") from exc
+
+    @classmethod
+    def _from_fields(cls, d: dict) -> "Report":
         prefix = [_frac_parse(v) for v in d["series_prefix"]]
         branch = QSeries(prefix if prefix else [Fraction(0)])
         ode = None

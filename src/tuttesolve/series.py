@@ -390,7 +390,7 @@ def _vanishing_order(P: MPoly, psi: SeriesX | None, g: Sequence[Fraction],
     may be None: with no locs, r = a = 0 and S = 1, so the test runs on g
     alone.
     """
-    locs = psi.locs[:L] if P.degree("psi") else ()
+    locs = psi.locs[:L] if P.degree("psi") > 0 else ()
     g = g[:L]
     r = max((-(-c.e // k) for k, c in enumerate(locs) if k), default=0)
     a = max([0] + [c.e - r * k for k, c in enumerate(locs)])
@@ -442,11 +442,11 @@ class GLift:
     e^2.  Its root v(z) with v(0) = 0 has integer coefficients
     v_k = -[z^k] R(v, z), and [z^k] v^m for m >= 2 reads only v_1, ...,
     v_(k-1).  Then b*g(x) = a + e*v(x/e^2), so g_k = v_k / (b*e^(2k-1)).
-    Each step is O(n*k) integer products, and a longer prefix extends the
-    lift where it stopped.
+    Step k is O(min(n, k)*k) integer products, and a longer prefix extends
+    the lift where it stopped.
     """
 
-    __slots__ = ("D", "D0", "g0", "_e", "_R", "_pows")
+    __slots__ = ("D", "D0", "g0", "_e", "_F", "_R", "_pows")
 
     def __init__(self, D: MPoly, g0: Fraction):
         self.D = D
@@ -454,25 +454,18 @@ class GLift:
         self.g0 = g0
         a, b = g0.numerator, g0.denominator
         n = D0.degree("g")
-        F = {}   # F[j][i] = b^(n-i) * [g^i x^j] D0
+        self._F = F = {}   # F[j][i] = b^(n-i) * [g^i x^j] D0
         for (i, j), c in D0.items(("g", "x")):
             F.setdefault(j, [0] * (n + 1))[i] = c * b ** (n - i)
         low = F.get(0, [0] * (n + 1))
         if sum(c * a ** i for i, c in enumerate(low)):
             raise SelfCheckFailed("D0 does not vanish at (g0, 0)")
-        self._e = e = sum(i * c * a ** (i - 1) for i, c in enumerate(low) if i)
-        # R[(m, j)] = [v^m z^j] G, each e^(m+2j-2) * sum_i F_ij C(i, m) a^(i-m)
-        self._R = {}
-        if e:
-            for j, row in F.items():
-                for m in range(n + 1):
-                    if j or m > 1:
-                        c = sum(row[i] * math.comb(i, m) * a ** (i - m)
-                                for i in range(m, n + 1))
-                        if c:
-                            self._R[(m, j)] = c * e ** (m + 2 * j - 2)
-        # _pows[m] = [z^0..z^k] v^m for m = 0..n; _pows[1] is v itself
-        self._pows = [[1]] + [[0] for _ in range(n)]
+        self._e = sum(i * c * a ** (i - 1) for i, c in enumerate(low) if i)
+        # _R[m] = the terms (j, [v^m z^j] G) and _pows[m] = [z^0..z^k] v^m,
+        # each built once the lift reaches z^m: v has no constant term, so
+        # [z^k] v^m = 0 for m > k.  _pows[1] is v itself
+        self._R: list[list[tuple[int, int]]] = []
+        self._pows = [[1], [0]]
 
     @property
     def simple(self) -> bool:
@@ -486,16 +479,28 @@ class GLift:
 
     def series(self, K: int) -> QSeries:
         """g through x^K, the lift extended as far as needed."""
-        pows, R = self._pows, self._R
+        pows, R, F, e = self._pows, self._R, self._F, self._e
+        a, n = self.g0.numerator, self.D0.degree("g")
         v = pows[1]
         for k in range(len(v), K + 1):
+            while len(R) <= min(n, k):
+                m = len(R)
+                if m > 1:
+                    pows.append([0] * k)
+                R.append([])
+                for j, row in F.items():
+                    # e^(m+2j-2) * sum_i F_ij C(i, m) a^(i-m)
+                    c = sum(row[i] * math.comb(i, m) * a ** (i - m)
+                            for i in range(m, n + 1))
+                    if c and (j or m > 1):
+                        R[m].append((j, c * e ** (m + 2 * j - 2)))
             pows[0].append(0)
             for m in range(2, len(pows)):
                 prev = pows[m - 1]
                 pows[m].append(sum(v[t] * prev[k - t] for t in range(1, k)))
             # R has no v^1 z^0 term, so v_k is not read here
-            v.append(-sum(c * pows[m][k - j]
-                          for (m, j), c in R.items() if j <= k))
-        b, e = self.g0.denominator, self._e
+            v.append(-sum(c * pows[m][k - j] for m, terms in enumerate(R)
+                          for j, c in terms if j <= k))
+        b = self.g0.denominator
         return QSeries([self.g0] + [Fraction(v[k], b * e ** (2 * k - 1))
                                     for k in range(1, K + 1)])

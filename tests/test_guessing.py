@@ -132,8 +132,8 @@ class TestInvariances:
 
 def fraction_table_guess(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
     """The reference guesser: the same search on a Fraction power table of
-    s itself, with the squarefree step and the re-verify.  Returns P or
-    FAIL."""
+    s itself, by the kernel of all rows over Q, with the squarefree step
+    and the re-verify.  Returns P or FAIL."""
     L = len(s)
     pows = _powers(s.coeffs, maxDegF, L, F(1), F(0))
     shapes = ((dF, dX) for dF in range(1, maxDegF + 1)
@@ -142,7 +142,7 @@ def fraction_table_guess(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6
     def column(dF, i, j):
         return [F(0)] * j + pows[i][:L - j]
 
-    for grid in linalg.relations(shapes, column):
+    for grid in _oracle.exact_relations(shapes, column):
         raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
                                             for j, c in enumerate(row)))
         P = _fix_sign(squarefree_primitive(raw, "f"))

@@ -117,6 +117,49 @@ class TestAlgEqToOde:
             algeq_to_ode(sq)
 
 
+class TestOneKernelPerOrder:
+    """Each order of the ODE step takes one kernel, on 1, f, ..., f^(r)
+    when deg_f P >= 2 and on f, ..., f^(r) when P is linear in f."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        calls = []
+        real = linalg.nullspace_field
+
+        def spy(rows):
+            calls.append(len(rows[0]))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "nullspace_field", spy)
+        return calls
+
+    def test_catalan_takes_one_kernel(self, widths):
+        ode = algeq_to_ode(catalan_eq())
+        assert (ode.coeffs, ode.inhom) == ODES["catalan"]
+        assert widths == [3]
+
+    def test_flagship_takes_one_kernel_per_order(self, widths, tutte_p1):
+        ode = algeq_to_ode(tutte_p1)
+        assert ode.coeffs == _frozen.TUTTE_ODE_COEFFS
+        assert ode.inhom == _frozen.TUTTE_ODE_INHOM
+        assert widths == [3, 4, 5]
+
+    def test_linear_p1_stays_homogeneous(self, widths):
+        ode = algeq_to_ode(geom_eq())
+        assert ode.render() == "(-1)*f + (-x + 1)*f' = 0"
+        assert widths == [2]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_root_of_a_rational_function(self, d):
+        # f = (1 - x)^(-1/d): d (1 - x) f' - f = 0, found among 1, f, f'
+        # when d >= 2
+        s = [F(1)]
+        for k in range(24):
+            s.append(s[-1] * (F(1, d) + k) / (k + 1))
+        ode = algeq_to_ode(AlgEq((one - x) * f**d - one, QSeries(s)))
+        assert (ode.coeffs, ode.inhom) == (((-1,), (d, -d)), ())
+
+
 class TestOdeToRec:
     def test_geometric(self):
         rec = ode_to_rec(algeq_to_ode(geom_eq()))
@@ -233,7 +276,7 @@ class TestMinimize:
 
 def fraction_rows_minimize(r: PRec, data: QSeries, maxC: int):
     """The reference minimizer: the same search on rows of the Fraction
-    data themselves."""
+    data themselves, by the kernel of all rows over Q."""
     shapes = ((sp, c - sp) for c in range(maxC + 1) for sp in range(c + 1))
     vals = list(data.coeffs)
 
@@ -241,7 +284,7 @@ def fraction_rows_minimize(r: PRec, data: QSeries, maxC: int):
         return [n ** e * vals[n + t] for n in range(len(vals) - sp)]
 
     roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
-    for qs in linalg.relations(shapes, column):
+    for qs in _oracle.exact_relations(shapes, column):
         roots_c = [u for u in polyq.integer_roots(qs[-1]) if u >= 0]
         Lstar = len(r.initials) + max(roots_c + roots_r + [-1]) + r.order + len(qs) + 7
         ref = r.terms(Lstar)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,8 @@ from tuttesolve import (CoeffTable, MPoly, PipelineConfig, certify,
                         run_pipeline, specialize_y0, unroll)
 from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
                                InvalidBounds, PipelineError,
-                               PoleAtYZero, ResourceCeiling)
+                               PoleAtYZero, ResourceCeiling,
+                               TutteSolveError)
 
 from . import _frozen, _oracle
 
@@ -129,6 +131,40 @@ class TestGoldenRuns:
         assert rep.value.value == want[80]
 
 
+SWEEP_MONOMIALS = [
+    "psi", "g", "x", "y", "psi**2", "x*psi", "x*y", "y*psi", "x*g", "y*g",
+    "x*psi**2", "x*y*psi", "x*g*y", "y**2*psi", "x*psi*g", "1", "x*y*psi**2",
+    "y**2", "psi*g", "x*g**2", "x*y**2*psi**2", "x**2*psi"]
+
+
+def test_sweep_is_proven_right_or_refused_with_a_typed_error(deadline):
+    # 300 equations of 2 to 6 distinct monomials with coefficients in
+    # +-{1, 2, 3}: no run hangs, and none leaves untyped or proven wrong
+    rng = random.Random(20261020)
+    proven = 0
+    for _ in range(300):
+        equation = " + ".join(
+            f"{rng.choice([-3, -2, -1, 1, 2, 3])}*{m}"
+            for m in rng.sample(SWEEP_MONOMIALS, rng.randint(2, 6)))
+        deadline(10)
+        try:
+            rep = run_pipeline(PipelineConfig(equation, guess_order=8,
+                                              max_order=64, eval_at=40))
+        except PipelineError as exc:
+            assert isinstance(exc.cause, TutteSolveError), equation
+            continue
+        finally:
+            deadline(0)
+        want = list(specialize_y0(
+            expand_series(parse_equation(equation), 45)))
+        assert rep.proven, equation
+        assert rep.value.value == want[40], equation
+        assert rep.recurrence.terms(41) == want[:41], equation
+        proven += 1
+    # a sweep that proves nothing would show nothing
+    assert proven >= 40
+
+
 WALKS = {"dyck": (-1, 1), "motzkin": (-1, 0, 1), "luk2": (-1, 2),
          "luk3": (-1, 3), "walk112": (-1, 1, 2), "walk102": (-1, 0, 2),
          "walk-15": (-1, 5), "walk-145": (-1, 4, 5)}
@@ -240,6 +276,15 @@ class TestStageAttribution:
                              eval_at=0)
         with pytest.raises(PipelineError) as e:
             run_pipeline(cfg)
+        assert e.value.stage == "well-posedness"
+        assert isinstance(e.value.cause, AmbiguousBranch)
+
+    def test_root_of_high_degree_in_psi_stops_well_posedness(self, deadline):
+        # the branch search lifts 2*dY + 1 terms of a root of a degree-3000
+        # polynomial; building every power of the lift once took minutes
+        deadline(60)
+        with pytest.raises(PipelineError) as e:
+            run_pipeline(PipelineConfig("y*psi**3000 - y - x*psi + x*g"))
         assert e.value.stage == "well-posedness"
         assert isinstance(e.value.cause, AmbiguousBranch)
 

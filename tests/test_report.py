@@ -75,6 +75,22 @@ class TestStructuredRoundTrip:
         with pytest.raises(ValueError):
             parse_report(json.dumps(bad))
 
+    @pytest.mark.parametrize("breaks", [
+        lambda doc: doc.pop("series_prefix"),
+        lambda doc: doc.update(p1=5),
+        lambda doc: doc.update(p1={"vars": ["q"], "coeffs": [0, 1]}),
+    ], ids=["missing-key", "number-for-polynomial", "unknown-variable"])
+    def test_malformed_document_is_a_value_error(self, breaks):
+        doc = json.loads(render_report(synthetic_report(), "structured"))
+        breaks(doc)
+        with pytest.raises(ValueError, match="malformed report document"):
+            parse_report(json.dumps(doc))
+
+    def test_array_document_is_a_value_error(self):
+        doc = json.loads(render_report(synthetic_report(), "structured"))
+        with pytest.raises(ValueError, match="not a tuttesolve report"):
+            parse_report(json.dumps([doc]))
+
     def test_unknown_render_format(self):
         with pytest.raises(ValueError):
             render_report(synthetic_report(), "yaml")

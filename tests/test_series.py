@@ -349,3 +349,13 @@ def test_lift_is_a_series_root(case, L):
         for k in range(j, L + 1):
             val[k] += c * pows[i][k - j]
     assert not any(val)
+
+
+def test_lift_builds_only_the_powers_it_reads():
+    # v has no constant term, so the lift through z^4 reads v^m for m <= 4
+    # alone, however high deg_g D0 is
+    lift = GLift(g**300 - 1 - x * g, F(1))
+    gs = lift.series(4)
+    assert sum(len(terms) for terms in lift._R) <= 5
+    assert len(lift._pows) <= 5
+    assert gs[1] == F(1, 300) and gs[2] == F(-33, 20000)
