@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (InsufficientData, InvalidElimination, ResourceCeiling,
-                     ResultantVanishes, SelfCheckFailed, ZeroAnnihilator)
+from .errors import (DegenerateKernel, InsufficientData, InvalidElimination,
+                     ResourceCeiling, ResultantVanishes, SelfCheckFailed,
+                     ZeroAnnihilator)
 from .funceq import (FuncEq, WellPosedness, _at_y0, check_well_posed,
                      expand_series, specialize_y0)
 from .guessing import AlgEq
@@ -151,7 +152,7 @@ def lift_g(eq: FuncEq, wp: WellPosedness) -> GLift | None:
     For an equation that passes `funceq.solvable_at_every_order`.  None
     when D cannot be built (ResourceCeiling, ZeroAnnihilator), and the
     expansion route raises the same error at the stage it always has, or
-    when g0 is not a simple root of D0(g, 0).
+    when g0 is not a simple root of D0(g, 0) (DegenerateKernel from GLift).
     """
     g = None
     if wp.mode == "kernel" and eq.Q.degree("psi") > 1:
@@ -161,8 +162,10 @@ def lift_g(eq: FuncEq, wp: WellPosedness) -> GLift | None:
         D = _annihilator(eq.Q, wp.mode, g)
     except (ResourceCeiling, ZeroAnnihilator):
         return None
-    lift = GLift(D, wp.gamma0)
-    return lift if lift.simple else None
+    try:
+        return GLift(D, wp.gamma0)
+    except DegenerateKernel:
+        return None
 
 
 def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
@@ -207,10 +210,7 @@ def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
         C, k = q, k + 1
     if not k:
         return Certificate(D, 0, K + 1, "refuted")
-    # m is almost always 0: that alone is tried first
-    m = _vanishing_order(C, None, g, 1)
-    if m is None and K:
-        m = _vanishing_order(C, None, g, K + 1)
+    m = _vanishing_order(C, None, g, K + 1)
     if m is None:
         raise InsufficientData(
             f"the cofactor of p1 in D0 vanishes on g through order {K}")

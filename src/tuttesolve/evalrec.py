@@ -104,7 +104,7 @@ def unroll(rec, G: int) -> SequenceValue:
     if G < 0:
         raise InvalidIndex(f"sequence index must be nonnegative, got {G}")
     s = rec.order
-    head = s + rec._last_singular() + 1
+    head = rec.initials_needed(rec.coeffs)
     if G < head:
         return SequenceValue(G, rec.terms(G + 1)[G])
     T = [t for t, q in enumerate(rec.coeffs) if q]

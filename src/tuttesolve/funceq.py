@@ -121,8 +121,6 @@ def _ratfunc_roots(A: MPoly) -> list[RatFunc]:
     from .mpoly import squarefree_primitive
     S = squarefree_primitive(A, "psi")
     dC, dY = S.degree("psi"), S.degree("y")
-    if dC < 1:
-        return []
     for a in itertools.chain([0], (s * v for v in range(1, 200) for s in (1, -1))):
         spec = [c.constant_value()
                 for c in S.subs_int({"y": a}).as_univariate("psi")]

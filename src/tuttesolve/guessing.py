@@ -90,15 +90,10 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
         scale = d ** (dF - i)
         return [0] * j + [c * scale for c in pows[i][:L - j]]
 
-    # the verdict on a raw candidate rests on it and on pows alone, so a
-    # candidate that comes again from a later shape is rejected again
-    rejected: set[MPoly] = set()
     # f^0 columns are unit vectors, so every candidate involves f
     for grid in linalg.relations(shapes, column):
         raw = MPoly.from_items(("f", "x"), (((i, j), c) for i, row in enumerate(grid)
                                             for j, c in enumerate(row)))
-        if raw in rejected:
-            continue
         P = _fix_sign(squarefree_primitive(raw, "f"))
         # squarefree reduction can weaken a truncated fit; re-verify on
         # the power table, which covers P: a factor of the candidate has
@@ -109,5 +104,4 @@ def guess_algeq(s: QSeries, maxDegF: int, maxDegX: int, margin: int = 6):
         if not any(sum(c * pows[i][m - j] for i, j, c in terms if j <= m)
                    for m in range(L)):
             return AlgEq(P, s)
-        rejected.add(raw)
     return FAIL

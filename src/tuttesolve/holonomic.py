@@ -82,7 +82,7 @@ class PRec:
             raise ValueError("leading recurrence coefficient must be nonzero")
         self.coeffs = tuple(tuple(q) for q in cs)
         self.initials = tuple(Fraction(v) for v in initials)
-        need = self.order + self._last_singular() + 1
+        need = self.initials_needed(self.coeffs)
         if len(self.initials) < need:
             raise ValueError(
                 f"need at least {need} initial values to cover singular indices")
@@ -99,9 +99,13 @@ class PRec:
     def complexity(self) -> int:
         return self.order + self.degree
 
-    def _last_singular(self) -> int:
-        roots = [r for r in polyq.integer_roots(list(self.coeffs[-1])) if r >= 0]
-        return max(roots) if roots else -1
+    @staticmethod
+    def initials_needed(coeffs: Sequence[Sequence[int]]) -> int:
+        """How many initial values the recurrence q_0..q_s needs: its order
+        s, plus one past the last nonnegative integer root of q_s, where
+        a(n+s) is not determined by the terms before it."""
+        roots = [r for r in polyq.integer_roots(list(coeffs[-1])) if r >= 0]
+        return len(coeffs) + max(roots, default=-1)
 
     def render(self) -> str:
         parts = []
@@ -291,9 +295,7 @@ def ode_to_rec(L: LinODE) -> PRec:
         if val:
             qi = [polyq.pmul(q, [-nu, 1]) if q else [] for q in qi]
 
-    lead = qi[-1]
-    roots = [r for r in polyq.integer_roots(list(lead)) if r >= 0]
-    need = order + (max(roots) if roots else -1) + 1
+    need = PRec.initials_needed(qi)
     if len(s) < need:
         raise InsufficientData("witness too short for the required initial values")
     rec = PRec(qi, s.coeffs[:need])
@@ -328,18 +330,18 @@ def minimize_rec(r: PRec, data: QSeries, maxC: int):
     def column(sp: int, t: int, e: int) -> list[int]:
         return [n ** e * data_vals[n + t] for n in range(len(data_vals) - sp)]
 
-    roots_r = [u for u in polyq.integer_roots(list(r.coeffs[-1])) if u >= 0]
+    last_r = PRec.initials_needed(r.coeffs) - len(r.coeffs)
     # relations leaves qs[-1][-1] positive: the leading polynomial needs
     # no sign fix
     for qs in linalg.relations(shapes(), column):
-        roots_c = [u for u in polyq.integer_roots(qs[-1]) if u >= 0]
-        big = max(roots_c + roots_r + [-1])
+        need_c = PRec.initials_needed(qs)
+        # the last singular index of either recurrence, or -1
+        big = max(need_c - len(qs), last_r)
         Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
         if len(data_vals) < Lstar:
             raise InsufficientData(
                 f"need {Lstar} certified terms to certify the candidate")
         ref = r.terms(Lstar)
-        need_c = (len(qs) - 1) + (max(roots_c) if roots_c else -1) + 1
         cand = PRec(qs, ref[:need_c])
         if cand.terms(Lstar) == ref:
             return cand

@@ -75,18 +75,16 @@ def _new(terms: dict[int, int]) -> "MPoly":
     """Wrap a dict with no zero coefficient, without copying it."""
     out = MPoly.__new__(MPoly)
     out.terms = terms
-    out._hash = None
     return out
 
 
 class MPoly:
     """Immutable sparse polynomial; ``terms`` maps packed monomials to ints."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
         self.terms = {m: c for m, c in terms.items() if c} if terms else {}
-        self._hash = None
 
     # --- constructors ---
 
@@ -217,9 +215,7 @@ class MPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     # --- structure ---
 
@@ -402,15 +398,6 @@ def _p_try_divexact(a: dict, d: dict) -> dict | None:
     A quotient monomial is ``(m | _GUARD) - dm``: each field of m is at
     least its field of dm exactly when that field's guard bit survives.
     """
-    if len(d) == 1:
-        (dm, dc), = d.items()
-        q = {}
-        for m, c in a.items():
-            t = (m | _GUARD) - dm
-            if c % dc or t & _GUARD != _GUARD:
-                return None
-            q[t ^ _GUARD] = c // dc
-        return q
     a = dict(a)
     dl = max(d)
     dc = d[dl]
@@ -489,10 +476,10 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
 
     With deg A >= deg B (else swapped), one pseudo-remainder
     R = lc(B)^(dA-dB+1) * A mod B gives Res(B, A) = lc(B)^e * Res(B, R),
-    e = dA - dR - (dA-dB+1)*dB <= 0.  Res(B, R) is R^dB for a constant R,
-    and otherwise comes from the dB-square norm matrix of R modulo B: row 0
-    is R, row i is v times row i-1, reduced by one pseudo-remainder step
-    once it reaches degree dB.  Its determinant is
+    e = dA - dR - (dA-dB+1)*dB <= 0.  Res(B, R) comes from the dB-square
+    norm matrix of R modulo B: row 0 is R, row i is v times row i-1,
+    reduced by one pseudo-remainder step once it reaches degree dB (for a
+    constant R the matrix is diagonal).  Its determinant is
     lc(B)^(dR(dR+1)/2) * N(R), where N(R) is the product of R over the
     roots of B, and Res(B, R) = lc(B)^dR * N(R), so one exact division by
     lc(B)^(dR(dR-1)/2 - e) gives Res(B, A).  The determinant is sign
@@ -516,22 +503,19 @@ def resultant(A: MPoly, B: MPoly, v: str) -> MPoly:
         return MPoly.zero()
     dR = len(r) - 1
     k = dR * (dR - 1) // 2 - (dA - dR - (dA - dB + 1) * dB)
-    if dR == 0:
-        res = _p_pow(r[0], dB)
-    else:
-        rows = [r + [{}] * (dB - 1 - dR)]
-        for i in range(1, dB):
-            # v times the last row; from row dB - dR on it reaches degree
-            # dB, and a pseudo-remainder step scales it by lc(B) once
-            row = [{}] + rows[-1]
-            row = _p_prem(row, b) if i >= dB - dR else row[:-1]
-            rows.append(row + [{}] * (dB - len(row)))
-        from .linalg import _eliminate  # here: linalg imports this module
-        M = [list(map(_new, row)) for row in rows]
-        piv, sign = _eliminate(M, MPoly.divexact)
-        if len(piv) < dB:
-            return MPoly.zero()
-        res, neg = M[-1][-1].terms, neg ^ (sign < 0)
+    rows = [r + [{}] * (dB - 1 - dR)]
+    for i in range(1, dB):
+        # v times the last row; from row dB - dR on it reaches degree
+        # dB, and a pseudo-remainder step scales it by lc(B) once
+        row = [{}] + rows[-1]
+        row = _p_prem(row, b) if i >= dB - dR else row[:-1]
+        rows.append(row + [{}] * (dB - len(row)))
+    from .linalg import _eliminate  # here: linalg imports this module
+    M = [list(map(_new, row)) for row in rows]
+    piv, sign = _eliminate(M, MPoly.divexact)
+    if len(piv) < dB:
+        return MPoly.zero()
+    res, neg = M[-1][-1].terms, neg ^ (sign < 0)
     if k:
         res = _p_divexact(res, _p_pow(b[-1], k))
     return _new({m: -c for m, c in res.items()} if neg else res)
@@ -648,8 +632,6 @@ def squarefree_primitive(A: MPoly, v: str) -> MPoly:
     if low:
         A = _new({m - low: c for m, c in A.terms.items()})
     d = A.degree(v)
-    if d == 0:
-        return MPoly.var(v) if vval else MPoly.const(1)
     coeffs = A.as_univariate(v)
     cont = _coeff_gcd(coeffs)
     if cont != 1:

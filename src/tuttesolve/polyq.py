@@ -46,17 +46,10 @@ def padd(a: Sequence, b: Sequence) -> list:
 
 
 def pmul(a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
-    # skip b's low zeros (localized numerators often carry a power of y)
-    vb = 0
-    while vb < len(b) and not b[vb]:
-        vb += 1
-    bs = b[vb:]
-    for i, ca in enumerate(a, vb):
+    for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(bs, i):
+            for j, cb in enumerate(b, i):
                 out[j] += ca * cb
     return trim(out)
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import polyq
-from .errors import PoleAtYZero, SelfCheckFailed
+from .errors import DegenerateKernel, PoleAtYZero, SelfCheckFailed
 from .mpoly import MPoly
 from .polyq import RatFunc
 
@@ -436,7 +436,8 @@ class GLift:
     roots of D.  When g0 is a simple root of D0(g, 0), g is the one
     series root of D0 with g(0) = g0, and its coefficients follow from D0
     by an integer lift.  With g0 = a/b, n = deg_g D0 and F(u, x) = b^n *
-    D0(u/b, x), e = F_u(a, 0) is a nonzero integer, and
+    D0(u/b, x), e = F_u(a, 0) is a nonzero integer (else DegenerateKernel:
+    step k solves e*v_k = -N_k, which has no unique solution), and
     G(v, z) = F(a + e*v, e^2*z) / e^2 is an integer polynomial v + R(v, z)
     with R free of the monomials 1 and v: every other term keeps a factor
     e^2.  Its root v(z) with v(0) = 0 has integer coefficients
@@ -461,16 +462,13 @@ class GLift:
         if sum(c * a ** i for i, c in enumerate(low)):
             raise SelfCheckFailed("D0 does not vanish at (g0, 0)")
         self._e = sum(i * c * a ** (i - 1) for i, c in enumerate(low) if i)
+        if not self._e:
+            raise DegenerateKernel("g0 is not a simple root of D0(g, 0)")
         # _R[m] = the terms (j, [v^m z^j] G) and _pows[m] = [z^0..z^k] v^m,
         # each built once the lift reaches z^m: v has no constant term, so
         # [z^k] v^m = 0 for m > k.  _pows[1] is v itself
         self._R: list[list[tuple[int, int]]] = []
         self._pows = [[1], [0]]
-
-    @property
-    def simple(self) -> bool:
-        """D0_g(g0, 0) != 0: the lift applies."""
-        return self._e != 0
 
     @property
     def order(self) -> int:

@@ -14,10 +14,10 @@ from tuttesolve import (AlgEq, MPoly, PipelineConfig, QSeries, SeriesX,
                         certify, check_well_posed, eliminate_g, expand_series,
                         guess_algeq, parse_equation, run_pipeline,
                         specialize_y0)
-from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
-                               InvalidElimination, ResourceCeiling,
-                               ResultantVanishes, SelfCheckFailed,
-                               ZeroAnnihilator)
+from tuttesolve.errors import (AmbiguousBranch, DegenerateKernel,
+                               InsufficientData, InvalidElimination,
+                               ResourceCeiling, ResultantVanishes,
+                               SelfCheckFailed, ZeroAnnihilator)
 from tuttesolve.certify import lift_g
 from tuttesolve.funceq import solvable_at_every_order
 from tuttesolve.mpoly import resultant, squarefree_primitive
@@ -332,8 +332,9 @@ class TestLift:
         # Dyck's g0 = 1 is a simple root of D0(g, 0); times (g - 1) it is a
         # double one, and the lift does not apply
         eq, wp, lift = lifted(CORPUS["dyck"])
-        assert lift.simple and wp.gamma0 == 1
-        assert not GLift(lift.D * (g - 1), wp.gamma0).simple
+        assert wp.gamma0 == 1
+        with pytest.raises(DegenerateKernel):
+            GLift(lift.D * (g - 1), wp.gamma0)
 
     def test_annihilator_that_misses_g0_is_a_self_check_failure(self):
         eq, wp, lift = lifted(CORPUS["dyck"])

@@ -89,10 +89,6 @@ def precs(draw):
     return PRec(rest + [lead], initials)
 
 
-def _head(rec) -> int:
-    return rec.order + rec._last_singular() + 1
-
-
 def _block_edges(block: int, blocks: int):
     """Offsets from head at which the leaf count (G - head + 2) is one
     below, at or one above a multiple of the block."""
@@ -106,7 +102,7 @@ class TestBinarySplitting:
     def test_agrees_with_iteration(self, rec, block, k, d):
         # blocks of a few leaves put G past several of them at a small
         # reference cost; the index sits next to a block edge
-        G = max(0, _head(rec) + k * block + d)
+        G = max(0, PRec.initials_needed(rec.coeffs) + k * block + d)
         with mock.patch.object(evalrec, "_BLOCK", block):
             assert unroll(rec, G).value == rec.terms(G + 1)[G]
 
@@ -117,7 +113,7 @@ class TestBinarySplitting:
         with mock.patch.object(evalrec, "_BLOCK", block):
             for off in _block_edges(block, 5 if block < 5 else 2):
                 for rec, want in pairs:
-                    G = max(0, _head(rec) + off)
+                    G = max(0, PRec.initials_needed(rec.coeffs) + off)
                     assert unroll(rec, G).value == want(G)
 
     @pytest.mark.parametrize("block", [1, 3, evalrec._BLOCK])
@@ -230,7 +226,7 @@ class TestStride:
     def test_lacunary_agrees_with_iteration(self, rec, block, k):
         # four consecutive indices meet every residue class of a period
         # up to 4, both at the head and past k blocks of the strided steps
-        head = _head(rec)
+        head = PRec.initials_needed(rec.coeffs)
         far = head + 4 * k * block
         terms = rec.terms(far + 4)
         with mock.patch.object(evalrec, "_BLOCK", block):

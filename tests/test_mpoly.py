@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tuttesolve import (MPoly, expand_series, guess_algeq, parse_equation,
@@ -238,6 +238,10 @@ def elimination_pairs(draw):
 
 class TestResultant:
     @given(elimination_pairs())
+    # deg_f B = 2 and a constant pseudo-remainder 3*(x + 2)^2: a diagonal
+    # norm matrix
+    @example(((((x + 2) * f ** 2 + y * f + 1) * (f + 1) + 3,
+               (x + 2) * f ** 2 + y * f + 1)))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_the_sylvester_determinant(self, pair):
         a, b = pair
@@ -380,6 +384,11 @@ class TestSquarefreePrimitive:
     def test_drops_variable_free_content(self):
         p = 6 * x ** 2 * (f - 1) ** 2
         assert squarefree_primitive(p, "f").normalized() == (f - 1).normalized()
+
+    @pytest.mark.parametrize("p, want", [
+        (6 * psi ** 2 * x, psi), (-6 * psi ** 2 * x, psi), (x + y, 1)])
+    def test_monomial_in_v(self, p, want):
+        assert squarefree_primitive(p, "psi") == want
 
     def test_squarefree_input_unchanged_up_to_normalization(self):
         p = f ** 2 - x

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tuttesolve import (MPoly, QSeries, SeriesX, check_well_posed,
                         expand_series, parse_equation, specialize_y0)
-from tuttesolve.errors import PoleAtYZero
+from tuttesolve.errors import DegenerateKernel, PoleAtYZero
 from tuttesolve.funceq import _Expander
 from tuttesolve.polyq import RATFUNC_ONE, RATFUNC_ZERO, RatFunc
 from tuttesolve.series import GLift, _subs, _vanishing_order
@@ -334,9 +334,7 @@ def simple_roots(draw):
 @settings(max_examples=80, deadline=None)
 def test_lift_is_a_series_root(case, L):
     P, u0 = case
-    lift = GLift(P, u0)
-    assert lift.simple
-    gs = lift.series(L).coeffs
+    gs = GLift(P, u0).series(L).coeffs
     assert len(gs) == L + 1 and gs[0] == u0
     # P(g(x), x) through x^L over Fraction, from truncated powers of g
     pows = [[F(1)] + [F(0)] * L]
@@ -349,6 +347,12 @@ def test_lift_is_a_series_root(case, L):
         for k in range(j, L + 1):
             val[k] += c * pows[i][k - j]
     assert not any(val)
+
+
+def test_lift_of_a_multiple_root_is_a_typed_error():
+    # e = D0_g(g0, 0) = 0: each order's solve e*v_k = -N_k is degenerate
+    with pytest.raises(DegenerateKernel):
+        GLift((g - 1)**2 - x, F(1)).series(2)
 
 
 def test_lift_builds_only_the_powers_it_reads():
