@@ -1,13 +1,23 @@
 """Exact unrolling of P-recurrences.
 
 `PRec.terms` iterates term by term with `Fraction`s, because its callers
-need every term.  `unroll` needs one far-out term: past the last singular
-index it multiplies integer companion matrices in a product tree (binary
-splitting), block by block, and sheds common content at every product.
-A lacunary recurrence, whose nonzero coefficients sit a multiple of a
-period d apart (walks whose steps share a period give these), is stepped
-by d along the residue class of the index, with companion matrices of
-order s/d.
+need every term.  `unroll` needs one far-out term, and past the last
+singular index it takes one of two routes.  A lacunary recurrence, whose
+nonzero coefficients sit a multiple of a period d apart (walks whose steps
+share a period give these), is first stepped by d along the residue class
+of the index; its order s becomes S = s/d.
+
+- The product route, for S = 1 when the ratio b_(j+1)/b_j, reduced, is an
+  integer content times linear factors over Q (a hypergeometric term:
+  Catalan, Tutte's maps and triangulations, the Dyck and Lukasiewicz
+  walks).  The value is a signed product of prime powers, each exponent a
+  count along arithmetic progressions, as for factorials (P. Borwein, J.
+  Algorithms 6, 1985): no gcd and no division of large integers build
+  it, though a value that is not an integer meets one gcd in `Fraction`.
+- Binary splitting otherwise (S >= 2, a factor of degree 2 or more such as
+  n^2 + 1's, or values too far above the step count): integer companion
+  matrices are multiplied in a product tree, block by block, shedding
+  common content at every product.
 """
 
 from __future__ import annotations
@@ -15,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import compress
+from math import gcd, isqrt, lcm
 from operator import floordiv, mul
 
 from . import polyq
@@ -23,6 +34,10 @@ from .errors import InvalidIndex
 
 #: Leaves folded at once into one stack node; it bounds the peak memory.
 _BLOCK = 512
+#: The product route counts over every prime up to the largest value V of
+#: a linear factor, binary splitting over the n steps; past V = 32 (n + 32)
+#: the primes cost more.
+_SPREAD = 32
 
 
 @dataclass(frozen=True)
@@ -75,6 +90,101 @@ def _fold(E: list[list[int]], D: list[int], s: int):
     return E, D
 
 
+def _primes(n: int) -> list[int]:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _product(xs: list[int]) -> int:
+    """Product of xs by a balanced tree."""
+    while len(xs) > 1:
+        xs = [*map(mul, xs[::2], xs[1::2]), *xs[len(xs) & ~1:]]
+    return xs[0] if xs else 1
+
+
+def _linear_factors(q: list[int]):
+    """q as (content, [(a, b, m), ...]) with q = content * prod (a*j + b)^m,
+    a > 0 and gcd(a, b) = 1; None if q has a factor irreducible over Q of
+    degree 2 or more."""
+    fs = []
+    for r in polyq.rational_roots(q):
+        m = 0
+        while not polyq.peval(q, r):
+            q, m = polyq.idivexact(q, [-r.numerator, r.denominator]), m + 1
+        fs.append((r.denominator, -r.numerator, m))
+    return (q[0], fs) if len(q) == 1 else None
+
+
+def _hypergeometric(p0: list[int], p1: list[int], lo: int, J: int,
+                    start: Fraction):
+    """b_J for b_(j+1) = -p0(j)/p1(j) * b_j and b_lo = start, where p1 has
+    no root at j >= lo; None unless p0/p1, reduced, is a content times
+    linear factors over Q with values below `_SPREAD` (n + `_SPREAD`).
+
+    Over the n = J - lo steps, a factor a*j + b runs through an arithmetic
+    progression, negative below its root and positive above.  The exponent
+    of a prime p in the product of the |values| is the sum over k of the
+    multiples m*i of m = p^k among them, those with i = c (mod a) for one c
+    read from m mod a; p | a divides no value, as gcd(a, b) = 1.  A content
+    adds n * v_p(content) for each p up to the largest value, and what is
+    left of it is raised to the n-th power whole.  The gcd in Z[j] leaves
+    the contents coprime, so numerator and denominator come out coprime.
+    """
+    g = polyq.igcd_poly(p0, p1)
+    num, den = (_linear_factors(polyq.idivexact(p, g)) for p in (p0, p1))
+    if num is None or den is None:
+        return None
+    (c0, fnum), (c1, fden) = num, den
+    n = J - lo
+    # the count of negative factors: the step's -1 and the contents first
+    neg = n * ((c0 < 0) + (c1 < 0) + 1)
+    runs = []  # (a, r, L, H, w): the values in [L, H] that are r mod a
+    for a, b, w in [*fnum, *((a, b, -m) for a, b, m in fden)]:
+        if w > 0 and b % a == 0 and lo <= -b // a < J:
+            return Fraction(0)
+        top = min(J, -(b // a))  # a*j + b < 0 for j < top
+        bot = max(lo, -b // a + 1)  # a*j + b > 0 for j >= bot
+        if top > lo:
+            neg += w * (top - lo)
+            runs.append((a, -b % a, -(a * (top - 1) + b), -(a * lo + b), w))
+        if bot < J:
+            runs.append((a, b % a, a * bot + b, a * (J - 1) + b, w))
+    V = max((H for *_, H, _ in runs), default=1)
+    if V > _SPREAD * (n + _SPREAD):
+        return None
+    ps = _primes(V)
+    exps = [0] * len(ps)
+    for a, r, L, H, w in runs:
+        # c[t] with c[t] * t = r (mod a), for t = p^k mod a prime to a
+        c = [r * pow(t, -1, a) % a if gcd(t, a) == 1 else -1
+             for t in range(a)]
+        for i, p in enumerate(ps):
+            if p > H:
+                break
+            m = p
+            while m <= H:
+                if (ct := c[m % a]) >= 0:
+                    exps[i] += w * ((H // m - ct) // a
+                                    - ((L - 1) // m - ct) // a)
+                m *= p
+    parts = [abs(c0), abs(c1)]
+    for i, w in ((0, n), (1, -n)):
+        for j, p in enumerate(ps):
+            if parts[i] < p:
+                break
+            while not parts[i] % p:
+                parts[i] //= p
+                exps[j] += w
+    P = _product([p**e for p, e in zip(ps, exps) if e > 0]) * parts[0]**n
+    Q = _product([p**-e for p, e in zip(ps, exps) if e < 0]) * parts[1]**n
+    return Fraction((-1)**(neg % 2) * start.numerator * P,
+                    start.denominator * Q)
+
+
 def _stretch(q, c: int, d: int) -> list[int]:
     """Coefficients of q(c + d*j) as a polynomial in j."""
     return [x * d**i for i, x in enumerate(polyq.pshift(q, c))]
@@ -92,7 +202,9 @@ def unroll(rec, G: int) -> SequenceValue:
     of order S = (s - t0)/d.  Each row that makes a b at or past head has
     q_s != 0 there, so b is fixed by its values below head.
 
-    A step j -> j+1 of b is the integer companion matrix C(j), with p_S(j)
+    At S = 1, `_hypergeometric` gives b_J from b_lo, the last value of b
+    below head, when the ratio -p_0/p_1 splits.  Otherwise a step j -> j+1
+    of b is the integer companion matrix C(j), with p_S(j)
     on the superdiagonal and -p_0(j) .. -p_(S-1)(j) in its last row, over
     p_S(j).  The leaves, first to last, are the start matrix (first column
     b_lo .. b_(lo+S-1), the last S values of b below head, over their
@@ -116,13 +228,17 @@ def unroll(rec, G: int) -> SequenceValue:
     i0 = t0 + (G - t0) % d
     v = rec.terms(head)[i0::d]
     lo = len(v) - S
-    v = v[lo:]
+    v, J = v[lo:], (G - i0) // d
+    *rest, lead = (_stretch(rec.coeffs[t], i0 - t0, d)
+                   for t in range(t0, s + 1, d))
+    if S == 1:
+        value = _hypergeometric(rest[0], lead, lo, J, v[0])
+        if value is not None:
+            return SequenceValue(G, value)
     scale = lcm(*(x.denominator for x in v))
     start = [0] * (S * S)
     start[::S] = [x.numerator * (scale // x.denominator) for x in v]
-    *rest, lead = (_stretch(rec.coeffs[t], i0 - t0, d)
-                   for t in range(t0, s + 1, d))
-    n = (G - i0) // d - lo - S + 2  # leaf j >= 1 is C(lo + j - 1)
+    n = J - lo - S + 2  # leaf j >= 1 is C(lo + j - 1)
     stack = []  # (size, node): a node of size 2^i holds 2^i blocks
     for j in range(0, n, _BLOCK):
         ks = range(lo + max(j, 1) - 1, lo + min(j + _BLOCK, n) - 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -63,6 +63,9 @@ MOTZKIN = PRec(((-3, -3), (-5, -2), (4, 1)), (F(1), F(1)))
 # every index
 NEG_CATALAN = PRec(((2, 4), (-2, -1)), (F(1),))
 NEG_MOTZKIN = PRec(((3, 3), (5, 2), (-4, -1)), (F(1), F(1)))
+# a(n) = n^2 + 1: (n^2 + 1) a(n+1) = ((n+1)^2 + 1) a(n), a ratio of
+# quadratics irreducible over Q, so order 1 that binary splitting unrolls
+SQUARES = PRec(((-2, -2, -1), (1, 0, 1)), (F(1),))
 
 coeff_polys = st.lists(st.integers(-5, 5), max_size=4)
 
@@ -109,7 +112,8 @@ class TestBinarySplitting:
     @pytest.mark.parametrize("block", [1, 2, 3, 4, evalrec._BLOCK])
     def test_block_edges_against_oracles(self, block):
         pairs = [(CATALAN, _oracle.catalan), (NEG_CATALAN, _oracle.catalan),
-                 (MOTZKIN, _oracle.motzkin), (NEG_MOTZKIN, _oracle.motzkin)]
+                 (MOTZKIN, _oracle.motzkin), (NEG_MOTZKIN, _oracle.motzkin),
+                 (SQUARES, lambda n: n * n + 1)]
         with mock.patch.object(evalrec, "_BLOCK", block):
             for off in _block_edges(block, 5 if block < 5 else 2):
                 for rec, want in pairs:
@@ -287,3 +291,94 @@ class TestSequenceValue:
 
     def test_thousandth_entry_digit_count(self):
         assert SequenceValue(1000, _oracle.counting_term(1000)).digits == 969
+
+
+linear = st.tuples(st.integers(1, 4), st.integers(-12, 12)).filter(
+    lambda f: gcd(*f) == 1)
+
+
+@st.composite
+def hypergeometric_precs(draw):
+    """q_0 and q_d, for a period d in 1-3, each a content of either sign
+    times 0-3 primitive linear factors a*n + b; rational initials."""
+    d = draw(st.integers(1, 3))
+    q0, qd = ([draw(st.integers(-6, 6).filter(bool))] for _ in range(2))
+    for q in (q0, qd):
+        for a, b in draw(st.lists(linear, max_size=3)):
+            q[:] = _oracle.poly_mul_int(q, [b, a])
+    coeffs = [q0, *[[]] * (d - 1), qd]
+    count = PRec.initials_needed(coeffs)
+    initials = draw(st.lists(st.fractions(min_value=-20, max_value=20,
+                                          max_denominator=9),
+                             min_size=count, max_size=count))
+    return PRec(coeffs, initials)
+
+
+def _spy_fold():
+    return mock.patch.object(evalrec, "_fold", wraps=evalrec._fold)
+
+
+class TestProductRoute:
+    @given(hypergeometric_precs(), st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_iteration(self, rec, k):
+        G = PRec.initials_needed(rec.coeffs) + k
+        with _spy_fold() as fold:
+            got = unroll(rec, G).value
+        assert got == rec.terms(G + 1)[G]
+        fold.assert_not_called()
+
+    @pytest.mark.parametrize("rec", [
+        # (n+1) a(n+1) = (50-n) a(n): zero from index 51 on
+        PRec(((-50, 1), (1, 1)), (F(3, 7),)),
+        # (2n-21) a(n+1) = (n+3) a(n): the lead is negative up to n = 10
+        PRec(((-3, -1), (-21, 2)), (F(1),)),
+        # -4(n+2) a(n+1) = 6(2n+1)(3n-5) a(n): both contents negative
+        PRec((tuple(_oracle.poly_mul_int([-6, -12], [-5, 3])), (-8, -4)),
+             (F(-2, 3),)),
+        # -4(n+2) a(n+2) = 12(n-5) a(n): period 2, a(7) = 0 and every odd
+        # index past it
+        PRec(((60, -12), (), (-8, -4)), (F(1), F(5))),
+        # (n+2) a(n+1) = 1009 (n+1) a(n): a content prime above the values
+        # up to index 1007
+        PRec(((-1009, -1009), (2, 1)), (F(1),)),
+    ], ids=["numerator-root", "negative-lead", "negative-contents",
+            "strided-root", "content-prime"])
+    def test_edge_cases_agree_with_iteration(self, rec):
+        Gs = [*range(60), 999, 1000, 1001, 2000]
+        terms = rec.terms(max(Gs) + 1)
+        with _spy_fold() as fold:
+            assert [unroll(rec, G).value for G in Gs] == [terms[G]
+                                                         for G in Gs]
+        fold.assert_not_called()
+
+    def test_memory_stays_small_far_out(self):
+        # near 2 MB: the sieve to 200,000, the exponents, two product trees
+        tracemalloc.start()
+        try:
+            unroll(CATALAN, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("G", [1000, 30000])
+    def test_golden_recurrence_far_out(self, G):
+        assert unroll(TUTTE, G).value == _oracle.counting_term(G)
+
+    @pytest.mark.parametrize("name, product", [
+        *((name, True) for name in ("catalan", "maps", "dyck", "luk2",
+                                    "luk3", "tutte")),
+        *((name, False) for name in ("motzkin", "walk112", "walk102",
+                                     "squares", "spread")),
+    ])
+    def test_route(self, name, product):
+        # spread: (4096 n + 2) a(n+1) = (4096 n + 1) a(n), whose values are
+        # 4,096 times its step count, above evalrec._SPREAD times it
+        spread = PRec(((-1, -4096), (2, 4096)), (F(1),))
+        rec = {**CORPUS_RECS, "tutte": TUTTE, "squares": SQUARES,
+               "spread": spread}[name]
+        with _spy_fold() as fold:
+            got = unroll(rec, 1000).value
+        assert fold.called is not product
+        assert got == rec.terms(1001)[1000]
