@@ -180,7 +180,8 @@ def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
     p1(g)^k * C(g) = 0 in the integral domain Q[[x]] leaves p1(g) = 0.
     [x^m] C(g) reads only g through x^m, so the witness's prefix decides
     it.  On a lifted g, m = 0: p1 fits g0, and D0_g(g0, 0) != 0 then
-    forces k = 1 and C(g0, 0) != 0.  An expansion is first checked
+    forces k = 1 and C(g0, 0) != 0, so only order 0 is read there, and a
+    zero at it raises SelfCheckFailed.  An expansion is first checked
     against Q through order K, which ties it to the unique series
     solution; a C(g) that vanishes through K raises InsufficientData.
 
@@ -210,6 +211,10 @@ def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
         C, k = q, k + 1
     if not k:
         return Certificate(D, 0, K + 1, "refuted")
+    if isinstance(witness, GLift):
+        if _vanishing_order(C, None, g, 1) is None:
+            raise SelfCheckFailed("the cofactor of p1 in D0 vanishes at g0")
+        return Certificate(D, 0, K, "proven")
     m = _vanishing_order(C, None, g, K + 1)
     if m is None:
         raise InsufficientData(

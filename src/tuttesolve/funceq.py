@@ -78,8 +78,11 @@ class WellPosedness:
     c0: RatFunc
     kernelA: RatFunc
     kernelB: RatFunc
-    kernelValuation: int
     mode: str
+
+    @property
+    def kernelValuation(self) -> int:
+        return int(self.mode == "kernel")
 
     @property
     def gamma0(self) -> Fraction:
@@ -217,7 +220,7 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
             raise DegenerateKernel(
                 "solvability function A+B vanishes to order >= 2 at y=0")
         mode = "kernel"
-    return WellPosedness(c0, A, B, 0 if mode == "direct" else 1, mode)
+    return WellPosedness(c0, A, B, mode)
 
 
 # --- series expansion ------------------------------------------------------

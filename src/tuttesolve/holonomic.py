@@ -7,7 +7,9 @@ a pseudo-remainder, and the lowest-order linear dependence among 1, f, f',
 from one fraction-free kernel (``linalg.nullspace_field``) per order.
 The recurrence step is the classical coefficient extraction x^j f^(i)
 |-> falling-factorial shift, with an explicit validity repair at small
-indices checked against the witness series.
+indices checked against the witness series.  Minimization searches the
+proven recurrence's own terms for a smaller one and certifies each
+candidate against it, so it needs no data from outside.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class PRec:
                 v = self.initials[n]
             else:
                 acc = -sum(polyq.peval(q, k) * out[k + t] for t, q in coeffs)
-                v, rem = divmod(acc, lv) if exact else (acc / lv, 0)
+                v, rem = divmod(acc, lv) if exact else (Fraction(acc, lv), 0)
                 if rem:
                     v = Fraction(acc, lv)
             if exact:
@@ -305,43 +307,42 @@ def ode_to_rec(L: LinODE) -> PRec:
     return rec
 
 
-def minimize_rec(r: PRec, data: QSeries, maxC: int):
+def minimize_rec(r: PRec, maxC: int):
     """Smallest certified recurrence with order+degree <= maxC, or ABSENT.
 
-    Shapes are tried by order+degree, then by order, order 0 included;
-    within a shape, `linalg.relations` orders the candidates.  The shapes
-    of one order are a family: the same rows n, one column n^e * a(n+t)
-    per (t, e).  The columns are integer: the data are put over one common
-    denominator, which scales each row and leaves the kernel as it is.
-    Certification is exact agreement with the proven recurrence r on a
-    window long enough to pass every singular index of both.
+    The data are r's own first terms: 64 of them, doubled until every
+    shape has two more rows than columns.  Shapes are tried by
+    order+degree, then by order, order 0 included; within a shape,
+    `linalg.relations` orders the candidates.  The shapes of one order are
+    a family: the same rows n, one column n^e * a(n+t) per (t, e).  The
+    columns are integer: the terms are put over one common denominator,
+    which scales each row and leaves the kernel as it is.  Certification
+    is exact agreement with r on a window long enough to pass every
+    singular index of both, r's terms extended past the data when the
+    window is longer.
     """
-    den = math.lcm(*(c.denominator for c in data.coeffs))
-    data_vals = [c.numerator * (den // c.denominator) for c in data.coeffs]
-
-    def shapes():
-        for c in range(maxC + 1):
-            for sp in range(c + 1):
-                if len(data_vals) - sp < (sp + 1) * (c - sp + 1) + 2:
-                    raise InsufficientData(
-                        "data too short to fit the complexity grid")
-                yield sp, c - sp
+    shapes = [(sp, c - sp) for c in range(maxC + 1) for sp in range(c + 1)]
+    # shape (sp, dg) has count - sp rows and (sp + 1)*(dg + 1) columns
+    need = max((sp + (sp + 1) * (dg + 1) + 2 for sp, dg in shapes), default=0)
+    count = 64
+    while count < need:
+        count *= 2
+    terms = r.terms(count)
+    den = math.lcm(*(c.denominator for c in terms))
+    data_vals = [c.numerator * (den // c.denominator) for c in terms]
 
     def column(sp: int, t: int, e: int) -> list[int]:
-        return [n ** e * data_vals[n + t] for n in range(len(data_vals) - sp)]
+        return [n ** e * data_vals[n + t] for n in range(count - sp)]
 
     last_r = PRec.initials_needed(r.coeffs) - len(r.coeffs)
     # relations leaves qs[-1][-1] positive: the leading polynomial needs
     # no sign fix
-    for qs in linalg.relations(shapes(), column):
+    for qs in linalg.relations(shapes, column):
         need_c = PRec.initials_needed(qs)
         # the last singular index of either recurrence, or -1
         big = max(need_c - len(qs), last_r)
         Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
-        if len(data_vals) < Lstar:
-            raise InsufficientData(
-                f"need {Lstar} certified terms to certify the candidate")
-        ref = r.terms(Lstar)
+        ref = terms[:Lstar] if Lstar <= count else r.terms(Lstar)
         cand = PRec(qs, ref[:need_c])
         if cand.terms(Lstar) == ref:
             return cand

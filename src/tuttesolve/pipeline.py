@@ -133,19 +133,6 @@ class _Stages:
             self.timings[name] = self.timings.get(name, 0) + ms
 
 
-def _minimize_full(rec, max_complexity: int):
-    # grow the data window until the certification pass has enough terms
-    count = 64
-    while True:
-        try:
-            return minimize_rec(rec, QSeries(rec.terms(count)), max_complexity)
-        except InsufficientData:
-            if count >= 8192:
-                raise ResourceCeiling(
-                    "minimization needed more than 8192 terms")
-            count *= 2
-
-
 def run_pipeline(cfg: PipelineConfig) -> Report:
     """Solve one functional equation end to end and assemble the report.
 
@@ -209,7 +196,7 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
                else CertificateSummary.from_certificate(cert))
     ode = st.run("ode", algeq_to_ode, p1)
     rec = st.run("recurrence", ode_to_rec, ode)
-    mini = st.run("minimize", _minimize_full, rec, cfg.max_complexity)
+    mini = st.run("minimize", minimize_rec, rec, cfg.max_complexity)
     value = st.run("unroll", unroll, mini if mini is not ABSENT else rec,
                    cfg.eval_at)
 

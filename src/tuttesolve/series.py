@@ -304,8 +304,8 @@ class _Loc:
 #
 # Coefficients come from any exact ring whose zero is falsy.  ``_subs``
 # names its ring by a ``lift``, which maps the integer coefficients of a
-# y-polynomial (constant first) into it: ``ctx.from_ints`` for _Loc,
-# ``_int_lift`` for int, and ``RatFunc`` itself for RatFunc.
+# y-polynomial (constant first) into it: ``_int_lift`` for int, and
+# ``RatFunc`` itself for RatFunc.
 
 def _mul_trunc(a: Sequence, b: Sequence, L: int, zero) -> list:
     """The first L coefficients of the product of two series."""

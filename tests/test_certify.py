@@ -342,18 +342,41 @@ class TestLift:
             GLift(lift.D + 1, wp.gamma0)
 
     @pytest.mark.parametrize("name", list(CORPUS))
-    def test_proven_on_the_lift_as_on_the_expansion(self, name):
+    def test_proven_on_the_lift_as_on_the_expansion(self, name, monkeypatch):
         # luk3's first fit is at K = 48, in degree 4
         K = 48 if name == "luk3" else 24
         eq, p1, sx = stages(CORPUS[name], K, 4)
         _, wp, lift = lifted(CORPUS[name], K)
+        orders, real = [], certify_mod._vanishing_order
+
+        def spy(P, psi, g, L):
+            orders.append(L)
+            return real(P, psi, g, L)
+
+        monkeypatch.setattr(certify_mod, "_vanishing_order", spy)
+        # the cofactor test, the last, reads g through K on an expansion
+        # and at order 0 alone on a lift
         want = certify(eq, p1, sx)
+        assert orders[-1] == K + 1
         got = certify(eq, p1, lift, wp)
+        assert orders[-1] == 1
         assert got.is_proven and want.is_proven
         assert got.annihilator == want.annihilator
         assert (got.bound, got.checkedOrder) == (
             want.bound, want.checkedOrder)
         assert got.bound == 0
+
+    def test_cofactor_zero_at_g0_is_a_self_check_failure(self, monkeypatch):
+        # C(g0, 0) = 0 with p1(g0) = 0 would make g0 a double root of
+        # D0(g, 0), which the lift excludes
+        eq, p1, _ = stages(CORPUS["dyck"])
+        _, wp, lift = lifted(CORPUS["dyck"], 24)
+        real = certify_mod._vanishing_order
+        monkeypatch.setattr(certify_mod, "_vanishing_order",
+                            lambda P, psi, g, L: None if L == 1
+                            else real(P, psi, g, L))
+        with pytest.raises(SelfCheckFailed, match="vanishes at g0"):
+            certify(eq, p1, lift, wp)
 
     def test_flagship_on_the_lift(self, tutte_eq, tutte_p1, tutte_cert):
         _, wp, lift = lifted(_frozen.TUTTE_EQ, 30)

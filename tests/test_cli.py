@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from tuttesolve import parse_report
 from tuttesolve.cli import main
+from tuttesolve.report import FORMATS
 
 CATALAN = ["solve", "--equation", "psi - 1 - x*psi**2",
            "--guess-order", "16", "--max-complexity", "4", "--eval-at", "8"]
@@ -54,6 +56,18 @@ class TestSolve:
         assert res.exit_code == 0
         rep = parse_report(res.output)
         assert rep.proven and str(rep.value) == "1430"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_order_zero_recurrence_below_its_roots(self, fmt):
+        # proven with (n^2 - 4n + 3) a(n) = 0, so a(2) is read from the
+        # terms, not stepped
+        res = run(["solve", "--equation", "6*psi - 3*x - 2*x**3",
+                   "--eval-at", "2", "--format", fmt])
+        assert res.exit_code == 0
+        if fmt == "structured":
+            assert str(parse_report(res.output).value) == "0"
+        else:
+            assert "a(2) = 0" in res.output
 
     def test_markdown_format(self):
         res = run(CATALAN + ["--format", "markdown"])

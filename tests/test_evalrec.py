@@ -56,6 +56,11 @@ class TestUnroll:
         assert [unroll(rec, G).value for G in range(5)] == rec.terms(5)
         assert unroll(rec, 1000).value == 0
 
+    def test_order_zero_below_its_roots_is_a_fraction(self):
+        rec = PRec(((3, -4, 1),), (0, F(1, 2), 0, 5))
+        got = unroll(rec, 2).value
+        assert got == 0 and type(got) is F
+
 
 CATALAN = PRec(((-2, -4), (2, 1)), (F(1),))
 MOTZKIN = PRec(((-3, -3), (-5, -2), (4, 1)), (F(1), F(1)))

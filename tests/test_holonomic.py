@@ -9,7 +9,7 @@ import pytest
 
 from tuttesolve import (ABSENT, AlgEq, LinODE, MPoly, PRec, QSeries,
                         algeq_to_ode, linalg, minimize_rec, ode_to_rec, polyq)
-from tuttesolve.errors import InsufficientData, NonSquarefree, SelfCheckFailed
+from tuttesolve.errors import NonSquarefree, SelfCheckFailed
 from tuttesolve.holonomic import _check_ode
 
 from . import _frozen, _oracle
@@ -226,34 +226,50 @@ class TestPRec:
         assert got == [a0 * 3**n / _oracle.factorial(n) for n in range(8)]
         assert all(type(t) is F for t in got)
 
+    def test_order_zero_terms_are_fractions(self):
+        # (n^2 - 4n + 3) a(n) = 0: the rows past the inexact a(1) divide a
+        # sum of no terms by q_0(n) exactly
+        got = PRec(((3, -4, 1),), (0, F(1, 2), 0, 5)).terms(6)
+        assert got == [0, F(1, 2), 0, 5, 0, 0]
+        assert all(type(t) is F for t in got)
+
 
 class TestMinimize:
     def test_already_minimal_is_identity(self):
         rec = ode_to_rec(algeq_to_ode(geom_eq()))
-        data = QSeries([F(1)] * 40)
-        assert minimize_rec(rec, data, 2) == rec
+        assert minimize_rec(rec, 2) == rec
 
     def test_catalan_cannot_shrink_below_ratio(self):
         rec = ode_to_rec(algeq_to_ode(catalan_eq()))
-        data = QSeries([F(_oracle.catalan(n)) for n in range(40)])
-        assert minimize_rec(rec, data, 1) is ABSENT
-        small = minimize_rec(rec, data, 2)
+        assert minimize_rec(rec, 1) is ABSENT
+        small = minimize_rec(rec, 2)
         assert small is not ABSENT
         assert small.coeffs == ((-2, -4), (2, 1))
 
     def test_flagship_minimal_form(self, tutte_p1):
         rec = ode_to_rec(algeq_to_ode(tutte_p1))
-        data = QSeries([_oracle.counting_term(n) for n in range(64)])
-        small = minimize_rec(rec, data, 4)
+        data = [_oracle.counting_term(n) for n in range(64)]
+        small = minimize_rec(rec, 4)
         assert small is not ABSENT
         assert len(small.coeffs) == 2          # first order
         assert max(len(c) for c in small.coeffs) == 4   # cubic in n
-        assert small.terms(64) == list(data)
+        assert small.terms(64) == data
 
-    def test_too_little_data_raises(self):
-        rec = ode_to_rec(algeq_to_ode(catalan_eq()))
-        with pytest.raises(InsufficientData):
-            minimize_rec(rec, QSeries([F(1), F(1)]), 6)
+    def test_certification_window_past_the_data(self, monkeypatch):
+        # (n - 70)(a(n+1) - 2 a(n)) = 0 with a(n) = 2^n through n = 71:
+        # certifying a(n+1) = 2 a(n) reads r past its singular index 70,
+        # beyond the 64 terms the search reads
+        rec = PRec(((140, -2), (-70, 1)), [F(2) ** n for n in range(72)])
+        counts, real = [], PRec.terms
+
+        def spy(self, count):
+            if self is rec:
+                counts.append(count)
+            return real(self, count)
+
+        monkeypatch.setattr(PRec, "terms", spy)
+        assert minimize_rec(rec, 2) == PRec(((-2,), (1,)), [F(1)])
+        assert counts[0] == 64 and max(counts) > 64
 
     @pytest.mark.parametrize("scale", [F(1), F(1, linalg._P)],
                              ids=["plain", "rank-prime"])
@@ -267,7 +283,7 @@ class TestMinimize:
         rec = PRec(full.coeffs, [scale * v for v in full.initials])
         terms = [scale * t for t in base]
         data = QSeries(terms)
-        small = minimize_rec(rec, data, 2)
+        small = minimize_rec(rec, 2)
         # 2(n+1) a_(n+1) - (2n+1) a_n = 0
         assert small.coeffs == ((-1, -2), (2, 2))
         assert small == fraction_rows_minimize(rec, data, 2)

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from tuttesolve import (CoeffTable, MPoly, PipelineConfig, certify,
-                        column_series, expand_series, parse_equation,
-                        run_pipeline, specialize_y0, unroll)
+                        column_series, expand_series, minimize_rec,
+                        parse_equation, run_pipeline, specialize_y0, unroll)
 from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
                                InvalidBounds, PipelineError,
                                PoleAtYZero, ResourceCeiling,
@@ -225,6 +225,18 @@ class TestRoutes:
         rep = run_pipeline(PipelineConfig(ROUTED["walk-15"], eval_at=0))
         assert rep.proven and len(rep.series_prefix) == 193
         assert calls == {"expanders": 1, "orders": 192}
+
+    @pytest.mark.parametrize("name", list(ROUTED))
+    def test_one_minimization_per_solve(self, name, monkeypatch):
+        calls = []
+
+        def spy(rec, maxC):
+            calls.append(maxC)
+            return minimize_rec(rec, maxC)
+
+        monkeypatch.setattr(pipeline_mod, "minimize_rec", spy)
+        rep = run_pipeline(PipelineConfig(ROUTED[name], eval_at=0))
+        assert rep.proven and calls == [8]
 
     def test_existence_not_known_expands(self):
         # direct mode with A = y, zero at y = 0: only expanding tells that
