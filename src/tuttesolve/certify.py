@@ -180,10 +180,10 @@ def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
     p1(g)^k * C(g) = 0 in the integral domain Q[[x]] leaves p1(g) = 0.
     [x^m] C(g) reads only g through x^m, so the witness's prefix decides
     it.  On a lifted g, m = 0: p1 fits g0, and D0_g(g0, 0) != 0 then
-    forces k = 1 and C(g0, 0) != 0, so only order 0 is read there, and a
-    zero at it raises SelfCheckFailed.  An expansion is first checked
-    against Q through order K, which ties it to the unique series
-    solution; a C(g) that vanishes through K raises InsufficientData.
+    forces k = 1 and C(g0, 0) != 0, so order 0 alone is read.  An
+    expansion is first checked against Q through order K, which ties it
+    to the unique series solution, and read through K; a C(g) zero at
+    every order read raises InsufficientData.
 
     Refuted: p1 fails on the witness, the cheap test that runs first, or
     does not divide D0.  An equation that is not well posed raises the
@@ -211,12 +211,8 @@ def certify(eq: FuncEq, p1: AlgEq, witness: SeriesX | GLift,
         C, k = q, k + 1
     if not k:
         return Certificate(D, 0, K + 1, "refuted")
-    if isinstance(witness, GLift):
-        if _vanishing_order(C, None, g, 1) is None:
-            raise SelfCheckFailed("the cofactor of p1 in D0 vanishes at g0")
-        return Certificate(D, 0, K, "proven")
-    m = _vanishing_order(C, None, g, K + 1)
+    m = _vanishing_order(C, None, g, 1 if isinstance(witness, GLift) else K + 1)
     if m is None:
         raise InsufficientData(
-            f"the cofactor of p1 in D0 vanishes on g through order {K}")
+            "the cofactor of p1 in D0 vanishes on g at every order read")
     return Certificate(D, m, K, "proven")

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from typing import Sequence
 
 from . import linalg, polyq
 from .errors import (InsufficientData, MissingInitials, NonSquarefree,
-                     SelfCheckFailed, Sentinel)
+                     ResourceCeiling, SelfCheckFailed, Sentinel)
 from .guessing import AlgEq
 from .mpoly import MPoly, prem, resultant
 from .series import QSeries, _mul_trunc
@@ -147,9 +148,7 @@ class PRec:
                 v = self.initials[n]
             else:
                 acc = -sum(polyq.peval(q, k) * out[k + t] for t, q in coeffs)
-                v, rem = divmod(acc, lv) if exact else (Fraction(acc, lv), 0)
-                if rem:
-                    v = Fraction(acc, lv)
+                v = acc // lv if exact and not acc % lv else Fraction(acc, lv)
             if exact:
                 if v.denominator == 1:
                     v = int(v)
@@ -307,43 +306,51 @@ def ode_to_rec(L: LinODE) -> PRec:
     return rec
 
 
+_MAX_TERMS = 8192       # the most terms of r that minimize_rec reads
+
+
 def minimize_rec(r: PRec, maxC: int):
     """Smallest certified recurrence with order+degree <= maxC, or ABSENT.
 
-    The data are r's own first terms: 64 of them, doubled until every
-    shape has two more rows than columns.  Shapes are tried by
-    order+degree, then by order, order 0 included; within a shape,
-    `linalg.relations` orders the candidates.  The shapes of one order are
-    a family: the same rows n, one column n^e * a(n+t) per (t, e).  The
-    columns are integer: the terms are put over one common denominator,
-    which scales each row and leaves the kernel as it is.  Certification
-    is exact agreement with r on a window long enough to pass every
-    singular index of both, r's terms extended past the data when the
-    window is longer.
+    Shapes are tried by order+degree, then by order, order 0 included;
+    within a shape, `linalg.relations` orders the candidates.  The shapes
+    of one order are a family: the same rows n, one column n^e * a(n+t)
+    per (t, e).  The data are r's first terms, 64 doubled until each shape
+    of the order+degree reached has two more rows than columns, put over
+    one common denominator: that scales each row and leaves the kernel.
+    Certification is exact agreement with r past every singular index of
+    both.  Data or a window past _MAX_TERMS terms raise ResourceCeiling.
     """
-    shapes = [(sp, c - sp) for c in range(maxC + 1) for sp in range(c + 1)]
-    # shape (sp, dg) has count - sp rows and (sp + 1)*(dg + 1) columns
-    need = max((sp + (sp + 1) * (dg + 1) + 2 for sp, dg in shapes), default=0)
-    count = 64
-    while count < need:
-        count *= 2
-    terms = r.terms(count)
-    den = math.lcm(*(c.denominator for c in terms))
-    data_vals = [c.numerator * (den // c.denominator) for c in terms]
+    def read(k: int) -> list[Fraction]:
+        if k > _MAX_TERMS:
+            raise ResourceCeiling(
+                f"minimization needs {k} terms, more than {_MAX_TERMS}")
+        return r.terms(k)
 
-    def column(sp: int, t: int, e: int) -> list[int]:
-        return [n ** e * data_vals[n + t] for n in range(count - sp)]
+    def data_len(c: int) -> int:
+        # shape (sp, c - sp) has count - sp rows, (sp + 1)*(c - sp + 1) columns
+        need = max(sp + (sp + 1) * (c - sp + 1) + 2 for sp in range(c + 1))
+        return 64 << ((need - 1) // 64).bit_length()
 
     last_r = PRec.initials_needed(r.coeffs) - len(r.coeffs)
-    # relations leaves qs[-1][-1] positive: the leading polynomial needs
-    # no sign fix
-    for qs in linalg.relations(shapes, column):
-        need_c = PRec.initials_needed(qs)
-        # the last singular index of either recurrence, or -1
-        big = max(need_c - len(qs), last_r)
-        Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
-        ref = terms[:Lstar] if Lstar <= count else r.terms(Lstar)
-        cand = PRec(qs, ref[:need_c])
-        if cand.terms(Lstar) == ref:
-            return cand
+    for count, cs in groupby(range(maxC + 1), key=data_len):
+        data = read(count)
+        den = math.lcm(*(v.denominator for v in data))
+        vals = [v.numerator * (den // v.denominator) for v in data]
+
+        def column(sp: int, t: int, e: int) -> list[int]:
+            return [n ** e * vals[n + t] for n in range(count - sp)]
+
+        # relations leaves qs[-1][-1] positive: the leading polynomial
+        # needs no sign fix
+        shapes = ((sp, c - sp) for c in cs for sp in range(c + 1))
+        for qs in linalg.relations(shapes, column):
+            need_c = PRec.initials_needed(qs)
+            # the last singular index of either recurrence, or -1
+            big = max(need_c - len(qs), last_r)
+            Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
+            ref = data[:Lstar] if Lstar <= count else read(Lstar)
+            cand = PRec(qs, ref[:need_c])
+            if cand.terms(Lstar) == ref:
+                return cand
     return ABSENT

@@ -366,18 +366,6 @@ class TestLift:
             want.bound, want.checkedOrder)
         assert got.bound == 0
 
-    def test_cofactor_zero_at_g0_is_a_self_check_failure(self, monkeypatch):
-        # C(g0, 0) = 0 with p1(g0) = 0 would make g0 a double root of
-        # D0(g, 0), which the lift excludes
-        eq, p1, _ = stages(CORPUS["dyck"])
-        _, wp, lift = lifted(CORPUS["dyck"], 24)
-        real = certify_mod._vanishing_order
-        monkeypatch.setattr(certify_mod, "_vanishing_order",
-                            lambda P, psi, g, L: None if L == 1
-                            else real(P, psi, g, L))
-        with pytest.raises(SelfCheckFailed, match="vanishes at g0"):
-            certify(eq, p1, lift, wp)
-
     def test_flagship_on_the_lift(self, tutte_eq, tutte_p1, tutte_cert):
         _, wp, lift = lifted(_frozen.TUTTE_EQ, 30)
         cert = certify(tutte_eq, tutte_p1, lift, wp)

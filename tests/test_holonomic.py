@@ -9,7 +9,7 @@ import pytest
 
 from tuttesolve import (ABSENT, AlgEq, LinODE, MPoly, PRec, QSeries,
                         algeq_to_ode, linalg, minimize_rec, ode_to_rec, polyq)
-from tuttesolve.errors import NonSquarefree, SelfCheckFailed
+from tuttesolve.errors import NonSquarefree, ResourceCeiling, SelfCheckFailed
 from tuttesolve.holonomic import _check_ode
 
 from . import _frozen, _oracle
@@ -260,6 +260,13 @@ class TestMinimize:
         # certifying a(n+1) = 2 a(n) reads r past its singular index 70,
         # beyond the 64 terms the search reads
         rec = PRec(((140, -2), (-70, 1)), [F(2) ** n for n in range(72)])
+        counts = self.reads(monkeypatch, rec)
+        assert minimize_rec(rec, 2) == PRec(((-2,), (1,)), [F(1)])
+        assert counts[0] == 64 and max(counts) > 64
+
+    @staticmethod
+    def reads(monkeypatch, rec):
+        """The counts minimization asks rec's terms for, as it asks."""
         counts, real = [], PRec.terms
 
         def spy(self, count):
@@ -268,8 +275,32 @@ class TestMinimize:
             return real(self, count)
 
         monkeypatch.setattr(PRec, "terms", spy)
-        assert minimize_rec(rec, 2) == PRec(((-2,), (1,)), [F(1)])
-        assert counts[0] == 64 and max(counts) > 64
+        return counts
+
+    def test_early_minimum_reads_64_terms_at_any_cap(self, monkeypatch):
+        # the search stops at complexity 2, so the cap sizes nothing
+        rec = ode_to_rec(algeq_to_ode(catalan_eq()))
+        want = minimize_rec(rec, 2)
+        counts = self.reads(monkeypatch, rec)
+        assert minimize_rec(rec, 10**6) == want
+        assert counts == [64]
+
+    def test_data_double_where_64_terms_leave_a_shape_short(self, monkeypatch):
+        # a(n+1) = (n^13 + 1) a(n), complexity 14: shape (7, 6) of
+        # complexity 13 has 56 columns and 57 rows of 64 terms
+        rec = PRec(((-1,) + (0,) * 12 + (-1,), (1,)), [F(1)])
+        counts = self.reads(monkeypatch, rec)
+        assert minimize_rec(rec, 14) == rec
+        assert counts == [64, 128]
+
+    def test_window_past_the_ceiling_is_refused(self, monkeypatch):
+        # (n - 9000)(a(n+1) - a(n)) = 0: certifying a(n+1) = a(n) would
+        # step r past its singular index 9000
+        rec = PRec(((9000, -1), (-9000, 1)), [F(1)] * 9002)
+        counts = self.reads(monkeypatch, rec)
+        with pytest.raises(ResourceCeiling, match="more than 8192"):
+            minimize_rec(rec, 2)
+        assert counts == [64]
 
     @pytest.mark.parametrize("scale", [F(1), F(1, linalg._P)],
                              ids=["plain", "rank-prime"])
