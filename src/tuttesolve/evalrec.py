@@ -14,10 +14,10 @@ of the index; its order s becomes S = s/d.
   count along arithmetic progressions, as for factorials (P. Borwein, J.
   Algorithms 6, 1985): no gcd and no division of large integers build
   it, though a value that is not an integer meets one gcd in `Fraction`.
-- Binary splitting otherwise (S >= 2, a factor of degree 2 or more such as
-  n^2 + 1's, or values too far above the step count): integer companion
-  matrices are multiplied in a product tree, block by block, shedding
-  common content at every product.
+- Block stepping otherwise (S >= 2, a factor of degree 2 or more such as
+  n^2 + 1's, or values too far above the step count): a vector of start
+  values meets the companion matrices one folded block of steps at a
+  time, with one exact division per block and no gcd of its entries.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from operator import floordiv, mul
 from . import polyq
 from .errors import InvalidIndex
 
-#: Leaves folded at once into one stack node; it bounds the peak memory.
+#: Steps folded into one matrix; it bounds the size of the block products.
 _BLOCK = 512
+_REDUCE = 16  #: smaller nodes skip `_fold`'s gcd, which sheds 2-4 bits
 #: The product route counts over every prime up to the largest value V of
-#: a linear factor, binary splitting over the n steps; past V = 32 (n + 32)
+#: a linear factor, block stepping over the n steps; past V = 32 (n + 32)
 #: the primes cost more.
 _SPREAD = 32
 
@@ -74,19 +75,21 @@ def _horner(q, ks) -> list[int]:
 def _fold(E: list[list[int]], D: list[int], s: int):
     """Product of s x s integer matrices; node i, first to last, has entry
     (r, c) at E[r*s + c][i] over D[i].  Each level multiplies adjacent
-    pairs, the later on the left, and divides each product by the gcd of
-    its denominator and entries.  Returns the one node left, in that form.
-    """
-    idx = range(s)
+    pairs, the later on the left, and divides a product of `_REDUCE` or more
+    leaves by the gcd of its denominator and entries; returns the last node."""
+    idx, span = range(s), 1
     while len(D) > 1:
         L, R = [e[1::2] for e in E], [e[0::2] for e in E]
         P = [list(map(sum, zip(*(map(mul, L[r * s + t], R[t * s + c])
                                  for t in idx)))) for r in idx for c in idx]
-        den = list(map(mul, D[1::2], D[0::2]))
-        g = list(map(gcd, den, *P))
+        den, span = list(map(mul, D[1::2], D[0::2])), 2 * span
+        if span >= _REDUCE:
+            g = list(map(gcd, den, *P))
+            P = [list(map(floordiv, p, g)) for p in P]
+            den = list(map(floordiv, den, g))
         m = 2 * len(den)  # an odd last node waits for the next level
-        E = [list(map(floordiv, p, g)) + e[m:] for p, e in zip(P, E)]
-        D = list(map(floordiv, den, g)) + D[m:]
+        E = [p + e[m:] for p, e in zip(P, E)]
+        D = den + D[m:]
     return E, D
 
 
@@ -204,14 +207,13 @@ def unroll(rec, G: int) -> SequenceValue:
 
     At S = 1, `_hypergeometric` gives b_J from b_lo, the last value of b
     below head, when the ratio -p_0/p_1 splits.  Otherwise a step j -> j+1
-    of b is the integer companion matrix C(j), with p_S(j)
-    on the superdiagonal and -p_0(j) .. -p_(S-1)(j) in its last row, over
-    p_S(j).  The leaves, first to last, are the start matrix (first column
-    b_lo .. b_(lo+S-1), the last S values of b below head, over their
-    common denominator) and C(lo) .. C(J-S), with J = (G - i0)/d.  Each
-    block of `_BLOCK` leaves folds to one node, the block nodes merge on a
-    stack keyed by size, and b_J is entry (S-1, 0) of the top node over
-    its denominator.
+    of b is the integer companion matrix C(j), with p_S(j) on the
+    superdiagonal and -p_0(j) .. -p_(S-1)(j) in its last row, over p_S(j).
+    The vector w starts as b_lo .. b_(lo+S-1), the last S values below
+    head, times `scale`, their common denominator.  The steps C(lo) ..
+    C(J-S), J = (G - i0)/d, fold `_BLOCK` at a time into E over D, and w
+    becomes E w / D: exact on an integer sequence, else `scale` takes what
+    D leaves.  b_J is w[S-1] / scale.
     """
     if G < 0:
         raise InvalidIndex(f"sequence index must be nonnegative, got {G}")
@@ -236,23 +238,17 @@ def unroll(rec, G: int) -> SequenceValue:
         if value is not None:
             return SequenceValue(G, value)
     scale = lcm(*(x.denominator for x in v))
-    start = [0] * (S * S)
-    start[::S] = [x.numerator * (scale // x.denominator) for x in v]
-    n = J - lo - S + 2  # leaf j >= 1 is C(lo + j - 1)
-    stack = []  # (size, node): a node of size 2^i holds 2^i blocks
-    for j in range(0, n, _BLOCK):
-        ks = range(lo + max(j, 1) - 1, lo + min(j + _BLOCK, n) - 1)
+    w = [x.numerator * (scale // x.denominator) for x in v]
+    for k in range(lo, J - S + 1, _BLOCK):
+        ks = range(k, min(k + _BLOCK, J - S + 1))
         b = _horner(lead, ks)
         E = [b if c == r + 1 else [0] * len(b)
              for r in range(S - 1) for c in range(S)]
         E += [_horner([-c for c in q], ks) for q in rest]
-        if not j:
-            E, b = [[x] + e for x, e in zip(start, E)], [scale] + b
-        node, size = _fold(E, b, S), 1
-        # the last block folds in everything the stack holds
-        while stack and (stack[-1][0] == size or j + _BLOCK >= n):
-            (_, (E, b)), size = stack.pop(), 2 * size
-            node = _fold([p + e for p, e in zip(E, node[0])], b + node[1], S)
-        stack.append((size, node))
-    (_, (E, D)), = stack
-    return SequenceValue(G, Fraction(E[(S - 1) * S][0], D[0]))
+        E, (D,) = _fold(E, b, S)
+        u = [sum(e[0] * x for e, x in zip(E[r * S:], w)) for r in range(S)]
+        w, rems = zip(*(divmod(x, D) for x in u))
+        if any(rems):  # not an integer sequence: carry the denominator
+            g = gcd(D, *u)
+            w, scale = [x // g for x in u], scale * (D // g)
+    return SequenceValue(G, Fraction(w[S - 1], scale))

@@ -321,11 +321,15 @@ def minimize_rec(r: PRec, maxC: int):
     Certification is exact agreement with r past every singular index of
     both.  Data or a window past _MAX_TERMS terms raise ResourceCeiling.
     """
+    prefix: list[Fraction] = []  # the longest run of r's terms read
+
     def read(k: int) -> list[Fraction]:
         if k > _MAX_TERMS:
             raise ResourceCeiling(
                 f"minimization needs {k} terms, more than {_MAX_TERMS}")
-        return r.terms(k)
+        if k > len(prefix):
+            prefix[:] = r.terms(k)
+        return prefix[:k]
 
     def data_len(c: int) -> int:
         # shape (sp, c - sp) has count - sp rows, (sp + 1)*(c - sp + 1) columns
@@ -349,7 +353,7 @@ def minimize_rec(r: PRec, maxC: int):
             # the last singular index of either recurrence, or -1
             big = max(need_c - len(qs), last_r)
             Lstar = len(r.initials) + big + r.order + (len(qs) - 1) + 8
-            ref = data[:Lstar] if Lstar <= count else read(Lstar)
+            ref = read(Lstar)
             cand = PRec(qs, ref[:need_c])
             if cand.terms(Lstar) == ref:
                 return cand

@@ -90,7 +90,7 @@ def test_criterion_1_optimized_cli_past_the_digit_limit():
 
 
 def test_criterion_1_cli_far_out_coefficient():
-    # C(50000) has 30,096 digits; unroll reaches it by binary splitting
+    # C(50000) has 30,096 digits; unroll reaches it by the product route
     proc = subprocess.run(
         _cli() + ["solve", "--equation", "psi - 1 - x*psi**2",
                   "--eval-at", "50000", "--format", "structured"],

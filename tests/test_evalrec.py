@@ -69,7 +69,7 @@ MOTZKIN = PRec(((-3, -3), (-5, -2), (4, 1)), (F(1), F(1)))
 NEG_CATALAN = PRec(((2, 4), (-2, -1)), (F(1),))
 NEG_MOTZKIN = PRec(((3, 3), (5, 2), (-4, -1)), (F(1), F(1)))
 # a(n) = n^2 + 1: (n^2 + 1) a(n+1) = ((n+1)^2 + 1) a(n), a ratio of
-# quadratics irreducible over Q, so order 1 that binary splitting unrolls
+# quadratics irreducible over Q, so order 1 that block stepping unrolls
 SQUARES = PRec(((-2, -2, -1), (1, 0, 1)), (F(1),))
 
 coeff_polys = st.lists(st.integers(-5, 5), max_size=4)
@@ -98,9 +98,10 @@ def precs(draw):
 
 
 def _block_edges(block: int, blocks: int):
-    """Offsets from head at which the leaf count (G - head + 2) is one
-    below, at or one above a multiple of the block."""
-    return [k * block + d for k in range(1, blocks + 1) for d in (-3, -2, -1)]
+    """Offsets from head at which the step count (G - head + 1, with no
+    singular index) is one below, at or one above a multiple of the
+    block."""
+    return [k * block + d for k in range(1, blocks + 1) for d in (-2, -1, 0)]
 
 
 class TestBinarySplitting:
@@ -173,6 +174,67 @@ class TestBinarySplitting:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# (n+2) a(n+2) = a(n+1) + a(n): a(3) = 2/3, so not every block divides
+RATIONAL = PRec(((-1,), (-1,), (2, 1)), (F(1), F(1)))
+
+
+class TestBlockStepping:
+    # unroll(MOTZKIN, 30000) steps C(0) .. C(29998) from b_0, b_1
+    STEPS = 29999
+
+    def test_one_fold_per_block(self):
+        with _spy_fold() as fold:
+            unroll(MOTZKIN, 30000)
+        sizes = [len(c.args[1]) for c in fold.call_args_list]
+        assert len(sizes) == -(-self.STEPS // evalrec._BLOCK)
+        assert sum(sizes) == self.STEPS
+
+    def test_folds_stay_within_one_block(self):
+        # a leaf entry is at most 3 * 29998 + 3, so a product of _BLOCK
+        # 2 x 2 leaves has entries below (2 * 89997)^_BLOCK
+        bound = evalrec._BLOCK * (2 * 89997).bit_length()
+        nodes, real_fold = [], evalrec._fold
+
+        def fold(*args):
+            nodes.append(real_fold(*args))
+            return nodes[-1]
+
+        with mock.patch.object(evalrec, "_fold", fold):
+            unroll(MOTZKIN, 30000)
+        bits = max(abs(x).bit_length() for E, D in nodes
+                   for x in [*D, *(x for e in E for x in e)])
+        assert 0 < bits <= bound
+
+    @pytest.mark.parametrize("block", [1, 3, 512])
+    def test_rational_sequence_carries_its_denominator(self, block):
+        folded, inside, carries = [], [], []
+        real_fold = evalrec._fold
+
+        def fold(*args):
+            inside.append(True)
+            try:
+                return real_fold(*args)
+            finally:
+                inside.pop()
+                folded.append(True)
+
+        def spy_gcd(*args):
+            # a gcd outside _fold once a block has folded is a carry
+            if folded and not inside:
+                carries.append(args)
+            return gcd(*args)
+
+        head = PRec.initials_needed(RATIONAL.coeffs)
+        Gs = [head + off for off in _block_edges(block, 3 if block < 5 else 2)]
+        terms = RATIONAL.terms(max(Gs) + 1)
+        with mock.patch.multiple(evalrec, _BLOCK=block, _fold=fold,
+                                 gcd=spy_gcd):
+            for G in Gs:
+                folded.clear()
+                assert unroll(RATIONAL, G).value == terms[G]
+        assert carries and terms[Gs[-1]].denominator != 1
 
 
 @st.composite

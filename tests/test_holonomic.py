@@ -302,6 +302,14 @@ class TestMinimize:
             minimize_rec(rec, 2)
         assert counts == [64]
 
+    def test_r_is_stepped_once_per_length(self, monkeypatch):
+        # a(n+14) = a(n+13) + a(n): at complexity 13 relations that hold on
+        # the 64 rows alone reach certification, each with a window of 92
+        rec = PRec(((-1,), *[()] * 12, (-1,), (1,)), [F(1)] * 14)
+        counts = self.reads(monkeypatch, rec)
+        assert minimize_rec(rec, 13) is ABSENT
+        assert counts == sorted(set(counts)) and max(counts) > 64
+
     @pytest.mark.parametrize("scale", [F(1), F(1, linalg._P)],
                              ids=["plain", "rank-prime"])
     def test_fraction_data(self, scale):
