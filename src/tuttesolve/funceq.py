@@ -113,12 +113,22 @@ class WellPosedness:
 # so p/q = n/d.  Any other candidate fails the exact check.
 #
 # The series s comes from `series.GLift`, the package's one series-root
-# lifter, with the shifted variable t = y - a written as x.  Every
-# evaluation goes through `series._subs`, over RatFunc at the branch,
-# where L = 1 keeps only the x^0 terms.
+# lifter, with the shifted variable t = y - a written as x.  A candidate
+# with a pole at y = 0 is dropped before its check: no branch may have
+# one.  Every evaluation goes through `series._subs` over `_Loc` values
+# localized at the candidate's denominator, where L = 1 keeps only the
+# x^0 terms.
+
+def _on_branch(P: MPoly, c: RatFunc, gamma: Fraction) -> _Loc:
+    """P(c, gamma, 0, y) for c regular at y = 0."""
+    ctx = _LocCtx(polyq.clear_denominators(c.den)[0])
+    branch = {"psi": [ctx.localize(c)], "g": [ctx.from_fraction(gamma)]}
+    return _subs(P, branch, 1, ctx.from_ints)[0]
+
 
 def _ratfunc_roots(A: MPoly) -> list[RatFunc]:
-    """All rational-function roots c(y) of an integer A(psi, y) = 0."""
+    """All rational-function roots c(y) of an integer A(psi, y) = 0 that
+    are regular at y = 0."""
     if A.degree("psi") < 1:
         return []
     from .mpoly import squarefree_primitive
@@ -148,7 +158,8 @@ def _ratfunc_roots(A: MPoly) -> list[RatFunc]:
         cand = RatFunc(polyq.pshift(vec[:dY + 1], -a),
                        polyq.pshift(vec[dY + 1:], -a))
         # exact verification on S, which has the roots of A
-        if not _subs(S, {"psi": [cand]}, 1, RatFunc)[0] and cand not in out:
+        if (cand.regular_at_0 and cand not in out
+                and not _on_branch(S, cand, Fraction(0))):
             out.append(cand)
     return out
 
@@ -180,14 +191,11 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
             if Rg.is_zero:
                 raise DegenerateKernel(
                     f"order-0 equation vanishes identically at branch value {gv}")
-            for cand in _ratfunc_roots(Rg):
-                if cand.regular_at_0 and cand.eval0() == gv:
-                    if all(cand != p[0] for p in pairs):
-                        pairs.append((cand, gv))
+            # distinct gamma give distinct roots, so no pair repeats
+            pairs += [(cand, gv) for cand in _ratfunc_roots(Rg)
+                      if cand.eval0() == gv]
     else:
-        for cand in _ratfunc_roots(R):
-            if cand.regular_at_0:
-                pairs.append((cand, cand.eval0()))
+        pairs = [(cand, cand.eval0()) for cand in _ratfunc_roots(R)]
     if not pairs:
         raise NoSeriesBranch(
             "no rational-function root of the order-0 equation is regular at y=0")
@@ -196,9 +204,8 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
             f"{len(pairs)} admissible order-0 branches: "
             + ", ".join(str(p[0]) for p in pairs))
     c0, g0 = pairs[0]
-    # dQ/dpsi and dQ/dg at x = 0 on the branch: L = 1 keeps the x^0 terms
-    branch = {"psi": [c0], "g": [RatFunc.const(g0)]}
-    A, B = (_subs(eq.Q.derivative(v), branch, 1, RatFunc)[0]
+    # dQ/dpsi and dQ/dg at x = 0 on the branch
+    A, B = (_on_branch(eq.Q.derivative(v), c0, g0).to_ratfunc()
             for v in ("psi", "g"))
     if A.is_zero:
         raise DegenerateKernel("kernel dQ/dpsi vanishes identically on the branch")
@@ -216,7 +223,7 @@ def check_well_posed(eq: FuncEq) -> WellPosedness:
         if A.series(1)[1] == 0:
             raise DegenerateKernel(
                 "kernel A vanishes to order >= 2 at y=0 (unsupported multiplicity)")
-        if (A + B).series(1)[1] == 0:
+        if A.series(1)[1] + B.series(1)[1] == 0:
             raise DegenerateKernel(
                 "solvability function A+B vanishes to order >= 2 at y=0")
         mode = "kernel"
@@ -284,7 +291,7 @@ class _Expander:
                 "data A, B")
         # c_k(0) is read from the y^kv coefficient: kv = 0 direct, 1 kernel
         self._kv = kv = wp.kernelValuation
-        self._s = (wp.kernelA + wp.kernelB).series(kv)[kv]
+        self._s = wp.kernelA.series(kv)[kv] + wp.kernelB.series(kv)[kv]
 
     def series(self, K: int) -> SeriesX:
         """psi through x^K, the tables extended as far as needed."""

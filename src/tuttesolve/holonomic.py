@@ -222,18 +222,23 @@ def algeq_to_ode(p: AlgEq) -> LinODE:
     raise NonSquarefree("no linear dependence found; equation is degenerate")
 
 
-def _ode_apply(ode: LinODE, s: QSeries) -> list[Fraction]:
-    """Series of the ODE's left side, to the order the witness supports."""
+def _ode_apply(ode: LinODE, s: QSeries) -> list[int]:
+    """Series of the ODE's left side, to the order the witness supports,
+    times the lcm M of the witness's denominators: the witness is put over
+    M, so every product is of integers, and a coefficient is zero exactly
+    when the left side's is."""
     r = ode.order
     L = len(s) - r
     if L <= 0:
         raise InsufficientData("witness too short to test the ODE")
-    out = [Fraction(c) for c in ode.inhom[:L]]
-    out += [Fraction(0)] * (L - len(out))
+    M = math.lcm(*(c.denominator for c in s))
+    a = [c.numerator * (M // c.denominator) for c in s]
+    out = [M * c for c in ode.inhom[:L]]
+    out += [0] * (L - len(out))
     for i, p in enumerate(ode.coeffs):
         # f^(i) coefficients: (m+1)...(m+i) * a_(m+i)
-        fi = [math.perm(m + i, i) * s[m + i] for m in range(L)]
-        for m, v in enumerate(_mul_trunc(p, fi, L, Fraction(0))):
+        fi = [math.perm(m + i, i) * a[m + i] for m in range(L)]
+        for m, v in enumerate(_mul_trunc(p, fi, L, 0)):
             out[m] += v
     return out
 

@@ -9,9 +9,10 @@ content, primitive-part, gcd and exact-quotient helpers (``icontent``,
 lists only.
 
 Also here: :class:`RatFunc`, the canonical rational function in one
-variable used as the coefficient domain of bivariate series, the rational
-roots (found p-adically, with no integer factored) needed by the
-series-branch search, and ``num_str``, the one conversion of an int or
+variable, a value with no arithmetic (the package computes on rational
+functions as ``series._Loc`` values and hands results out as RatFuncs);
+the rational roots (found p-adically, with no integer factored) needed by
+the series-branch search; and ``num_str``, the one conversion of an int or
 Fraction to text, with its inverse ``int_parse``, for numbers of any size.
 Both work by divide and conquer on pieces that ``str()`` and ``int()``
 convert, below Python's 4,300-digit limit; reading back is then
@@ -365,10 +366,12 @@ def poly_str(a: Sequence, var: str) -> str:
 class RatFunc:
     """A rational function in one variable, canonical form.
 
-    Denominator is monic and coprime to the numerator, so equality is
-    syntactic.  Instances are immutable.  Reduction runs over the integers:
-    clear denominators, divide both sides exactly by their gcd in Z[y],
-    then make the denominator monic.
+    A value, not an arithmetic: the package computes on rational functions
+    through ``series._Loc`` and builds a RatFunc only to hand a result out
+    or compare it.  Denominator is monic and coprime to the numerator, so
+    equality is syntactic.  Instances are immutable.  Reduction runs over
+    the integers: clear denominators, divide both sides exactly by their
+    gcd in Z[y], then make the denominator monic.
     """
 
     __slots__ = ("num", "den")
@@ -390,10 +393,6 @@ class RatFunc:
         self.num = tuple(s * c for c in num)
         self.den = tuple(Fraction(c, lead) for c in den)
 
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls([Fraction(c)])
-
     @property
     def is_zero(self) -> bool:
         return not self.num
@@ -407,12 +406,6 @@ class RatFunc:
             raise ZeroDivisionError("rational function has a pole at 0")
         return (self.num[0] if self.num else Fraction(0)) / self.den[0]
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        d = peval(self.den, x)
-        if not d:
-            raise ZeroDivisionError(f"pole at {x}")
-        return peval(self.num, x) / d
-
     def series(self, order: int) -> list[Fraction]:
         """Taylor coefficients at 0 through the given order (inclusive)."""
         if not self.den[0]:
@@ -421,35 +414,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        return RatFunc(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __neg__(self) -> "RatFunc":
-        r = RatFunc.__new__(RatFunc)
-        r.num = tuple(-c for c in self.num)
-        r.den = self.den
-        return r
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if not self.num or not other.num:
-            return RATFUNC_ZERO
-        return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero RatFunc")
-        return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
@@ -468,7 +432,3 @@ class RatFunc:
             return n
         d = poly_str(self.den, "y")
         return f"({n})/({d})"
-
-
-RATFUNC_ZERO = RatFunc([])
-RATFUNC_ONE = RatFunc([Fraction(1)])

@@ -12,13 +12,14 @@ expander hands its own D and coefficients over as they are.  Canonical
 :class:`RatFunc` coefficients are built only when a caller outside the
 package asks for them, through indexing, iteration or ``coeffs``.
 
-All truncated-series arithmetic goes through one kernel that works over
-any exact coefficient ring: ``_mul_trunc`` is the truncated product, over
-``int`` for the guesser's power table and over ``Fraction`` for the ODE
-check.  ``_powers`` is the table of powers built on it that ``_subs``
-reads.  ``_subs`` substitutes series into a polynomial, over ``int`` for
-the zero test, and in the branch search of ``funceq`` over ``RatFunc``
-for the exact check and the kernel data on the branch.
+All truncated-series arithmetic goes through one kernel, and its rings are
+``int`` and ``_Loc``: ``_mul_trunc`` is the truncated product, over
+``int`` for the guesser's power table and the ODE step's witness check.
+``_powers`` is the table of powers built on it that ``_subs`` reads.
+``_subs`` substitutes series into a polynomial, over ``int`` for the zero
+test, and in the branch search of ``funceq`` over ``_Loc`` values
+localized at the branch's denominator, for the exact check and the kernel
+data on the branch.
 
 :class:`GLift` is the one series-root lifter: the root g(x) of an integer
 D(g, x) through a simple rational root g0 of D0(g, 0), term by term in
@@ -302,10 +303,10 @@ class _Loc:
 
 # --- the truncated-series kernel ---
 #
-# Coefficients come from any exact ring whose zero is falsy.  ``_subs``
-# names its ring by a ``lift``, which maps the integer coefficients of a
-# y-polynomial (constant first) into it: ``_int_lift`` for int, and
-# ``RatFunc`` itself for RatFunc.
+# Coefficients are ints or ``_Loc`` values, each with a falsy zero.
+# ``_subs`` names its ring by a ``lift``, which maps the integer
+# coefficients of a y-polynomial (constant first) into it: ``_int_lift``
+# for int, and a context's ``from_ints`` for ``_Loc`` values over it.
 
 def _mul_trunc(a: Sequence, b: Sequence, L: int, zero) -> list:
     """The first L coefficients of the product of two series."""

@@ -241,7 +241,7 @@ class TestCertify:
         # the guessed equation, but no uniqueness step can pick one of them
         eq = parse_equation("psi**2 - psi")
         p1 = AlgEq(f - c, QSeries([F(c)] + [F(0)] * 7))
-        witness = SeriesX([RatFunc.const(c)] + [RatFunc.const(0)] * 7)
+        witness = SeriesX([RatFunc([c])] + [RatFunc([0])] * 7)
         with pytest.raises(AmbiguousBranch):
             certify(eq, p1, witness)
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tuttesolve import (FuncEq, MPoly, check_well_posed, expand_series,
-                        parse_equation, specialize_y0)
+                        funceq, parse_equation, specialize_y0)
 from tuttesolve.errors import (AmbiguousBranch, DegenerateKernel,
                                NoSeriesBranch, PoleAtYZero, SelfCheckFailed)
 from tuttesolve.polyq import RatFunc
@@ -89,12 +89,23 @@ class TestWellPosedness:
         ("(1 - y + 2*y**2)*psi - (1 + 3*y**2) - x*psi**2",
          ([1, 0, 3], [1, -1, 2]), [1, -1, 2], []),
         ("3*psi - 1 - g - x*psi**2", ([1], [2]), [3], [-1]),
-    ], ids=["pole-at-1", "with-g", "degree-2", "fractional-gamma"])
+        # the roots 1/y and 2: the one with a pole at y = 0 is dropped
+        ("(y*psi - 1)*(psi - 2) - x*psi", ([2],), [-1, 2], []),
+        # gamma = 0 from the consistency polynomial, then c0 = 0
+        ("(y*psi - 1)*(psi - 2*g) + x", ([],), [-1], [2]),
+    ], ids=["pole-at-1", "with-g", "degree-2", "fractional-gamma",
+            "root-with-pole-at-0", "root-with-pole-at-0-and-g"])
     def test_rational_branch(self, text, c0, A, B):
         wp = check_well_posed(parse_equation(text))
         assert wp.c0 == RatFunc(*c0) and wp.mode == "direct"
         assert wp.gamma0 == wp.c0.eval0()
         assert wp.kernelA == RatFunc(A) and wp.kernelB == RatFunc(B)
+
+    def test_root_with_pole_at_0_is_not_returned(self):
+        # (y*psi - 1)*(psi - 2) has the roots 1/y and 2; no branch may have
+        # a pole at y = 0, so only 2 comes back
+        A = (y * psi - 1) * (psi - 2)
+        assert funceq._ratfunc_roots(A) == [RatFunc([2])]
 
     def test_two_rational_branches_are_ambiguous(self):
         with pytest.raises(AmbiguousBranch, match=r"-y \+ 1, y \+ 1"):
@@ -108,6 +119,37 @@ class TestWellPosedness:
         assume(d[0] and len(_oracle.poly_gcd_q(n, d)) == 1)
         eq = FuncEq(poly_y(d) * psi - poly_y(n) - x * psi**2)
         assert check_well_posed(eq).c0 == RatFunc(n, d)
+
+
+CORPUS = {"catalan": "psi - 1 - x*psi**2",
+          "maps": "y*psi - y - x*y*(1+y)**2*psi**2 - x*(1+y)*((1+y)*psi - g)",
+          "flagship": _frozen.TUTTE_EQ,
+          **{name: _oracle.walk_equation(steps) for name, steps in (
+              ("dyck", (-1, 1)), ("motzkin", (-1, 0, 1)), ("luk2", (-1, 2)),
+              ("luk3", (-1, 3)), ("walk112", (-1, 1, 2)),
+              ("walk102", (-1, 0, 2)))}}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_branch_search_builds_one_ratfunc_per_candidate(name, monkeypatch):
+    # the search computes on localized values: a RatFunc is built once per
+    # candidate root (one lift each), and once each for A and B
+    eq = parse_equation(CORPUS[name])
+    built, lifts = [], []
+    real_init, real_lift = RatFunc.__init__, funceq.GLift
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def lift(*args):
+        lifts.append(args)
+        return real_lift(*args)
+
+    monkeypatch.setattr(RatFunc, "__init__", init)
+    monkeypatch.setattr(funceq, "GLift", lift)
+    check_well_posed(eq)
+    assert lifts and len(built) <= len(lifts) + 2
 
 
 class TestExpansion:

@@ -110,6 +110,13 @@ class TestAlgEqToOde:
         ode = LinODE(((-1,), (1,)), (), QSeries([F(1)] * 6))
         with pytest.raises(SelfCheckFailed):
             _check_ode(ode, ode.branch)
+        # 1/(1 - x/2) has coefficients 2^-n, so the check runs on the
+        # witness over its common denominator: (2 - x)*f' - f = 0 holds,
+        # and f' = f does not
+        half = QSeries([F(1, 2**n) for n in range(8)])
+        _check_ode(LinODE(((-1,), (2, -1)), (), half), half)
+        with pytest.raises(SelfCheckFailed):
+            _check_ode(LinODE(((-1,), (1,)), (), half), half)
 
     def test_non_squarefree_rejected(self):
         sq = AlgEq((f - one) ** 2, QSeries([F(1), F(0), F(0)]))

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tuttesolve import (CoeffTable, MPoly, PipelineConfig, certify,
+from tuttesolve import (ABSENT, CoeffTable, MPoly, PipelineConfig, certify,
                         column_series, expand_series, minimize_rec,
                         parse_equation, run_pipeline, specialize_y0, unroll)
 from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
@@ -163,6 +163,27 @@ def test_sweep_is_proven_right_or_refused_with_a_typed_error(deadline):
         proven += 1
     # a sweep that proves nothing would show nothing
     assert proven >= 40
+
+
+def test_weighted_walks_match_the_counting_oracle(deadline):
+    # down step -1 and a multiset of 1 to 4 steps from {0, 1, 2, 3}: a
+    # repeated step is a weight, in the equation as in the counting
+    rng = random.Random(20261021)
+    for _ in range(12):
+        steps = (-1, *sorted(rng.choices(range(4), k=rng.randint(1, 4))))
+        deadline(10)
+        try:
+            rep = run_pipeline(PipelineConfig(_oracle.walk_equation(steps),
+                                              eval_at=200))
+        finally:
+            deadline(0)
+        want = [row[0] for row in _oracle.walk_counts(steps, 200, 0)]
+        assert rep.proven, steps
+        assert list(rep.series_prefix) == want[:len(rep.series_prefix)], steps
+        assert rep.recurrence.terms(201) == want, steps
+        if rep.minimized is not ABSENT:
+            assert rep.minimized.terms(201) == want, steps
+        assert rep.value.value == want[200], steps
 
 
 WALKS = {"dyck": (-1, 1), "motzkin": (-1, 0, 1), "luk2": (-1, 2),
