@@ -36,7 +36,7 @@ from .guessing import AlgEq
 from .mpoly import MPoly, resultant, squarefree_primitive
 from .series import GLift, SeriesX, _vanishing_order
 
-# perfbench/tracing.py wraps these names here until ROADMAP item 6 retires
+# perfbench/tracing.py wraps these names here until ROADMAP item 4 retires
 # its call-site patching
 defect_annihilator = vanishing_bound = None
 

@@ -8,6 +8,7 @@ conjectural (uncertified) result was produced, 1 on any error.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 
 import click
 
@@ -16,6 +17,8 @@ from .errors import TutteSolveError
 from .pipeline import PipelineConfig, run_pipeline
 from .report import FORMATS, render_report
 
+_DEFAULT = {f.name: f.default for f in fields(PipelineConfig)}
+
 
 @click.group()
 @click.version_option(version=__version__)
@@ -23,35 +26,31 @@ def main():
     """Exact solver for Tutte-type functional equations."""
 
 
-@main.command()
+@main.command(context_settings={"show_default": True})
 @click.option("--equation", required=True,
               help="equation text, e.g. 'psi - 1 - x*(y*psi + g)'")
-@click.option("--guess-order", default=24, show_default=True, type=int,
+@click.option("--guess-order", default=_DEFAULT["guess_order"], type=int,
               help="initial order K of the prefix of g the guess is fitted to")
-@click.option("--max-complexity", default=8, show_default=True, type=int,
+@click.option("--max-complexity", default=_DEFAULT["max_complexity"], type=int,
               help="cap on recurrence order + degree for minimization")
-@click.option("--eval-at", default=1000, show_default=True, type=int,
+@click.option("--eval-at", default=_DEFAULT["eval_at"], type=int,
               help="sequence index G to evaluate exactly")
-@click.option("--column", default=0, show_default=True, type=int,
+@click.option("--column", default=_DEFAULT["column"], type=int,
               help="also extract the coefficients of y^m (guess only)")
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(FORMATS),
-              help="report rendering")
-@click.option("--prove/--no-prove", default=True, show_default=True,
+@click.option("--format", "fmt", default="text",
+              type=click.Choice(FORMATS), help="report rendering")
+@click.option("--prove/--no-prove", default=_DEFAULT["prove"],
               help="certify the guessed equations (or label them conjectural)")
-@click.option("--max-degree", default=16, show_default=True, type=int,
+@click.option("--max-degree", default=_DEFAULT["max_degree"], type=int,
               help="ceiling on guessed degrees")
 @click.option("--seed-report", default=None,
               type=click.Path(dir_okay=False, writable=True),
               help="also write the structured report to this path")
-def solve(equation, guess_order, max_complexity, eval_at, column, fmt,
-          prove, max_degree, seed_report):
+def solve(fmt, seed_report, **options):
     """Solve one functional equation and print the report."""
     try:
-        cfg = PipelineConfig(equation=equation, guess_order=guess_order,
-                             max_complexity=max_complexity, eval_at=eval_at,
-                             column=column, prove=prove, max_degree=max_degree)
-        rep = run_pipeline(cfg)
+        # every other option is the PipelineConfig field of its name
+        rep = run_pipeline(PipelineConfig(**options))
     except TutteSolveError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

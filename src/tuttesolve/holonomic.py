@@ -98,10 +98,6 @@ class PRec:
     def degree(self) -> int:
         return max(polyq.deg(list(q)) for q in self.coeffs if q)
 
-    @property
-    def complexity(self) -> int:
-        return self.order + self.degree
-
     @staticmethod
     def initials_needed(coeffs: Sequence[Sequence[int]]) -> int:
         """How many initial values the recurrence q_0..q_s needs: its order

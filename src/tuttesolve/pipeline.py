@@ -7,19 +7,20 @@ elimination.  These restart the guessing loop with a doubled series
 order instead of failing outright: the guesser returning FAIL (not enough
 data for any support), a certificate refutation (the guess fit the prefix
 but not the equation), and a witness too short for the proof, on which
-the cofactor of p1 in D0 vanishes throughout.  All are
-capped by the configured series ceiling.  With proving off, the first
-guess is eliminated as it is, and everything after it is conjectural.
+the cofactor of p1 in D0 vanishes throughout.  All are capped by the
+configured series ceiling.  With proving off, only `certify` is skipped:
+the first guess is eliminated as it is, and everything after it is
+conjectural.
 
-A proven run takes one of two routes to g's prefix.  Where the series
-solution is known to exist at every order and g0 is a simple root of
-D0(g, 0), the "annihilator" stage builds D once and the "lift" stage
+The equation alone picks one of two routes to g's prefix.  Where the
+series solution is known to exist at every order and g0 is a simple root
+of D0(g, 0), the "annihilator" stage builds D once and the "lift" stage
 extends g's prefix from D0 on each doubling; the guess is capped to D0's
-degree box, which holds every provable p1.  Everywhere else, and with
-proving off or a column asked for, the "expansion" stage builds one
-expander of psi and extends it to the order on each doubling, and the
-"specialize" stage reads g off it.  `certify` proves p1 the same way on
-both; only where D and g's prefix come from differs.
+degree box, which holds every provable p1.  Everywhere else the
+"expansion" stage builds one expander of psi and extends it to the order
+on each doubling, and the "specialize" stage reads g off it.  `certify`
+proves p1 the same way on both.  A column reads psi's expansion at the
+final order, expanded after the loop on the lift route.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
     eq = st.run("parse", parse_equation, cfg.equation)
     wp = st.run("well-posedness", check_well_posed, eq)
 
-    lift = None
-    if cfg.prove and cfg.column == 0 and solvable_at_every_order(eq, wp):
+    lift = expander = None
+    if solvable_at_every_order(eq, wp):
         lift = st.run("annihilator", lift_g, eq, wp)
     degF = degX = cfg.max_degree
     if lift is not None:
@@ -165,8 +166,8 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
     K = cfg.guess_order
     while True:
         if lift is None:
-            sx = witness = st.run("expansion", expander.series, K)
-            seq = st.run("specialize", specialize_y0, sx)
+            witness = st.run("expansion", expander.series, K)
+            seq = st.run("specialize", specialize_y0, witness)
         else:
             witness = lift
             seq = st.run("lift", lift.series, K)
@@ -202,6 +203,8 @@ def _solve(cfg: PipelineConfig, st: _Stages) -> Report:
 
     column = None
     if cfg.column > 0:
+        expander = expander or st.run("expansion", _Expander, eq, wp)
+        sx = st.run("expansion", expander.series, K)
         col = st.run("column", _column_from_expansion, sx, cfg.column)
         colguess = st.run("column-guess", guess_algeq, col,
                           cfg.max_degree, cfg.max_degree)

@@ -7,7 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from tuttesolve import parse_report
+from tuttesolve import PipelineConfig, cli, parse_report
 from tuttesolve.cli import main
 from tuttesolve.report import FORMATS
 
@@ -25,6 +25,15 @@ class TestSolve:
         assert res.exit_code == 0
         assert "Status: proven" in res.output
         assert "a(8) = 1430" in res.output
+
+    def test_defaults_are_the_config_defaults(self, monkeypatch):
+        # the equation alone is PipelineConfig with its own defaults
+        seen, real = [], cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda cfg: seen.append(cfg) or real(cfg))
+        res = run(["solve", "--equation", "psi - 1 - x*psi**2"])
+        assert res.exit_code == 0
+        assert seen == [PipelineConfig("psi - 1 - x*psi**2")]
 
     def test_no_prove_exits_two(self):
         res = run(CATALAN + ["--no-prove"])

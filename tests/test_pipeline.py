@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from tuttesolve.errors import (AmbiguousBranch, InsufficientData,
                                InvalidBounds, PipelineError,
                                PoleAtYZero, ResourceCeiling,
                                TutteSolveError)
+from tuttesolve.report import CertificateSummary
 
 from . import _frozen, _oracle
 
@@ -196,8 +198,8 @@ ROUTED = {"catalan": "psi - 1 - x*psi**2",
 
 
 class TestRoutes:
-    """The proven path lifts g from D where the series solution is known to
-    exist and g0 is a simple root of D0(g, 0), and expands psi elsewhere."""
+    """A run lifts g from D where the series solution is known to exist and
+    g0 is a simple root of D0(g, 0), and expands psi elsewhere."""
 
     @pytest.mark.parametrize("name", list(ROUTED))
     def test_the_lift_reports_what_the_expansion_does(self, name,
@@ -295,12 +297,58 @@ class TestRoutes:
         assert "lift" not in rep.timings_ms
         assert rep.value.value == _oracle.catalan(10)
 
-    @pytest.mark.parametrize("cfg", [dict(prove=False), dict(column=1)],
+    @pytest.mark.parametrize("cfg, expands", [(dict(prove=False), False),
+                                              (dict(column=1), True)],
                              ids=["no-prove", "column"])
-    def test_no_proof_or_a_column_expands(self, cfg):
+    def test_no_proof_or_a_column_lifts(self, cfg, expands, monkeypatch):
+        # the equation alone picks the route; a column expands psi once,
+        # after the guess loop, through the order g was proven at
+        orders = []
+        div = funceq_mod._Expander._div_by_a
+
+        def spy_div(self, v, k):
+            orders.append(k)
+            return div(self, v, k)
+
+        monkeypatch.setattr(funceq_mod._Expander, "_div_by_a", spy_div)
         rep = run_pipeline(PipelineConfig(DYCK, eval_at=10, **cfg))
-        assert "expansion" in rep.timings_ms
-        assert "annihilator" not in rep.timings_ms
+        assert {"annihilator", "lift"} <= set(rep.timings_ms)
+        assert ("expansion" in rep.timings_ms) == expands
+        assert "specialize" not in rep.timings_ms
+        K = len(rep.series_prefix) - 1
+        assert orders == (list(range(1, K + 1)) if expands else [])
+
+    def test_a_column_keeps_the_plain_report(self):
+        # walk {-1, +5} is proven at K = 96 on the lift route and only at
+        # K = 192 on the expansion route; a column does not change route
+        steps = (-1, 5)
+        cfg = PipelineConfig(_oracle.walk_equation(steps), eval_at=60)
+        plain = strip_timings(run_pipeline(cfg).to_dict())
+        rep = run_pipeline(dataclasses.replace(cfg, column=1))
+        want = [F(row[1]) for row in _oracle.walk_counts(steps, 96, 1)]
+        assert list(rep.column.series) == want
+        with_column = strip_timings(rep.to_dict())
+        assert plain.pop("column") is None
+        assert with_column.pop("column") is not None
+        assert with_column == plain
+
+    @pytest.mark.parametrize("name", [n for n in ROUTED
+                                      if n not in ("walk-15", "walk-145")])
+    def test_unproven_report_is_the_proven_one(self, name):
+        # with proving off, the same g and the same guess give the same
+        # equations, recurrence and value; only the certificate is skipped.
+        # The two walks left out keep a wrong guess unproven (ROADMAP 3)
+        cfg = PipelineConfig(ROUTED[name], eval_at=200)
+        proven = run_pipeline(cfg)
+        unproven = run_pipeline(dataclasses.replace(cfg, prove=False))
+        assert proven.proven and not unproven.proven
+        assert unproven.certificate == CertificateSummary.skipped()
+        assert unproven.p1 == proven.p1
+        assert unproven.p2 == proven.p2
+        assert unproven.recurrence == proven.recurrence
+        assert unproven.minimized == proven.minimized
+        assert unproven.value == proven.value
+        assert unproven.series_prefix == proven.series_prefix
 
 
 class TestStageAttribution:
@@ -337,28 +385,20 @@ class TestStageAttribution:
         assert set(e.value.timings_ms) == {
             "parse", "well-posedness", *{"expansion", e.value.stage}}
 
-    def test_guess_ceiling_keeps_stage_timings(self):
-        # Catalan's series is not rational, so degree 1 never fits; the
-        # proven path lifts g from D and expands nothing
+    @pytest.mark.parametrize("prove", [True, False],
+                             ids=["proven", "unproven"])
+    def test_guess_ceiling_keeps_stage_timings(self, prove):
+        # Catalan's series is not rational, so degree 1 never fits; proven
+        # or not, the run lifts g from D and expands nothing
         cfg = PipelineConfig("psi - 1 - x*psi**2", guess_order=8,
                              max_complexity=2, eval_at=0, max_degree=1,
-                             max_order=8)
+                             max_order=8, prove=prove)
         with pytest.raises(PipelineError) as e:
             run_pipeline(cfg)
         assert e.value.stage == "guess"
         assert isinstance(e.value.cause, ResourceCeiling)
         assert set(e.value.timings_ms) == {
             "parse", "well-posedness", "annihilator", "lift", "guess"}
-
-    def test_guess_ceiling_keeps_stage_timings_without_proving(self):
-        cfg = PipelineConfig("psi - 1 - x*psi**2", guess_order=8,
-                             max_complexity=2, eval_at=0, max_degree=1,
-                             max_order=8, prove=False)
-        with pytest.raises(PipelineError) as e:
-            run_pipeline(cfg)
-        assert e.value.stage == "guess"
-        assert set(e.value.timings_ms) == {
-            "parse", "well-posedness", "expansion", "specialize", "guess"}
 
     @pytest.mark.parametrize("prove, stage", [(True, "certify"),
                                               (False, "eliminate")])
